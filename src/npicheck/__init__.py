@@ -42,11 +42,14 @@ from .minima import (
     ConcatCertificate,
     ConcatFailure,
     MinimaMultiset,
+    check_assignment,
     check_presentation,
     maxima_multiset,
     minima_multiset,
     prefix_profile,
+    presentation_hypotheses,
     replay_certificate,
+    replay_stuck_core,
     weak_concatenability,
 )
 from .logs import (

@@ -20,7 +20,7 @@ from .homology import (
     is_generalized_wirtinger,
 )
 from .logs import adian_npi_check
-from .minima import MAX, MIN, check_presentation
+from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, TargetAssignment, parse_target_spec
 from .report import (
     BadPhiSpec,
@@ -175,8 +175,9 @@ def _dispatch(args) -> int:
             ]
         else:
             assignments = [(None, assignment)]
+        pres_hyps = presentation_hypotheses(pres)
         for weights, cand in assignments:
-            verdict = check_presentation(pres, target, cand, args.mode)
+            verdict = check_assignment(pres, pres_hyps, target, cand, args.mode)
             label = {
                 "concatenable": "Concatenable",
                 "not-concatenable": "NotConcatenable",
@@ -197,6 +198,9 @@ def _dispatch(args) -> int:
                         for w in verdict.certificate.witnesses
                     )
                     print(f"  {label}: ordering ({order}); witnesses ({wits})")
+                elif verdict.failure is not None:
+                    core = ", ".join(f"r{i}" for i in verdict.failure.stuck_core)
+                    print(f"  {label} -- stuck core ({core})")
                 else:
                     print(f"  {label}")
             elif command == "minima" and verdict.multisets is None:

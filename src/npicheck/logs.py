@@ -15,8 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import is_generalized_wirtinger
-from .minima import MAX, MIN, CheckVerdict, HypothesisResult, check_presentation
+from .minima import (
+    MAX,
+    MIN,
+    CheckVerdict,
+    HypothesisResult,
+    check_assignment,
+    presentation_hypotheses,
+)
 from .orders import IntTarget, TargetAssignment
 from .words import Presentation, Word, letter_gen, rotate_word
 
@@ -209,9 +215,10 @@ class AdianVerdict:
 def adian_npi_check(pres: Presentation) -> AdianVerdict:
     """Equal-length Adian route to non-positive immersions.
 
-    Requires an Adian decomposition with len(u) = len(v) everywhere and H1
-    free abelian of rank n - k; then a T-forest forces Min-mode weak
-    concatenability with all-ones weights and an I-forest Max-mode.  The
+    Requires an Adian decomposition with len(u) = len(v) everywhere, a
+    valid presentation and H1 free abelian of rank n - k; then a T-forest
+    forces Min-mode weak concatenability with all-ones weights and an
+    I-forest Max-mode.  The
     concatenability run is a mandatory internal cross-check: it must
     succeed whenever the corresponding forest test does.
     """
@@ -233,13 +240,9 @@ def adian_npi_check(pres: Presentation) -> AdianVerdict:
         return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)
     hyps.append(HypothesisResult("equal-block-lengths", "pass", "len(u) = len(v) throughout"))
 
-    wirt = is_generalized_wirtinger(pres)
-    hyps.append(
-        HypothesisResult(
-            "h1-free-abelian-rank-n-k", "pass" if wirt.ok else "fail", wirt.reason
-        )
-    )
-    if not wirt.ok:
+    pres_hyps = presentation_hypotheses(pres)
+    hyps.append(pres_hyps[-1])
+    if pres_hyps[-1].status == "fail":
         return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)
 
     t_check = is_forest(graph_T(form))
@@ -249,13 +252,13 @@ def adian_npi_check(pres: Presentation) -> AdianVerdict:
     min_verdict = None
     max_verdict = None
     if t_check.ok:
-        min_verdict = check_presentation(pres, target, assignment, MIN)
+        min_verdict = check_assignment(pres, pres_hyps, target, assignment, MIN)
         if min_verdict.status != "concatenable":
             raise AssertionError(
                 "T-forest without Min-mode concatenability: internal cross-check failed"
             )
     if i_check.ok:
-        max_verdict = check_presentation(pres, target, assignment, MAX)
+        max_verdict = check_assignment(pres, pres_hyps, target, assignment, MAX)
         if max_verdict.status != "concatenable":
             raise AssertionError(
                 "I-forest without Max-mode concatenability: internal cross-check failed"

@@ -138,9 +138,10 @@ class ConcatCertificate:
 
 @dataclass(frozen=True)
 class ConcatFailure:
-    """Inclusion-maximal placeable subsets; the full set is unreachable."""
+    """The stuck core: the unique maximal set of relators none of which can
+    be placed after all the others (sorted relator ids, never empty)."""
 
-    maximal_reachable: tuple[tuple[int, ...], ...]
+    stuck_core: tuple[int, ...]
 
 
 def replay_certificate(cert: ConcatCertificate, multisets) -> tuple[bool, str]:
@@ -167,90 +168,125 @@ def replay_certificate(cert: ConcatCertificate, multisets) -> tuple[bool, str]:
     return True, "certificate replays"
 
 
-def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
-    """Subset dynamic program over placement states.
+def _usable(m: MinimaMultiset) -> list[int]:
+    """Generators that can witness a placement: unequal copy counts."""
+    return sorted(g for g, (p, n) in m.counts.items() if p + n > 0 and p != n)
 
-    A state S is reachable iff S is empty or some relator i in S admits a
-    witness generator outside the supports of S minus i with unequal
-    positive/negative copies.  The returned certificate uses deterministic
-    tie-breaking: lowest relator index first, then lowest generator index.
+
+def replay_stuck_core(core, multisets) -> tuple[bool, str]:
+    """Check a stuck core against raw multisets, by plain rounds of peeling.
+
+    A nonempty core whose every member has all its usable generators inside
+    the supports of the other members rules out every ordering: the member
+    placed last among them has no fresh witness.  The relators outside the
+    core must peel, which makes the core the unique maximal such set.
+    """
+    by_rel = {m.relator: m for m in multisets}
+    core = list(core)
+    if not core:
+        return False, "an empty core witnesses nothing"
+    if len(set(core)) != len(core) or not set(core) <= set(by_rel):
+        return False, "core is not a set of relators"
+    for rel in core:
+        others = set().union(*(by_rel[j].support() for j in core if j != rel))
+        free = [g for g in _usable(by_rel[rel]) if g not in others]
+        if free:
+            return False, f"relator {rel} can go last in the core with witness {free[0]}"
+    live = set(by_rel)
+    outside = live - set(core)
+    while outside:
+        for rel in sorted(outside):
+            others = set().union(*(by_rel[j].support() for j in live if j != rel))
+            if any(g not in others for g in _usable(by_rel[rel])):
+                live.remove(rel)
+                outside.remove(rel)
+                break
+        else:
+            return False, f"relators {sorted(outside)} outside the core do not peel"
+    return True, "stuck core replays"
+
+
+def _stuck(usable, supports, rest, blocked) -> set[int]:
+    """What is left of the relator indices ``rest`` when peeling stops.
+
+    A relator peels when it has a usable generator that is neither blocked
+    nor in the support of another remaining relator, so it can go last.
+    Placing a relator after a set S only needs a witness outside the
+    supports of S, and shrinking S never blocks it; so peeling a relator
+    that can go last loses no ordering, and ``rest`` can be ordered after
+    ``blocked`` iff nothing is left.  Sets with no peelable member are
+    closed under union, so what is left is the unique maximal one.
+    """
+    left = set(rest)
+    holders: dict[int, set[int]] = {}
+    for i in left:
+        for g in supports[i]:
+            holders.setdefault(g, set()).add(i)
+    queue = [
+        i for i in left if any(g not in blocked and len(holders[g]) == 1 for g in usable[i])
+    ]
+    while queue:
+        i = queue.pop()
+        if i not in left:
+            continue
+        left.remove(i)
+        for g in supports[i]:
+            holders[g].discard(i)
+            if len(holders[g]) == 1 and g not in blocked:
+                (j,) = holders[g]
+                if g in usable[j]:
+                    queue.append(j)
+    return left
+
+
+def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
+    """Decide weak concatenability by peeling.
+
+    A relator i can be placed after a set S of relators iff it has a
+    witness generator outside the supports of S with unequal positive and
+    negative copies.  The multisets are concatenable iff every relator
+    peels (see ``_stuck``).  The certificate is built forward with
+    deterministic tie-breaking, lowest relator index first and then lowest
+    generator index, taking a placement only when the rest still peels;
+    otherwise the stuck core is returned.
     """
     k = len(multisets)
     if k == 0:
         return ConcatCertificate((), ())
     if len({m.mode for m in multisets}) != 1:
         raise ValueError("all multisets must share one mode")
-    if k > 20:
-        raise ValueError("placement search is desk-scale (k <= 20)")
     supports = [m.support() for m in multisets]
-    usable = [
-        sorted(g for g, (p, n) in m.counts.items() if p + n > 0 and p != n)
-        for m in multisets
-    ]
-    union: list[frozenset[int]] = [frozenset()] * (1 << k)
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        union[s] = union[s & (s - 1)] | supports[low]
-
-    def placeable(state: int, i: int) -> int | None:
-        blocked = union[state]
-        for g in usable[i]:
-            if g not in blocked:
-                return g
-        return None
-
-    full = (1 << k) - 1
-    completable = [False] * (1 << k)
-    completable[full] = True
-    for state in range(full - 1, -1, -1):
-        for i in range(k):
-            if state & (1 << i):
-                continue
-            if completable[state | (1 << i)] and placeable(state, i) is not None:
-                completable[state] = True
-                break
-
-    if completable[0]:
-        ordering: list[int] = []
-        witnesses: list[WitnessStep] = []
-        state = 0
-        while state != full:
-            for i in range(k):
-                bit = 1 << i
-                if state & bit:
-                    continue
-                g = placeable(state, i)
-                if g is not None and completable[state | bit]:
-                    p, n = multisets[i].counts[g]
-                    ordering.append(multisets[i].relator)
-                    witnesses.append(WitnessStep(g, p, n))
-                    state |= bit
-                    break
-        cert = ConcatCertificate(tuple(ordering), tuple(witnesses))
-        ok, why = replay_certificate(cert, multisets)
+    usable = [_usable(m) for m in multisets]
+    core = _stuck(usable, supports, range(k), frozenset())
+    if core:
+        failure = ConcatFailure(tuple(sorted(multisets[i].relator for i in core)))
+        ok, why = replay_stuck_core(failure.stuck_core, multisets)
         if not ok:
-            raise AssertionError(f"constructed certificate does not replay: {why}")
-        return cert
+            raise AssertionError(f"stuck core does not replay: {why}")
+        return failure
 
-    reachable = {0}
-    frontier = [0]
-    while frontier:
-        state = frontier.pop()
-        for i in range(k):
-            bit = 1 << i
-            if state & bit or placeable(state, i) is None:
+    ordering: list[int] = []
+    witnesses: list[WitnessStep] = []
+    rest = set(range(k))
+    blocked: set[int] = set()
+    while rest:
+        for i in sorted(rest):
+            g = next((g for g in usable[i] if g not in blocked), None)
+            if g is None or _stuck(usable, supports, rest - {i}, blocked | supports[i]):
                 continue
-            nxt = state | bit
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-    maximal = [
-        s for s in reachable if not any(t != s and t & s == s for t in reachable)
-    ]
-    as_tuples = sorted(
-        tuple(multisets[i].relator for i in range(k) if s & (1 << i)) for s in maximal
-    )
-    return ConcatFailure(tuple(as_tuples))
+            p, n = multisets[i].counts[g]
+            ordering.append(multisets[i].relator)
+            witnesses.append(WitnessStep(g, p, n))
+            rest.remove(i)
+            blocked |= supports[i]
+            break
+        else:
+            raise AssertionError("no placement keeps the remaining relators peelable")
+    cert = ConcatCertificate(tuple(ordering), tuple(witnesses))
+    ok, why = replay_certificate(cert, multisets)
+    if not ok:
+        raise AssertionError(f"constructed certificate does not replay: {why}")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -275,43 +311,59 @@ class CheckVerdict:
     failure: ConcatFailure | None
 
 
+def presentation_hypotheses(pres: Presentation) -> tuple[HypothesisResult, ...]:
+    """The hypotheses that depend on the presentation alone, checked once
+    for every weight map tried on it: validity, then H1 free abelian of
+    rank n - k.  A failing entry is the last one."""
+    diags = validate(pres)
+    if diags:
+        return (
+            HypothesisResult(
+                "presentation-valid", "fail", "; ".join(str(d) for d in diags)
+            ),
+        )
+    wirt = is_generalized_wirtinger(pres)
+    return (
+        HypothesisResult("presentation-valid", "pass", "relators cyclically reduced"),
+        HypothesisResult(
+            "h1-free-abelian-rank-n-k", "pass" if wirt.ok else "fail", wirt.reason
+        ),
+    )
+
+
 def check_presentation(
     pres: Presentation,
     target: OrderedTarget,
     assignment: TargetAssignment,
     mode: str = MIN,
 ) -> CheckVerdict:
-    """Run every hypothesis check and decide weak concatenability.
+    """Run every hypothesis check and decide weak concatenability."""
+    return check_assignment(pres, presentation_hypotheses(pres), target, assignment, mode)
+
+
+def check_assignment(
+    pres: Presentation,
+    pres_hyps: tuple[HypothesisResult, ...],
+    target: OrderedTarget,
+    assignment: TargetAssignment,
+    mode: str = MIN,
+) -> CheckVerdict:
+    """Check one assignment on a presentation whose own hypotheses
+    ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
 
     Integer targets are normalized first: generators with negative weight
     are flipped (and their weights negated), so the profile rules apply in
     their nonnegative form.
     """
-    hyps: list[HypothesisResult] = []
+    hyps: list[HypothesisResult] = list(pres_hyps)
 
     def failed(reason: str) -> CheckVerdict:
         return CheckVerdict(
             "hypothesis-failure", tuple(hyps), frozenset(), pres, None, mode, None, None, None
         )
 
-    diags = validate(pres)
-    if diags:
-        hyps.append(
-            HypothesisResult(
-                "presentation-valid", "fail", "; ".join(str(d) for d in diags)
-            )
-        )
-        return failed("invalid presentation")
-    hyps.append(HypothesisResult("presentation-valid", "pass", "relators cyclically reduced"))
-
-    wirt = is_generalized_wirtinger(pres)
-    hyps.append(
-        HypothesisResult(
-            "h1-free-abelian-rank-n-k", "pass" if wirt.ok else "fail", wirt.reason
-        )
-    )
-    if not wirt.ok:
-        return failed(wirt.reason)
+    if hyps[-1].status == "fail":
+        return failed(hyps[-1].detail)
 
     flips: frozenset[int] = frozenset()
     work_pres = pres

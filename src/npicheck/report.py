@@ -27,7 +27,13 @@ from .logs import (
     log_to_presentation,
     underlying_forest,
 )
-from .minima import MIN, CheckVerdict, check_presentation
+from .minima import (
+    MIN,
+    CheckVerdict,
+    check_assignment,
+    check_presentation,
+    presentation_hypotheses,
+)
 from .orders import (
     BraidTarget,
     IntTarget,
@@ -37,7 +43,7 @@ from .orders import (
 )
 from .words import Presentation, validate
 
-REPORT_FORMAT = "npicheck-report-v1"
+REPORT_FORMAT = "npicheck-report-v2"
 
 # Rendered verdict labels required by the report interface.
 CITATIONS = {
@@ -185,9 +191,7 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
     if verdict.certificate is not None:
         entry["certificate"] = _certificate_dict(verdict.presentation, verdict.certificate)
     if verdict.failure is not None:
-        entry["failure_witness"] = {
-            "maximal_placeable": [list(s) for s in verdict.failure.maximal_reachable]
-        }
+        entry["failure_witness"] = {"stuck_core": list(verdict.failure.stuck_core)}
     return entry
 
 
@@ -297,9 +301,10 @@ def _presentation_report(pres: Presentation, options: ReportOptions, input_text:
             candidates = [assignment]
             weight_lists = [weights]
 
+        pres_hyps = presentation_hypotheses(pres)
         chosen = None
         for weights, cand in zip(weight_lists, candidates):
-            verdict = check_presentation(pres, target, cand, options.mode)
+            verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
             entry = _verdict_to_entry(pres, verdict)
             entry["weights"] = {
                 pres.generators[j]: int(weights[j]) for j in range(len(pres.generators))
@@ -529,10 +534,8 @@ def render_text(doc: dict) -> str:
             wits = ", ".join(w["generator"] for w in cert["witnesses"])
             lines.append(f"  certificate: ordering ({order}); witnesses ({wits})")
         if "failure_witness" in attempt:
-            lines.append(
-                "  not concatenable; maximal placeable subsets: "
-                + str(attempt["failure_witness"]["maximal_placeable"])
-            )
+            core = ", ".join(f"r{i}" for i in attempt["failure_witness"]["stuck_core"])
+            lines.append(f"  not concatenable; stuck core ({core})")
     if doc.get("cover"):
         cov = doc["cover"]
         status = "ok" if cov["ok"] else "FAILED"

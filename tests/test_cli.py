@@ -1,11 +1,14 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from npicheck import minima
 from npicheck.cli import run
-from npicheck.logs import Log
-from npicheck.orders import parse_target_spec
+from npicheck.logs import Log, log_to_presentation, lof_random
+from npicheck.minima import check_presentation
+from npicheck.orders import IntTarget, TargetAssignment, parse_target_spec
 from npicheck.report import ReportOptions, full_report, report_json
 from npicheck.textio import (
     ParseError,
@@ -116,6 +119,7 @@ def test_cli_concat_auto_braid_z(files, capsys):
     assert run(["concat", files["braid.pres"], "--target", "z", "--phi", "auto"]) == 0
     out = capsys.readouterr().out
     assert "NotConcatenable" in out and "Concatenable:" not in out
+    assert "NotConcatenable -- stuck core (r0, r1)" in out
 
 
 def test_cli_h1_torsion(files, capsys):
@@ -200,7 +204,7 @@ def test_report_json_fields_stable():
         "verdict",
     ):
         assert field in doc
-    assert doc["format"] == "npicheck-report-v1"
+    assert doc["format"] == "npicheck-report-v2"
     assert doc["verdict"]["citation"] == "Thm 3.4"
     assert doc["cover"]["ok"] is True
 
@@ -235,3 +239,37 @@ def test_report_scan_option(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"]["status"] == "hypothesis-failure"
     assert doc["oracle_scan"]["count"] == 1
+
+
+def test_report_chain_beyond_twenty_relators(tmp_path, capsys):
+    path = tmp_path / "chain21.pres"
+    path.write_text(
+        "gens: " + " ".join(f"g{i}" for i in range(22)) + "\n"
+        + "".join(f"rel: g{i}^-1 g{i + 1}\n" for i in range(21))
+    )
+    assert run(["report", "--json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["status"] == "npi-certified"
+    assert doc["verdict"]["citation"] == "Thm 3.4"
+
+
+def test_presentation_hypotheses_checked_once(monkeypatch):
+    pres = log_to_presentation(lof_random(6, 3, random.Random(5)))
+    calls = []
+    original = minima.is_generalized_wirtinger
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(minima, "is_generalized_wirtinger", counting)
+    doc = full_report(pres, ReportOptions(target=IntTarget()))
+    assert len(doc["attempts"]) == 145
+    assert len(calls) <= 2  # the weight route, and the Adian route if reached
+    for attempt in doc["attempts"]:
+        weights = [attempt["weights"][name] for name in pres.generators]
+        alone = check_presentation(
+            pres, IntTarget(), TargetAssignment.from_weights(pres, weights)
+        )
+        got = [(h["name"], h["status"], h["detail"]) for h in attempt["hypotheses"]]
+        assert got == [(h.key, h.status, h.detail) for h in alone.hypotheses]

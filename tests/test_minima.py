@@ -17,10 +17,12 @@ from npicheck.minima import (
     minima_multiset,
     prefix_profile,
     replay_certificate,
+    replay_stuck_core,
     weak_concatenability,
 )
 from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
 from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
+from concat_dp_oracle import dp_weak_concatenability
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 
 Z = IntTarget()
@@ -198,7 +200,7 @@ def test_weak_concatenability_examples():
     msz = [minima_multiset(pz, i, Z, ones(pz)) for i in range(2)]
     failure = weak_concatenability(msz)
     assert isinstance(failure, ConcatFailure)
-    assert failure.maximal_reachable == ((0,), (1,))
+    assert failure.stuck_core == (0, 1)
 
 
 def test_weak_concatenability_matches_brute_force():
@@ -219,6 +221,71 @@ def test_weak_concatenability_matches_brute_force():
         if expected:
             ok, why = replay_certificate(got, multisets)
             assert ok, why
+
+
+def random_family(rng, k, pool):
+    multisets = []
+    for i in range(k):
+        counts = {}
+        for g in rng.sample(range(pool), rng.randrange(1, min(pool, 4) + 1)):
+            counts[g] = (rng.randrange(0, 3), rng.randrange(0, 3))
+        if not any(p + n for p, n in counts.values()):
+            counts[rng.randrange(pool)] = (1, 0)
+        multisets.append(make_multiset(i, counts))
+    return multisets
+
+
+def test_peeling_matches_subset_dp():
+    rng = random.Random(35)
+    outcomes = {True: 0, False: 0}
+    for _ in range(5000):
+        k = rng.randrange(1, 9)
+        multisets = random_family(rng, k, rng.randrange(2, 2 * k + 3))
+        got = weak_concatenability(multisets)
+        expected = dp_weak_concatenability(multisets)
+        outcomes[isinstance(expected, ConcatCertificate)] += 1
+        if isinstance(expected, ConcatCertificate):
+            assert got == expected
+            continue
+        assert isinstance(got, ConcatFailure)
+        core = got.stuck_core
+        ok, why = replay_stuck_core(core, multisets)
+        assert ok, why
+        for drop in core:
+            smaller = tuple(r for r in core if r != drop)
+            assert not replay_stuck_core(smaller, multisets)[0]
+    assert min(outcomes.values()) > 1000
+
+
+def test_stuck_core_replay_rejects_bad_cores():
+    pz = sample_braid()
+    msz = [minima_multiset(pz, i, Z, ones(pz)) for i in range(2)]
+    assert replay_stuck_core((0, 1), msz)[0]
+    assert not replay_stuck_core((), msz)[0]
+    assert not replay_stuck_core((0, 0, 1), msz)[0]
+    assert not replay_stuck_core((0, 1, 2), msz)[0]
+    pa = sample_a()
+    msa = [minima_multiset(pa, i, Z, ones(pa)) for i in range(2)]
+    assert not replay_stuck_core((0, 1), msa)[0]
+
+
+def ring(k):
+    """Relator i has usable witness i; relator i-1 carries i in its support."""
+    return [make_multiset(i, {i: (1, 0), (i + 1) % k: (1, 1)}) for i in range(k)]
+
+
+def chain(k):
+    """Multisets of minima of the chain g_i^-1 g_(i+1) under all-ones weights."""
+    return [make_multiset(i, {i: (0, 1), i + 1: (1, 0)}) for i in range(k)]
+
+
+def test_no_size_cap():
+    failure = weak_concatenability(ring(16))
+    assert failure == ConcatFailure(tuple(range(16)))
+    cert = weak_concatenability(chain(40))
+    assert isinstance(cert, ConcatCertificate)
+    assert cert.ordering == tuple(range(40))
+    assert replay_certificate(cert, chain(40))[0]
 
 
 def test_certificate_prefix_monotonicity():
