@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import cover as cover_mod
 from .complexes import npi_scan
 from .homology import (
     NoSurjection,
@@ -21,12 +20,13 @@ from .homology import (
 )
 from .logs import adian_npi_check
 from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
-from .orders import BadTargetSpec, IntTarget, TargetAssignment, parse_target_spec
+from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
     BadPhiSpec,
     ReportOptions,
+    cover_section,
     full_report,
-    parse_phi_spec,
+    phi_candidates,
     render_text,
     report_json,
 )
@@ -163,29 +163,22 @@ def _dispatch(args) -> int:
 
     if command in ("minima", "concat"):
         target = parse_target_spec(args.target)
-        assignment = parse_phi_spec(args.phi, pres, target)
-        if assignment is None:
-            try:
-                homs = find_weight_homomorphisms(pres)
-            except NoSurjection as exc:
-                print(f"HypothesisFailure: {exc}")
-                return 0
-            assignments = [
-                (h.weights, TargetAssignment.from_weights(pres, h.weights)) for h in homs
-            ]
-        else:
-            assignments = [(None, assignment)]
+        try:
+            candidates = phi_candidates(args.phi, pres, target)
+        except NoSurjection as exc:
+            print(f"HypothesisFailure: {exc}")
+            return 0
         pres_hyps = presentation_hypotheses(pres)
-        for weights, cand in assignments:
+        for cand in candidates:
             verdict = check_assignment(pres, pres_hyps, target, cand, args.mode)
             label = {
                 "concatenable": "Concatenable",
                 "not-concatenable": "NotConcatenable",
                 "hypothesis-failure": "HypothesisFailure",
             }[verdict.status]
-            if weights is not None:
+            if args.phi == "auto":  # name each searched weight map
                 print("phi: " + ", ".join(
-                    f"{n}={w}" for n, w in zip(pres.generators, weights)
+                    f"{n}={cand.image(j)}" for j, n in enumerate(pres.generators)
                 ))
             if verdict.multisets is not None and command == "minima":
                 for m in verdict.multisets:
@@ -220,37 +213,21 @@ def _dispatch(args) -> int:
 
     if command == "cover":
         target = IntTarget()
-        assignment = parse_phi_spec(args.phi, pres, target)
-        if assignment is None:
-            try:
-                homs = find_weight_homomorphisms(pres)
-            except NoSurjection as exc:
-                print(f"HypothesisFailure: {exc}")
-                return 0
-            assignment = TargetAssignment.from_weights(pres, homs[0].weights)
+        try:
+            # Only the first weight map is certified, concatenable or not.
+            assignment = phi_candidates(args.phi, pres, target)[0]
+        except NoSurjection as exc:
+            print(f"HypothesisFailure: {exc}")
+            return 0
         verdict = check_presentation(pres, target, assignment, MIN)
         if verdict.status != "concatenable":
             print(f"no certificate: {verdict.status}")
             return 0
-        work = verdict.presentation
-        weights = tuple(verdict.assignment.image(j) for j in range(len(work.generators)))
-        window_bounds = _parse_window(args.window)
-        if window_bounds is None:
-            spans = [
-                cover_mod.relator_span(work, weights, i)
-                for i in range(len(work.relators))
-            ]
-            margin = (max(spans) if spans else 0) + 1
-            window_bounds = (-margin, margin)
-        window = cover_mod.build_cover_window(work, weights, *window_bounds)
-        slim = cover_mod.build_slim_certificate(work, verdict.multisets, verdict.certificate)
-        report = cover_mod.verify_weak_slim_certificate(
-            work, weights, verdict.multisets, slim, window
-        )
-        print(f"window {list(window_bounds)}: {len(window.cells)} cells")
-        for c in report.checks:
-            print(f"  {'ok' if c.ok else 'FAIL':>4}  {c.check}: {c.detail}")
-        print("certificate verified" if report.ok else "certificate REJECTED")
+        section = cover_section(verdict, _parse_window(args.window))
+        print(f"window {section['window']}: {section['cells']} cells")
+        for c in section["checks"]:
+            print(f"  {'ok' if c['ok'] else 'FAIL':>4}  {c['check']}: {c['detail']}")
+        print("certificate verified" if section["ok"] else "certificate REJECTED")
         return 0
 
     if command == "immerse":

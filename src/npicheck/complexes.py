@@ -146,6 +146,19 @@ def _ends_of(edges, vertex):
     return out
 
 
+def _bfs_positions(ends, start: int) -> dict[int, int]:
+    """Vertex -> position in the breadth-first order from start, taking
+    each vertex's edge ends in their sorted order."""
+    pos = {start: 0}
+    order = [start]
+    for v in order:
+        for _, _, other, _ in ends[v]:
+            if other not in pos:
+                pos[other] = len(order)
+                order.append(other)
+    return pos
+
+
 def canonical_graph(vertex_count: int, edges) -> tuple:
     """Minimum deterministic-BFS serialization over start vertices.
 
@@ -156,16 +169,7 @@ def canonical_graph(vertex_count: int, edges) -> tuple:
     ends = [_ends_of(edges, v) for v in range(vertex_count)]
     best = None
     for start in range(vertex_count):
-        pos = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for _, _, other, _ in ends[v]:
-                if other not in pos:
-                    pos[other] = len(order)
-                    order.append(other)
+        pos = _bfs_positions(ends, start)
         relabeled = tuple(sorted((pos[s], pos[d], g) for s, d, g in edges))
         cand = (vertex_count, relabeled)
         if best is None or cand < best:
@@ -179,16 +183,7 @@ def canonical_complex(complex_: TwoComplex) -> tuple:
     ends = [_ends_of(edges, v) for v in range(complex_.vertex_count)]
     best = None
     for start in range(complex_.vertex_count):
-        pos = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for _, _, other, _ in ends[v]:
-                if other not in pos:
-                    pos[other] = len(order)
-                    order.append(other)
+        pos = _bfs_positions(ends, start)
         triples = [(pos[s], pos[d], g) for s, d, g in edges]
         sorted_triples = tuple(sorted(triples))
         index_of = {t: i for i, t in enumerate(sorted_triples)}
@@ -364,19 +359,6 @@ def _face_candidates(vertex_count, edges, pres: Presentation):
     return found
 
 
-def _faces_link_injective(edges, faces) -> bool:
-    seen = set()
-    for rel, path in faces:
-        for t, (e, d) in enumerate(path):
-            s, dst, _ = edges[e]
-            vertex = s if d == 1 else dst
-            key = (vertex, rel, t)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
-
-
 def enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
     """All connected folded link-injective complexes within the bounds.
 
@@ -399,14 +381,13 @@ def _enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
         max_here = min(max_faces, len(faces_avail))
         for size in range(0, max_here + 1):
             for combo in itertools.combinations(faces_avail, size):
-                if not _faces_link_injective(edges, combo):
+                complex_ = TwoComplex(vertex_count, edges, combo)
+                if not link_injective(complex_):
                     continue
-                complex_ = TwoComplex(vertex_count, edges, tuple(combo))
                 canon = canonical_complex(complex_)
                 if canon in results:
                     continue
                 assert is_folded(complex_) and is_connected(complex_)
-                assert link_injective(complex_)
                 check_faces(pres, complex_)
                 results[canon] = None
     for canon in sorted(results):
@@ -499,9 +480,9 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int, budget: int = 2
             if chi < 1 or size > len(faces_avail):
                 continue
             for combo in itertools.combinations(faces_avail, size):
-                if not _faces_link_injective(edges, combo):
+                complex_ = TwoComplex(vertex_count, edges, combo)
+                if not link_injective(complex_):
                     continue
-                complex_ = TwoComplex(vertex_count, edges, tuple(combo))
                 canon = canonical_complex(complex_)
                 if canon in found:
                     continue
@@ -514,7 +495,6 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int, budget: int = 2
                 except SearchBudgetExceeded:
                     note = "collapse search budget exceeded"
                 assert is_folded(complex_) and is_connected(complex_)
-                assert link_injective(complex_)
                 found[canon] = ImmersionReport(
                     from_canonical(canon), chi, "candidate", note
                 )

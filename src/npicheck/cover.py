@@ -74,9 +74,6 @@ class CoverWindow:
                 out.append(CoverEdge(j, g))
         return out
 
-    def has_edge(self, edge: CoverEdge) -> bool:
-        return self.lo <= edge.level and edge.level + self.weights[edge.gen] <= self.hi
-
 
 def build_cover_window(pres: Presentation, weights, lo: int, hi: int) -> CoverWindow:
     """Window [lo, hi]: exactly the R_{j,i} with all boundary levels inside."""
@@ -200,11 +197,13 @@ def verify_weak_slim_certificate(
     checkable surrogate for proper involvement: a nonzero signed count
     survives abelianization relative to the subcomplex); (c) the minimal
     edge of one cell appears on another cell's boundary only with a larger
-    key; (d) deck translation by +1 preserves boundaries and key
-    comparisons.  A side check records that no relator is a proper power
-    as a cyclic word (the syntactic necessary half of the simplicity
-    condition; the remainder rests on the conservativity of ordered
-    targets, cited in reports).
+    key; (d) deck translation by +1 carries each cell's boundary and
+    minimal edge onto those of the shifted cell.  Translation keeps every
+    key comparison without a check: it adds 1 to the level in both
+    (level, -priority) keys and leaves the priorities alone.  A side check
+    records that no relator is a proper power as a cyclic word (the
+    syntactic necessary half of the simplicity condition; the remainder
+    rests on the conservativity of ordered targets, cited in reports).
     """
     ok, why = replay_certificate(slim.concat, multisets)
     if not ok:
@@ -305,17 +304,6 @@ def verify_weak_slim_certificate(
         if (CoverEdge(a.level + 1, a.gen)) != b:
             ok_d = False
             details_d.append(f"min edge of {cell} does not shift onto {shifted}")
-    edges = window.edges()
-    for e in edges[: min(len(edges), 32)]:
-        for f in edges[: min(len(edges), 32)]:
-            e1 = CoverEdge(e.level + 1, e.gen)
-            f1 = CoverEdge(f.level + 1, f.gen)
-            if window.has_edge(e1) and window.has_edge(f1):
-                before = edge_key(e, slim.gen_priority) < edge_key(f, slim.gen_priority)
-                after = edge_key(e1, slim.gen_priority) < edge_key(f1, slim.gen_priority)
-                if before != after:
-                    ok_d = False
-                    details_d.append(f"key order of {e}, {f} not shift-invariant")
     checks.append(
         SlimCheckEntry(
             "deck-translation-equivariance",

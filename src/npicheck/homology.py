@@ -1,9 +1,10 @@
 """Exact integer linear algebra for first-homology checks and weight maps.
 
-All matrices are numpy arrays with ``dtype=object`` holding Python ints,
-so intermediate Smith-form entries can grow without overflow.  Fixed-width
-arithmetic is deliberately avoided: a silent wraparound here would corrupt
-a verdict.
+All matrices are lists of rows of Python ints, so intermediate Smith-form
+entries can grow without overflow.  Fixed-width arithmetic is deliberately
+avoided: a silent wraparound here would corrupt a verdict.  A matrix with
+no rows does not know its column count; the functions that may receive
+one take the count as an argument.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .words import Presentation, exponent_sum
 
 
@@ -21,32 +20,18 @@ class NoSurjection(ValueError):
     """No primitive integer weight vector exists in the search box."""
 
 
-def _object_matrix(rows: list[list[int]], ncols: int) -> np.ndarray:
-    mat = np.empty((len(rows), ncols), dtype=object)
-    for i, row in enumerate(rows):
-        for j in range(ncols):
-            mat[i, j] = int(row[j])
-    return mat
-
-
-def exponent_matrix(pres: Presentation) -> np.ndarray:
+def exponent_matrix(pres: Presentation) -> list[list[int]]:
     """k x n matrix with entry[i][j] = exponent sum of generator j in relator i."""
     n = len(pres.generators)
-    rows = [[exponent_sum(r, j) for j in range(n)] for r in pres.relators]
-    return _object_matrix(rows, n)
+    return [[exponent_sum(r, j) for j in range(n)] for r in pres.relators]
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact object-dtype matrix product."""
-    k, m = a.shape
-    m2, n = b.shape
-    if m != m2:
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Exact integer matrix product."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    out = np.empty((k, n), dtype=object)
-    for i in range(k):
-        for j in range(n):
-            out[i, j] = sum(int(a[i, l]) * int(b[l, j]) for l in range(m))
-    return out
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -68,27 +53,26 @@ def _min_abs_nonzero(d: list[list[int]], t: int) -> tuple[int, int] | None:
 class SmithForm:
     """U @ M @ V = D with U, V unimodular and D a nonneg divisibility chain."""
 
-    matrix: np.ndarray
-    left: np.ndarray   # U, k x k
-    diag: np.ndarray   # D, k x n
-    right: np.ndarray  # V, n x n
+    matrix: list[list[int]]
+    left: list[list[int]]   # U, k x k
+    diag: list[list[int]]   # D, k x n
+    right: list[list[int]]  # V, n x n
 
     def diagonal(self) -> list[int]:
-        k, n = self.diag.shape
-        return [int(self.diag[i, i]) for i in range(min(k, n))]
+        return [self.diag[i][i] for i in range(min(len(self.left), len(self.right)))]
 
     def check(self) -> None:
         """Assert the defining invariants exactly."""
-        k, n = self.diag.shape
+        k, n = len(self.left), len(self.right)
         prod = mat_mul(mat_mul(self.left, self.matrix), self.right)
-        if not (prod == self.diag).all():
+        if prod != self.diag:
             raise AssertionError("U @ M @ V != D")
         if abs(integer_det(self.left)) != 1 or abs(integer_det(self.right)) != 1:
             raise AssertionError("transform matrices are not unimodular")
         diag = self.diagonal()
         for i in range(k):
             for j in range(n):
-                if i != j and self.diag[i, j] != 0:
+                if i != j and self.diag[i][j] != 0:
                     raise AssertionError("off-diagonal entry in D")
         for i, d in enumerate(diag):
             if d < 0:
@@ -99,18 +83,20 @@ class SmithForm:
                 raise AssertionError("zero before nonzero on the diagonal")
 
 
-def smith_normal_form(matrix) -> SmithForm:
+def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
     """Smith normal form by exact Euclidean pivoting.
 
     Row operations accumulate into U (left factor), column operations into
     V; the invariant ``U @ M @ V == current`` holds throughout, so the
-    result satisfies U @ M @ V = D with |det U| = |det V| = 1.
+    result satisfies U @ M @ V = D with |det U| = |det V| = 1.  ``ncols``
+    is the column count of a matrix with no rows and is otherwise ignored.
     """
-    m_in = np.array(matrix, dtype=object)
-    if m_in.ndim != 2:
-        m_in = m_in.reshape((m_in.shape[0] if m_in.size else 0, -1))
-    k, n = m_in.shape
-    d = [[int(m_in[i, j]) for j in range(n)] for i in range(k)]
+    k = len(matrix)
+    n = len(matrix[0]) if matrix else ncols
+    if any(len(row) != n for row in matrix):
+        raise ValueError("rows of unequal length")
+    m_in = [[int(x) for x in row] for row in matrix]
+    d = [row[:] for row in m_in]
     u = _identity(k)
     v = _identity(n)
 
@@ -181,20 +167,15 @@ def smith_normal_form(matrix) -> SmithForm:
             piv = _min_abs_nonzero(d, t)
         t += 1
 
-    return SmithForm(
-        matrix=m_in,
-        left=_object_matrix(u, k),
-        diag=_object_matrix(d, n) if k else np.empty((0, n), dtype=object),
-        right=_object_matrix(v, n),
-    )
+    return SmithForm(matrix=m_in, left=u, diag=d, right=v)
 
 
-def integer_det(matrix: np.ndarray) -> int:
+def integer_det(matrix: list[list[int]]) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = matrix.shape[0]
+    n = len(matrix)
     if n == 0:
         return 1
-    a = [[int(matrix[i, j]) for j in range(n)] for i in range(n)]
+    a = [[int(x) for x in row] for row in matrix]
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -226,10 +207,9 @@ class H1Structure:
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
-    mat = exponent_matrix(pres)
-    snf = smith_normal_form(mat)
-    diag = [x for x in snf.diagonal() if x != 0]
     n = len(pres.generators)
+    snf = smith_normal_form(exponent_matrix(pres), n)
+    diag = [x for x in snf.diagonal() if x != 0]
     return H1Structure(free_rank=n - len(diag), torsion=tuple(x for x in diag if x > 1))
 
 
@@ -255,15 +235,18 @@ def is_generalized_wirtinger(pres: Presentation) -> WirtingerCheck:
     return WirtingerCheck(True, f"H1 free abelian of rank {h1.free_rank}", h1)
 
 
-def integer_kernel_basis(matrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {w : M w = 0}, from Smith-form V columns."""
-    snf = smith_normal_form(matrix)
-    k, n = snf.diag.shape
+def integer_kernel_basis(matrix: list[list[int]], ncols: int = 0) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel {w : M w = 0}, from Smith-form V columns.
+
+    ``ncols`` is the column count of a matrix with no rows.
+    """
+    snf = smith_normal_form(matrix, ncols)
+    k, n = len(snf.left), len(snf.right)
     basis = []
     for j in range(n):
-        d_j = int(snf.diag[j, j]) if j < k else 0
+        d_j = snf.diag[j][j] if j < k else 0
         if d_j == 0:
-            basis.append(tuple(int(snf.right[i, j]) for i in range(n)))
+            basis.append(tuple(snf.right[i][j] for i in range(n)))
     return basis
 
 
@@ -296,8 +279,8 @@ def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     mat = exponent_matrix(pres)
-    basis = integer_kernel_basis(mat)
     n = len(pres.generators)
+    basis = integer_kernel_basis(mat, n)
     found: set[tuple[int, ...]] = set()
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=len(basis)):
         if not any(coeffs):
@@ -313,10 +296,9 @@ def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[
     all_ones = tuple([1] * n)
     ordered = sorted(found, key=lambda v: (v != all_ones, v))
     out = []
-    k = len(pres.relators)
     for vec in ordered:
-        for i in range(k):
-            assert sum(int(mat[i, j]) * vec[j] for j in range(n)) == 0
+        for row in mat:
+            assert sum(x * w for x, w in zip(row, vec)) == 0
         assert math.gcd(*[abs(x) for x in vec]) == 1
         out.append(WeightHom(vec, frozenset(j for j, w in enumerate(vec) if w < 0)))
     return out

@@ -306,7 +306,7 @@ def lof_random(n_vertices: int, n_edges: int, rng: random.Random) -> Log:
     all_pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
     while True:
         pairs = rng.sample(all_pairs, n_edges) if n_edges else []
-        if not _pairs_form_forest(n_vertices, pairs):
+        if not is_forest(Multigraph(n_vertices, tuple(pairs))).ok:
             continue
         edges = []
         ok = True
@@ -328,20 +328,3 @@ def _vertex_name(i: int) -> str:
         i, r = divmod(i - 1, 26)
         name = chr(ord("a") + r) + name
     return name
-
-
-def _pairs_form_forest(n: int, pairs) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True

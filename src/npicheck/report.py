@@ -27,13 +27,7 @@ from .logs import (
     log_to_presentation,
     underlying_forest,
 )
-from .minima import (
-    MIN,
-    CheckVerdict,
-    check_assignment,
-    check_presentation,
-    presentation_hypotheses,
-)
+from .minima import MIN, CheckVerdict, check_assignment, presentation_hypotheses
 from .orders import (
     BraidTarget,
     IntTarget,
@@ -41,7 +35,7 @@ from .orders import (
     OrderedTarget,
     TargetAssignment,
 )
-from .words import Presentation, validate
+from .words import Presentation
 
 REPORT_FORMAT = "npicheck-report-v2"
 
@@ -129,6 +123,22 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
     return TargetAssignment(target, images)
 
 
+def phi_candidates(
+    spec: str, pres: Presentation, target: OrderedTarget, coeff_bound: int = 3
+) -> list[TargetAssignment]:
+    """The assignments a ``--phi`` spec asks to try, in order: the one it
+    names, or for ``auto`` every weight map that
+    :func:`find_weight_homomorphisms` finds (raising NoSurjection when
+    there is none)."""
+    assignment = parse_phi_spec(spec, pres, target)
+    if assignment is not None:
+        return [assignment]
+    return [
+        TargetAssignment.from_weights(pres, h.weights)
+        for h in find_weight_homomorphisms(pres, coeff_bound)
+    ]
+
+
 def _hypothesis_dicts(hyps) -> list[dict]:
     return [
         {
@@ -195,7 +205,10 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
     return entry
 
 
-def _cover_section(verdict: CheckVerdict, window_bounds) -> dict:
+def cover_section(verdict: CheckVerdict, window_bounds) -> dict:
+    """Verify the slim certificate of a concatenable integer verdict on a
+    cover window: ``window_bounds`` (lo, hi), or by default one level
+    beyond the largest relator span on each side."""
     pres = verdict.presentation
     weights = tuple(verdict.assignment.image(j) for j in range(len(pres.generators)))
     spans = [
@@ -256,74 +269,60 @@ def _finish(doc: dict, status: str, citation: str, detail: str) -> dict:
 
 def _presentation_report(pres: Presentation, options: ReportOptions, input_text: str) -> dict:
     doc = _base_doc("presentation", pres, input_text)
-    diags = validate(pres)
+    pres_hyps = presentation_hypotheses(pres)
+    valid = pres_hyps[0]
+    # A passing validity check carries no detail in the report.
     doc["hypotheses"] = [
         {
-            "name": "presentation-valid",
-            "status": "fail" if diags else "pass",
+            "name": valid.key,
+            "status": valid.status,
             "citation": "",
-            "detail": "; ".join(map(str, diags)) if diags else "",
+            "detail": valid.detail if valid.status == "fail" else "",
         }
     ]
-    if diags:
+    if valid.status == "fail":
         return _finish(doc, "hypothesis-failure", "", "invalid presentation")
 
     target = options.target
     if isinstance(target, IntTarget):
-        assignment = parse_phi_spec(options.phi_spec, pres, target)
-        if assignment is None:
-            try:
-                homs = find_weight_homomorphisms(pres, options.coeff_bound)
-            except NoSurjection as exc:
-                h1 = h1_structure(pres)
-                doc["hypotheses"].append(
-                    {
-                        "name": "weights-surjective",
-                        "status": "fail",
-                        "citation": HYPOTHESIS_CITATIONS["weights-surjective"],
-                        "detail": str(exc),
-                    }
-                )
-                _maybe_scan(doc, pres, options)
-                return _finish(
-                    doc,
-                    "hypothesis-failure",
-                    "",
-                    f"no surjection to the integers (H1 rank {h1.free_rank}, "
-                    f"torsion {list(h1.torsion)})",
-                )
-            candidates = [TargetAssignment.from_weights(pres, h.weights) for h in homs]
-            weight_lists = [h.weights for h in homs]
-        else:
-            weights = tuple(
-                assignment.image(j) for j in range(len(pres.generators))
+        try:
+            candidates = phi_candidates(options.phi_spec, pres, target, options.coeff_bound)
+        except NoSurjection as exc:
+            h1 = h1_structure(pres)
+            doc["hypotheses"].append(
+                {
+                    "name": "weights-surjective",
+                    "status": "fail",
+                    "citation": HYPOTHESIS_CITATIONS["weights-surjective"],
+                    "detail": str(exc),
+                }
             )
-            candidates = [assignment]
-            weight_lists = [weights]
+            _maybe_scan(doc, pres, options)
+            return _finish(
+                doc,
+                "hypothesis-failure",
+                "",
+                f"no surjection to the integers (H1 rank {h1.free_rank}, "
+                f"torsion {list(h1.torsion)})",
+            )
 
-        pres_hyps = presentation_hypotheses(pres)
         chosen = None
-        for weights, cand in zip(weight_lists, candidates):
+        for cand in candidates:
             verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
             entry = _verdict_to_entry(pres, verdict)
-            entry["weights"] = {
-                pres.generators[j]: int(weights[j]) for j in range(len(pres.generators))
-            }
+            entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
             doc["attempts"].append(entry)
             if verdict.status == "concatenable" and chosen is None:
-                chosen = (weights, verdict)
+                chosen = (entry["weights"], verdict)
         if chosen is not None:
             weights, verdict = chosen
             doc["phi"] = {
                 "target": target.name,
-                "weights": {
-                    pres.generators[j]: int(weights[j])
-                    for j in range(len(pres.generators))
-                },
+                "weights": dict(weights),
                 "flips": sorted(pres.generators[j] for j in verdict.flips),
             }
             _merge_hypotheses(doc, _hypothesis_dicts(verdict.hypotheses))
-            doc["cover"] = _cover_section(verdict, options.window)
+            doc["cover"] = cover_section(verdict, options.window)
             if not doc["cover"]["ok"]:
                 raise AssertionError("cover verification failed for a valid certificate")
             _maybe_scan(doc, pres, options)
@@ -358,9 +357,7 @@ def _presentation_report(pres: Presentation, options: ReportOptions, input_text:
 
     # Ordered non-integer target.
     assignment = parse_phi_spec(options.phi_spec, pres, target)
-    if assignment is None:
-        raise BadPhiSpec("explicit assignment required for non-integer targets")
-    verdict = check_presentation(pres, target, assignment, options.mode)
+    verdict = check_assignment(pres, pres_hyps, target, assignment, options.mode)
     entry = _verdict_to_entry(pres, verdict)
     doc["attempts"].append(entry)
     _merge_hypotheses(doc, _hypothesis_dicts(verdict.hypotheses))
@@ -413,7 +410,7 @@ def _try_adian(doc: dict, pres: Presentation) -> dict | None:
 
 
 def _maybe_scan(doc: dict, pres: Presentation, options: ReportOptions) -> None:
-    if options.scan_bounds is None or validate(pres):
+    if options.scan_bounds is None:
         return
     max_e, max_f = options.scan_bounds
     reports = npi_scan(pres, max_e, max_f)
@@ -470,7 +467,7 @@ def _log_report(log: Log, options: ReportOptions, input_text: str) -> dict:
             "flips": [],
         }
         doc["cover"] = (
-            _cover_section(verdict.min_check, options.window)
+            cover_section(verdict.min_check, options.window)
             if verdict.min_check
             else None
         )

@@ -7,9 +7,9 @@ Presentation grammar (whitespace separated, ``#`` starts a comment):
     rel: <letter> <letter> ...
 
 where letter is ``name``, ``name^-1`` or ``name^<k>`` for nonzero k
-(expanding to |k| letters).  LOG files use ``vertices:`` and
-``edge: <initial> <label> <terminal>`` lines; Artin graph files use
-``vertices:`` and ``edge: <u> <v> <m>`` lines with m >= 2.
+(expanding to |k| letters, at most ``MAX_TOKEN_LETTERS``).  LOG files use
+``vertices:`` and ``edge: <initial> <label> <terminal>`` lines; Artin graph
+files use ``vertices:`` and ``edge: <u> <v> <m>`` lines with m >= 2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .logs import Log, PresentationGraph
 from .words import GENERATOR_NAME, Presentation, Word
 
 _LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+# A letter token ``name^k`` expands to |k| letters; larger |k| is a parse
+# error, so a short hostile line cannot demand an arbitrarily long relator.
+MAX_TOKEN_LETTERS = 10_000
 
 
 class ParseError(ValueError):
@@ -48,46 +52,62 @@ def _tokens_with_columns(body: str):
         yield match.start() + 1, match.group()
 
 
-def parse_presentation(text: str) -> Presentation:
-    generators: list[str] | None = None
-    relators: list[Word] = []
-    for lineno, body in _logical_lines(text):
-        tokens = list(_tokens_with_columns(body))
+def _parse_file(text: str, header: str, noun: str, body: str, items: str, parse_body):
+    """The names on the single ``header`` line (valid, pairwise distinct, at
+    least one), and ``parse_body(lineno, col0, tokens, names)`` for each
+    ``body`` line, which must come after it."""
+    names: list[str] | None = None
+    parsed = []
+    for lineno, line in _logical_lines(text):
+        tokens = list(_tokens_with_columns(line))
         col0, head = tokens[0]
-        if head == "gens:":
-            if generators is not None:
-                raise ParseError(lineno, col0, "a single gens: line")
-            generators = []
+        if head == header:
+            if names is not None:
+                raise ParseError(lineno, col0, f"a single {header} line")
+            names = []
             for col, tok in tokens[1:]:
                 if not GENERATOR_NAME.match(tok):
-                    raise ParseError(lineno, col, "generator name")
-                if tok in generators:
+                    raise ParseError(lineno, col, f"{noun} name")
+                if tok in names:
                     raise ParseError(lineno, col, f"fresh name, {tok!r} repeats")
-                generators.append(tok)
-            if not generators:
-                raise ParseError(lineno, col0, "at least one generator")
-        elif head == "rel:":
-            if generators is None:
-                raise ParseError(lineno, col0, "gens: line before relators")
-            word: list[int] = []
-            for col, tok in tokens[1:]:
-                m = _LETTER.match(tok)
-                if not m:
-                    raise ParseError(lineno, col, "letter name[^k]")
-                name, exp = m.group(1), m.group(2)
-                if name not in generators:
-                    raise ParseError(lineno, col, f"known generator, got {name!r}")
-                k = int(exp) if exp is not None else 1
-                if k == 0:
-                    raise ParseError(lineno, col, "nonzero exponent")
-                base = generators.index(name) + 1
-                word.extend([base if k > 0 else -base] * abs(k))
-            relators.append(tuple(word))
+                names.append(tok)
+            if not names:
+                raise ParseError(lineno, col0, f"at least one {noun}")
+        elif head == body:
+            if names is None:
+                raise ParseError(lineno, col0, f"{header} line before {items}")
+            parsed.append(parse_body(lineno, col0, tokens, names))
         else:
-            raise ParseError(lineno, col0, "gens: or rel:")
-    if generators is None:
-        raise ParseError(1, 1, "gens: line")
-    return Presentation(tuple(generators), tuple(relators))
+            raise ParseError(lineno, col0, f"{header} or {body}")
+    if names is None:
+        raise ParseError(1, 1, f"{header} line")
+    return tuple(names), tuple(parsed)
+
+
+def _parse_relator(lineno: int, col0: int, tokens, generators) -> Word:
+    word: list[int] = []
+    for col, tok in tokens[1:]:
+        m = _LETTER.match(tok)
+        if not m:
+            raise ParseError(lineno, col, "letter name[^k]")
+        name, exp = m.group(1), m.group(2) or "1"
+        if name not in generators:
+            raise ParseError(lineno, col, f"known generator, got {name!r}")
+        # Count digits before calling int(), which refuses thousands of them.
+        if len(exp.lstrip("-0")) > len(str(MAX_TOKEN_LETTERS)) or abs(int(exp)) > MAX_TOKEN_LETTERS:
+            raise ParseError(lineno, col, f"at most {MAX_TOKEN_LETTERS} letters per token")
+        k = int(exp)
+        if k == 0:
+            raise ParseError(lineno, col, "nonzero exponent")
+        base = generators.index(name) + 1
+        word.extend([base if k > 0 else -base] * abs(k))
+    return tuple(word)
+
+
+def parse_presentation(text: str) -> Presentation:
+    return Presentation(
+        *_parse_file(text, "gens:", "generator", "rel:", "relators", _parse_relator)
+    )
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -107,40 +127,19 @@ def format_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_log_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int, int]:
+    if len(tokens) != 4:
+        raise ParseError(lineno, col0, "edge: <initial> <label> <terminal>")
+    triple = []
+    for col, tok in tokens[1:]:
+        if tok not in vertices:
+            raise UnknownVertex(lineno, col, tok)
+        triple.append(vertices.index(tok))
+    return tuple(triple)
+
+
 def parse_log(text: str) -> Log:
-    vertices: list[str] | None = None
-    edges: list[tuple[int, int, int]] = []
-    for lineno, body in _logical_lines(text):
-        tokens = list(_tokens_with_columns(body))
-        col0, head = tokens[0]
-        if head == "vertices:":
-            if vertices is not None:
-                raise ParseError(lineno, col0, "a single vertices: line")
-            vertices = []
-            for col, tok in tokens[1:]:
-                if not GENERATOR_NAME.match(tok):
-                    raise ParseError(lineno, col, "vertex name")
-                if tok in vertices:
-                    raise ParseError(lineno, col, f"fresh name, {tok!r} repeats")
-                vertices.append(tok)
-            if not vertices:
-                raise ParseError(lineno, col0, "at least one vertex")
-        elif head == "edge:":
-            if vertices is None:
-                raise ParseError(lineno, col0, "vertices: line before edges")
-            if len(tokens) != 4:
-                raise ParseError(lineno, col0, "edge: <initial> <label> <terminal>")
-            triple = []
-            for col, tok in tokens[1:]:
-                if tok not in vertices:
-                    raise UnknownVertex(lineno, col, tok)
-                triple.append(vertices.index(tok))
-            edges.append(tuple(triple))
-        else:
-            raise ParseError(lineno, col0, "vertices: or edge:")
-    if vertices is None:
-        raise ParseError(1, 1, "vertices: line")
-    return Log(tuple(vertices), tuple(edges))
+    return Log(*_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_log_edge))
 
 
 def format_log(log: Log) -> str:
@@ -150,37 +149,23 @@ def format_log(log: Log) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_artin_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int, int]:
+    if len(tokens) != 4:
+        raise ParseError(lineno, col0, "edge: <u> <v> <m>")
+    (cu, u), (cv, v), (cm, m) = tokens[1], tokens[2], tokens[3]
+    if u not in vertices:
+        raise UnknownVertex(lineno, cu, u)
+    if v not in vertices:
+        raise UnknownVertex(lineno, cv, v)
+    if not m.isdigit() or int(m) < 2:
+        raise ParseError(lineno, cm, "integer label >= 2")
+    return vertices.index(u), vertices.index(v), int(m)
+
+
 def parse_artin_graph(text: str) -> PresentationGraph:
-    vertices: list[str] | None = None
-    edges: list[tuple[int, int, int]] = []
-    for lineno, body in _logical_lines(text):
-        tokens = list(_tokens_with_columns(body))
-        col0, head = tokens[0]
-        if head == "vertices:":
-            if vertices is not None:
-                raise ParseError(lineno, col0, "a single vertices: line")
-            vertices = [tok for _, tok in tokens[1:]]
-            for col, tok in tokens[1:]:
-                if not GENERATOR_NAME.match(tok):
-                    raise ParseError(lineno, col, "vertex name")
-        elif head == "edge:":
-            if vertices is None:
-                raise ParseError(lineno, col0, "vertices: line before edges")
-            if len(tokens) != 4:
-                raise ParseError(lineno, col0, "edge: <u> <v> <m>")
-            (cu, u), (cv, v), (cm, m) = tokens[1], tokens[2], tokens[3]
-            if u not in vertices:
-                raise UnknownVertex(lineno, cu, u)
-            if v not in vertices:
-                raise UnknownVertex(lineno, cv, v)
-            if not m.isdigit() or int(m) < 2:
-                raise ParseError(lineno, cm, "integer label >= 2")
-            edges.append((vertices.index(u), vertices.index(v), int(m)))
-        else:
-            raise ParseError(lineno, col0, "vertices: or edge:")
-    if vertices is None:
-        raise ParseError(1, 1, "vertices: line")
-    return PresentationGraph(tuple(vertices), tuple(edges))
+    return PresentationGraph(
+        *_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_artin_edge)
+    )
 
 
 def sniff_kind(text: str) -> str:

@@ -69,6 +69,20 @@ def test_parse_artin_graph():
     assert g.edges == ((0, 1, 3),)
     with pytest.raises(ParseError):
         parse_artin_graph("vertices: s t\nedge: s t 1\n")
+    with pytest.raises(ParseError) as err:
+        parse_artin_graph("vertices: s s\nedge: s s 2\n")
+    assert (err.value.line, err.value.col) == (1, 13) and "repeats" in err.value.expected
+    with pytest.raises(ParseError) as err:
+        parse_artin_graph("vertices:\n")
+    assert (err.value.line, err.value.col) == (1, 1) and "at least one" in err.value.expected
+
+
+def test_exponent_expansion_bounded():
+    pres = parse_presentation("gens: a b\nrel: b a^10000\n")
+    assert pres.relators == ((2,) + (1,) * 10_000,)
+    with pytest.raises(ParseError) as err:
+        parse_presentation("gens: a b\nrel: b a^10001\n")
+    assert (err.value.line, err.value.col) == (2, 8) and "10000" in err.value.expected
 
 
 def test_roundtrip():
