@@ -34,6 +34,17 @@ from .textio import ParseError, parse_log, parse_presentation, sniff_kind
 from .words import validate as validate_presentation
 
 
+def _int_pair(text: str) -> tuple[int, int]:
+    """``LO,HI``: two comma-separated integers (argparse names the option)."""
+    lo, _, hi = text.partition(",")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected LO,HI (two integers), got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npicheck",
@@ -59,16 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("adian", "equal-length Adian pipeline")
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
-    p.add_argument("--window", default=None, help="LO,HI window bounds")
+    p.add_argument("--window", type=_int_pair, default=None, help="LO,HI window bounds")
     p = add("immerse", "bounded immersion scan")
-    p.add_argument("--bounds", default="4,2", help="E,F bounds")
+    p.add_argument("--bounds", type=_int_pair, default="4,2", help="E,F bounds")
     p = add("report", "full pipeline with verdict")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--phi", default="auto")
     p.add_argument("--target", default="z")
     p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    p.add_argument("--window", default=None)
-    p.add_argument("--scan", default=None, help="E,F immersion scan bounds")
+    p.add_argument("--window", type=_int_pair, default=None, help="LO,HI window bounds")
+    p.add_argument("--scan", type=_int_pair, default=None, help="E,F immersion scan bounds")
     return parser
 
 
@@ -77,13 +88,6 @@ def _read(path: Path) -> str:
         return path.read_text()
     except OSError as exc:
         raise ParseError(0, 0, f"readable file ({exc})")
-
-
-def _parse_window(text):
-    if text is None:
-        return None
-    lo, hi = text.split(",")
-    return int(lo), int(hi)
 
 
 def run(argv) -> int:
@@ -119,8 +123,8 @@ def _dispatch(args) -> int:
             target=target,
             phi_spec=args.phi,
             mode=args.mode,
-            window=_parse_window(args.window),
-            scan_bounds=_parse_window(args.scan),
+            window=args.window,
+            scan_bounds=args.scan,
         )
         source = parse_log(text) if kind == "log" else parse_presentation(text)
         doc = full_report(source, options, input_text=text)
@@ -215,7 +219,7 @@ def _dispatch(args) -> int:
         target = IntTarget()
         try:
             # Only the first weight map is certified, concatenable or not.
-            assignment = phi_candidates(args.phi, pres, target)[0]
+            assignment = next(phi_candidates(args.phi, pres, target))
         except NoSurjection as exc:
             print(f"HypothesisFailure: {exc}")
             return 0
@@ -223,7 +227,7 @@ def _dispatch(args) -> int:
         if verdict.status != "concatenable":
             print(f"no certificate: {verdict.status}")
             return 0
-        section = cover_section(verdict, _parse_window(args.window))
+        section = cover_section(verdict, args.window)
         print(f"window {section['window']}: {section['cells']} cells")
         for c in section["checks"]:
             print(f"  {'ok' if c['ok'] else 'FAIL':>4}  {c['check']}: {c['detail']}")
@@ -231,7 +235,7 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "immerse":
-        max_e, max_f = _parse_window(args.bounds)
+        max_e, max_f = args.bounds
         reports = npi_scan(pres, max_e, max_f)
         print(f"candidates within bounds ({max_e}, {max_f}): {len(reports)}")
         for r in reports:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .words import Presentation, exponent_sum
@@ -275,30 +276,42 @@ def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[
     [-coeff_bound, coeff_bound] are divided by their gcd and deduplicated
     up to global sign; the all-ones vector, when present, comes first and
     the rest follow in lexicographic order.
+
+    Only half of the box is walked: the coefficient vectors whose first
+    nonzero entry is positive.  Every other nonzero c in the box is -c'
+    for one of them, and -c' gives the negated vector, which has the same
+    gcd and so the same vector once the sign is made canonical; nothing is
+    lost.  The basis vectors are columns of a unimodular matrix, hence
+    linearly independent, so no nonzero c gives the zero vector.  Each
+    combination is summed from precomputed rows c * basis[i].
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     mat = exponent_matrix(pres)
     n = len(pres.generators)
     basis = integer_kernel_basis(mat, n)
+    # scaled[i][c + coeff_bound] == c * basis[i]
+    scaled = [
+        [tuple(c * x for x in b) for c in range(-coeff_bound, coeff_bound + 1)]
+        for b in basis
+    ]
     found: set[tuple[int, ...]] = set()
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
-        if not any(vec):
-            continue
-        g = math.gcd(*[abs(x) for x in vec])
-        vec = tuple(x // g for x in vec)
-        found.add(_canonical_sign(vec))
+    for lead in range(len(basis)):
+        # Coefficients zero before ``lead``, positive at it, free after it.
+        rest = scaled[lead + 1:]
+        for head in scaled[lead][coeff_bound + 1:]:
+            for tail in itertools.product(*rest):
+                vec = tuple(map(sum, zip(head, *tail)))
+                g = math.gcd(*vec)
+                found.add(vec if g == 1 else tuple(x // g for x in vec))
     if not found:
         raise NoSurjection("no primitive kernel vector in the search box")
+    found = {_canonical_sign(vec) for vec in found}
     all_ones = tuple([1] * n)
-    ordered = sorted(found, key=lambda v: (v != all_ones, v))
     out = []
-    for vec in ordered:
+    for vec in sorted(found, key=lambda v: (v != all_ones, v)):
         for row in mat:
-            assert sum(x * w for x, w in zip(row, vec)) == 0
-        assert math.gcd(*[abs(x) for x in vec]) == 1
+            assert not sum(map(operator.mul, row, vec))
+        assert math.gcd(*vec) == 1
         out.append(WeightHom(vec, frozenset(j for j, w in enumerate(vec) if w < 0)))
     return out

@@ -11,6 +11,7 @@ violated (hypothesis-failure).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import cover as cover_mod
@@ -125,18 +126,22 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
 
 def phi_candidates(
     spec: str, pres: Presentation, target: OrderedTarget, coeff_bound: int = 3
-) -> list[TargetAssignment]:
+) -> Iterator[TargetAssignment]:
     """The assignments a ``--phi`` spec asks to try, in order: the one it
     names, or for ``auto`` every weight map that
-    :func:`find_weight_homomorphisms` finds (raising NoSurjection when
-    there is none)."""
+    :func:`find_weight_homomorphisms` finds.
+
+    The weight search runs at the call, which raises NoSurjection when it
+    finds no map; each assignment is built only when the iterator reaches
+    it, so a caller that stops at the first usable map builds no more.
+    """
     assignment = parse_phi_spec(spec, pres, target)
     if assignment is not None:
-        return [assignment]
-    return [
+        return iter([assignment])
+    return (
         TargetAssignment.from_weights(pres, h.weights)
         for h in find_weight_homomorphisms(pres, coeff_bound)
-    ]
+    )
 
 
 def _hypothesis_dicts(hyps) -> list[dict]:
@@ -306,14 +311,17 @@ def _presentation_report(pres: Presentation, options: ReportOptions, input_text:
                 f"torsion {list(h1.torsion)})",
             )
 
+        # Thm 3.4 needs one concatenable map: stop at the first.  When there
+        # is none, every attempt stays in the report as the witness of why.
         chosen = None
         for cand in candidates:
             verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
             entry = _verdict_to_entry(pres, verdict)
             entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
             doc["attempts"].append(entry)
-            if verdict.status == "concatenable" and chosen is None:
+            if verdict.status == "concatenable":
                 chosen = (entry["weights"], verdict)
+                break
         if chosen is not None:
             weights, verdict = chosen
             doc["phi"] = {

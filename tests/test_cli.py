@@ -267,8 +267,38 @@ def test_report_chain_beyond_twenty_relators(tmp_path, capsys):
     assert doc["verdict"]["citation"] == "Thm 3.4"
 
 
-def test_presentation_hypotheses_checked_once(monkeypatch):
+# H1 rank 3; none of its 145 weight maps is weakly concatenable.
+NOT_DECIDED_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5\n"
+    "rel: v1^-1 v0^-1 v4 v0\n"
+    "rel: v0^-1 v3^-1 v1 v3\n"
+    "rel: v0^-1 v1^-1 v3 v1\n"
+)
+
+
+def test_weight_route_stops_at_first_certificate():
     pres = log_to_presentation(lof_random(6, 3, random.Random(5)))
+    doc = full_report(pres, ReportOptions(target=IntTarget()))
+    assert doc["verdict"]["citation"] == "Thm 3.4"
+    *earlier, last = doc["attempts"]
+    assert last["status"] == "concatenable"
+    assert all(a["status"] != "concatenable" for a in earlier)
+    assert doc["phi"]["weights"] == last["weights"]
+
+
+@pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("cover", "--window"), ("report", "--window"), ("report", "--scan"), ("immerse", "--bounds")],
+)
+def test_malformed_int_pair_option(files, capsys, command, option, value):
+    assert run([command, files["a.pres"], option, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "LO,HI" in err and repr(value) in err
+
+
+def test_presentation_hypotheses_checked_once(monkeypatch):
+    pres = parse_presentation(NOT_DECIDED_TEXT)
     calls = []
     original = minima.is_generalized_wirtinger
 
@@ -278,6 +308,8 @@ def test_presentation_hypotheses_checked_once(monkeypatch):
 
     monkeypatch.setattr(minima, "is_generalized_wirtinger", counting)
     doc = full_report(pres, ReportOptions(target=IntTarget()))
+    # Without a certificate the report keeps every attempt as its witness.
+    assert doc["verdict"]["status"] == "not-decided"
     assert len(doc["attempts"]) == 145
     assert len(calls) <= 2  # the weight route, and the Adian route if reached
     for attempt in doc["attempts"]:

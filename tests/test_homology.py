@@ -22,6 +22,7 @@ from npicheck.homology import (
 )
 from npicheck.words import flip_generator, make_presentation
 from samples import sample_a, sample_braid, torsion_presentation
+from weight_search_oracle import full_box_weight_homomorphisms
 
 
 def cofactor_det(rows, cols, matrix, memo):
@@ -147,6 +148,35 @@ def test_weight_vectors_satisfy_invariants():
             for i in range(k):
                 assert sum(mat[i][j] * hom.weights[j] for j in range(n)) == 0
             assert all(w >= 0 for j, w in enumerate(hom.weights) if j not in hom.flips)
+
+
+def test_half_box_search_matches_full_box_oracle():
+    rng = random.Random(2024)
+    outcomes = {"maps": 0, "none": 0}
+    bounds_seen = set()
+    for _ in range(1200):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(max(0, n - 4), n + 2)
+        rels = [
+            tuple(rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 7)))
+            for _ in range(k)
+        ]
+        pres = make_presentation([f"g{i}" for i in range(n)], rels)
+        rank = len(integer_kernel_basis(exponent_matrix(pres), n))
+        # Keep the oracle's (2B + 1)^rank walk small.
+        bound = rng.randint(1, 3 if rank <= 4 else 2 if rank == 5 else 1)
+        bounds_seen.add(bound)
+        try:
+            expected = full_box_weight_homomorphisms(pres, bound)
+        except NoSurjection:
+            with pytest.raises(NoSurjection):
+                find_weight_homomorphisms(pres, bound)
+            outcomes["none"] += 1
+            continue
+        assert find_weight_homomorphisms(pres, bound) == expected
+        outcomes["maps"] += 1
+    assert bounds_seen == {1, 2, 3}
+    assert outcomes["none"] >= 100 and outcomes["maps"] >= 500
 
 
 def test_h1_invariance_under_reordering_and_flips():
