@@ -1,5 +1,5 @@
-"""Bounded brute-force enumeration of immersions into a presentation
-complex, plus the non-positive-immersion dichotomy scan.
+"""Bounded enumeration of immersions into a presentation complex, plus
+the non-positive-immersion dichotomy scan.
 
 A complex is a labeled directed multigraph plus faces; a face is a closed
 edge path spelling one relator exactly, position by position.  Folded
@@ -8,11 +8,54 @@ distinct (label, direction) types, so breadth-first search from a fixed
 start vertex is deterministic and a canonical form is the minimum BFS
 serialization over start vertices.
 
-The scan exploits two facts recorded in the design notes: faces spelling
-cyclically reduced relators never traverse pendant edges, and adding a
-pendant tree changes neither the Euler characteristic nor collapsibility.
-Candidates are therefore exactly pendant-tree decorations of candidates
-whose graph has minimum degree >= 2 ("cores").
+``enumerate_immersions`` lists every complex within the bounds, faceless
+ones included: it grows every connected folded graph one edge at a time
+and attaches faces afterwards.  ``npi_scan`` wants only candidates
+(chi >= 1 and not collapsible) and builds them face first, by moves that
+keep a state connected, folded and link-injective.  Why no candidate is
+missed, for a candidate C within the bounds.  An edge is *faced* if some
+face crosses it.  A relator with a cancelling wrap pair (``c^-1 ... c``)
+has faces that cross an edge out and back, so a faced edge may end at a
+vertex of degree one; nothing below assumes otherwise.
+
+1. Pendant trees.  A face-free edge ending at a vertex of degree one
+   changes neither chi nor collapsibility: no collapse uses it, and the
+   residual graph is a tree with it iff without it.  Stripping such edges
+   while any remain leaves the *core* of C, itself a candidate, and
+   ``_decorate_with_trees`` lists every decoration of a core within the
+   edge budget.  So it is enough to reach every core.
+2. Ears.  Let e be a face-free edge on a cycle of a core C.  Then C - e is
+   connected with chi one higher, and its core D differs from C by an ear:
+   a path from a vertex of D through vertices not in D, closed by one edge
+   to any vertex of D or of the path.  A connected 2-complex with
+   chi >= 2 has b2 = chi - 1 + b1 >= 1, so D is not contractible: it is a
+   candidate core with one face-free cycle edge fewer.  By induction C
+   arises by ear moves, each from chi >= 2, from a core C0 whose face-free
+   edges are all bridges.
+3. Blobs and bridges.  The faced edges of C0 form vertex-disjoint
+   connected blobs; contracting each blob turns C0 into a tree whose
+   leaves are blobs, since a face-free vertex of degree one is not in a
+   core.  A blob is built one face at a time, each face sharing a vertex
+   with the faces before it.  A face move reads the relator from that
+   vertex: where the face's next edge is already built the state has it,
+   and where it is not, foldedness of C0 says the state has no edge of
+   that label and direction at the current vertex, so the move adds it, to
+   the right existing vertex or to a fresh one.  Take the blobs in
+   breadth-first order of the tree from the blob of vertex 0.  The tree
+   path from the part built so far to the next blob runs through fresh
+   vertices: a bridge path, ending at a vertex of the new blob where a
+   face move begins.  That face touches no older vertex, so after a bridge
+   the move joins and follows only vertices it created itself.
+4. Pruning.  Every state on these routes is a connected, folded,
+   link-injective subcomplex of C with no more edges or faces.  A face
+   move raises chi by one less its *joins* (new edges ending at existing
+   vertices), a bridge path keeps chi, an ear lowers it.  So
+   chi(C) <= chi_now + (max_faces - faces_now), no route passes a state
+   where this is below one, and a face move makes at most
+   chi_now + max_faces - faces_now - 1 joins.
+
+States are deduplicated by ``canonical_complex``, so each class is
+expanded once.
 """
 
 from __future__ import annotations
@@ -281,19 +324,13 @@ def _children(vertex_count, edges, n_gens, out_used, in_used):
                 yield vertex_count + 1, edges + ((vertex_count, v, g),)
 
 
-def _grow_graphs(n_gens, max_edges, rank_cap=None, core_prune=False):
-    """All connected folded graphs with at most max_edges edges, up to iso.
-
-    rank_cap prunes states whose cycle rank already exceeds the cap (rank
-    never decreases under growth).  core_prune keeps only states that can
-    still reach minimum degree two within the edge budget: each added edge
-    lowers the total degree deficit by at most two.
-    """
+def _grow_graphs(n_gens, max_edges):
+    """All connected folded graphs with at most max_edges edges, up to iso."""
     start = (1, ())
     seen = {canonical_graph(*start)}
     level = [start]
     yield start
-    for e_count in range(1, max_edges + 1):
+    for _ in range(max_edges):
         nxt = []
         for vertex_count, edges in level:
             out_used = {(s, g) for s, _, g in edges}
@@ -301,19 +338,6 @@ def _grow_graphs(n_gens, max_edges, rank_cap=None, core_prune=False):
             for child_v, child_edges in _children(
                 vertex_count, edges, n_gens, out_used, in_used
             ):
-                rank = e_count - child_v + 1
-                if rank_cap is not None and rank > rank_cap:
-                    continue
-                if core_prune:
-                    degree = Counter()
-                    for s, d, _ in child_edges:
-                        degree[s] += 1
-                        degree[d] += 1
-                    deficit = sum(
-                        max(0, 2 - degree[v]) for v in range(child_v)
-                    )
-                    if deficit > 2 * (max_edges - e_count):
-                        continue
                 canon = canonical_graph(child_v, child_edges)
                 if canon in seen:
                     continue
@@ -359,17 +383,23 @@ def _face_candidates(vertex_count, edges, pres: Presentation):
     return found
 
 
+def _check_bounds(max_edges: int, max_faces: int) -> None:
+    if max_edges < 0 or max_faces < 0:
+        raise ValueError(f"bounds ({max_edges}, {max_faces}) must be non-negative")
+    if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
+        raise ValueError(
+            f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
+        )
+
+
 def enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
     """All connected folded link-injective complexes within the bounds.
 
     One representative per isomorphism class, emitted in canonical-form
     order.  Desk scale is enforced; full enumeration is exponential and
-    meant for small bounds (the dichotomy scan uses a pruned strategy).
+    meant for small bounds (the dichotomy scan builds from faces instead).
     """
-    if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
-        raise ValueError(
-            f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
-        )
+    _check_bounds(max_edges, max_faces)
     _require_valid(pres)
     return _enumerate_immersions(pres, max_edges, max_faces)
 
@@ -408,14 +438,6 @@ def _require_valid(pres: Presentation) -> None:
         raise ValueError("invalid presentation: " + "; ".join(map(str, diags)))
 
 
-def _min_degree_two(vertex_count, edges) -> bool:
-    degree = Counter()
-    for s, d, _ in edges:
-        degree[s] += 1
-        degree[d] += 1
-    return all(degree[v] >= 2 for v in range(vertex_count))
-
-
 def _decorate_with_trees(pres, base: TwoComplex, max_edges: int):
     """All pendant-tree decorations of a complex within the edge budget."""
     seen = {canonical_complex(base)}
@@ -446,68 +468,217 @@ def _decorate_with_trees(pres, base: TwoComplex, max_edges: int):
         level = nxt
 
 
+class _Moves:
+    """The moves of the face-first scan out of one state.
+
+    The state's folded graph is grown and shrunk in place: ``out`` and
+    ``into`` map (vertex, label) to the edge leaving or entering the vertex
+    with that label, and ``corners`` holds the (vertex, relator, position)
+    corners of the state's faces.  A move pushes edges, yields a snapshot
+    while they are in place, and pops them again.
+    """
+
+    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces):
+        self.state = state
+        self.spelled = spelled
+        self.n_gens = n_gens
+        self.max_edges = max_edges
+        self.max_faces = max_faces
+        self.vertex_count = state.vertex_count
+        self.edges = list(state.edges)
+        self.out = {(s, g): i for i, (s, _, g) in enumerate(state.edges)}
+        self.into = {(d, g): i for i, (_, d, g) in enumerate(state.edges)}
+        self.corners = {
+            (state.edges[e][0] if d == 1 else state.edges[e][1], rel, t)
+            for rel, path in state.faces
+            for t, (e, d) in enumerate(path)
+        }
+
+    def _attach(self, v: int, g: int, forward: bool, w: int) -> int:
+        """Push the edge labelled g that leaves v for w (or enters v from w)."""
+        s, d = (v, w) if forward else (w, v)
+        idx = len(self.edges)
+        self.out[(s, g)] = idx
+        self.into[(d, g)] = idx
+        self.edges.append((s, d, g))
+        return idx
+
+    def _pop(self) -> None:
+        s, d, g = self.edges.pop()
+        del self.out[(s, g)]
+        del self.into[(d, g)]
+
+    def _snapshot(self, new_face=None) -> TwoComplex:
+        faces = self.state.faces + ((new_face,) if new_face else ())
+        return TwoComplex(self.vertex_count, tuple(self.edges), faces)
+
+    def _fresh_paths(self, x: int, max_len: int):
+        """Ends of the folded paths of 1..max_len edges from x through fresh
+        vertices; each path stays in place while its end is yielded."""
+
+        def extend(v, length):
+            if length:
+                yield v
+            if length >= max_len:
+                return
+            for g in range(self.n_gens):
+                for forward in (True, False):
+                    if (v, g) in (self.out if forward else self.into):
+                        continue
+                    w = self.vertex_count
+                    self.vertex_count += 1
+                    self._attach(v, g, forward, w)
+                    yield from extend(w, length + 1)
+                    self._pop()
+                    self.vertex_count -= 1
+
+        yield from extend(x, 0)
+
+    def _trace(self, rel: int, start: int, v0: int, low: int, join_cap: int):
+        """Snapshots with one more face: relator ``rel`` read from position
+        ``start`` at ``v0``.  An edge the word needs is followed if it
+        exists; otherwise it is added, to a fresh vertex or, as a join, to
+        a vertex >= ``low`` (at most ``join_cap`` joins).  Existing edges
+        are followed only into vertices >= ``low``, the last step must land
+        on ``v0``, and no corner may repeat one of the state's."""
+        spelled = self.spelled[rel]
+        length = len(spelled)
+        path = [None] * length
+
+        def step(k, v, joins):
+            if k == length:
+                if v == v0:
+                    cut = (length - start) % length  # path[cut] is position 0
+                    yield self._snapshot((rel, tuple(path[cut:] + path[:cut])))
+                return
+            pos = (start + k) % length
+            if (v, rel, pos) in self.corners:
+                return
+            g, forward = spelled[pos]
+            sign = 1 if forward else -1
+            last = k == length - 1
+            e = (self.out if forward else self.into).get((v, g))
+            if e is not None:
+                s, d, _ = self.edges[e]
+                w = d if forward else s
+                if w >= low and (w == v0 or not last):
+                    path[k] = (e, sign)
+                    yield from step(k + 1, w, joins)
+                return
+            if len(self.edges) >= self.max_edges:
+                return
+            far_slot = self.into if forward else self.out
+            if joins < join_cap:
+                for w in (v0,) if last else range(low, self.vertex_count):
+                    if (w, g) not in far_slot:
+                        path[k] = (self._attach(v, g, forward, w), sign)
+                        yield from step(k + 1, w, joins + 1)
+                        self._pop()
+            if not last:
+                w = self.vertex_count
+                self.vertex_count += 1
+                path[k] = (self._attach(v, g, forward, w), sign)
+                yield from step(k + 1, w, joins)
+                self._pop()
+                self.vertex_count -= 1
+
+        yield from step(0, v0, 0)
+
+    def face_moves(self):
+        """One new face traced from a vertex of the state, or from the end
+        of a new face-free bridge path, then inside a new blob only."""
+        state = self.state
+        if len(state.faces) >= self.max_faces:
+            return
+        # Each later face raises chi by at most one.
+        join_cap = euler_characteristic(state) + self.max_faces - len(state.faces) - 1
+        starts = [(rel, t) for rel, word in enumerate(self.spelled) for t in range(len(word))]
+        for v in range(state.vertex_count):
+            for rel, t in starts:
+                yield from self._trace(rel, t, v, 0, join_cap)
+        if not state.faces:
+            return  # a first blob grows from vertex 0 itself
+        for x in range(state.vertex_count):
+            for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
+                for rel, t in starts:
+                    yield from self._trace(rel, t, u, u, join_cap)
+
+    def ear_moves(self):
+        """One face-free ear: a folded path from a vertex of the state
+        through fresh vertices (possibly none), closed by an edge to any
+        vertex; it lowers chi by one.  Only from chi >= 2, so that the
+        result keeps chi >= 1."""
+        room = self.max_edges - len(self.edges)
+        if room < 1 or euler_characteristic(self.state) < 2:
+            return
+        for x in range(self.state.vertex_count):
+            for v in itertools.chain((x,), self._fresh_paths(x, room - 1)):
+                for g in range(self.n_gens):
+                    for forward in (True, False):
+                        if (v, g) in (self.out if forward else self.into):
+                            continue
+                        far_slot = self.into if forward else self.out
+                        for w in range(self.vertex_count):
+                            if (w, g) not in far_slot:
+                                self._attach(v, g, forward, w)
+                                yield self._snapshot()
+                                self._pop()
+
+
 def npi_scan(pres: Presentation, max_edges: int, max_faces: int, budget: int = 200_000):
     """Candidates for the non-positive-immersion dichotomy within bounds.
 
     Emits every immersion with chi >= 1 that the collapse search cannot
-    contract, one per isomorphism class, in canonical order.  An empty
-    result means every enumerated immersion has chi <= 0 or collapses; a
-    candidate is evidence for inspection, never a refutation, since
-    collapsibility is sufficient but not necessary for contractibility.
+    contract, one per isomorphism class, in canonical order, each as its
+    class's canonical representative.  An empty result means every
+    immersion within the bounds has chi <= 0 or collapses; a candidate is
+    evidence for inspection, never a refutation, since collapsibility is
+    sufficient but not necessary for contractibility.  The search is
+    face-first; the module docstring gives the argument that it misses no
+    class.
     """
-    if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
-        raise ValueError(
-            f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
-        )
+    _check_bounds(max_edges, max_faces)
     _require_valid(pres)
-    if max_faces <= 2:
-        graphs = _grow_graphs(
-            len(pres.generators), max_edges, rank_cap=max_faces, core_prune=True
-        )
-        core_only = True
-    else:
-        graphs = _grow_graphs(len(pres.generators), max_edges, rank_cap=max_faces)
-        core_only = False
+    n_gens = len(pres.generators)
+    spelled = [[(letter_gen(x), x > 0) for x in rel] for rel in pres.relators]
+
+    def explore(stack, moves):
+        while stack:
+            state = stack.pop()
+            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces)):
+                canon = canonical_complex(child)
+                if canon not in states:
+                    states[canon] = child
+                    stack.append(child)
+
+    start = TwoComplex(1, (), ())
+    states = {canonical_complex(start): start}
+    explore([start], _Moves.face_moves)
+    explore(list(states.values()), _Moves.ear_moves)
 
     found: dict[tuple, ImmersionReport] = {}
-    for vertex_count, edges in graphs:
-        if core_only and not _min_degree_two(vertex_count, edges):
-            continue
-        rank = len(edges) - vertex_count + 1
-        faces_avail = _face_candidates(vertex_count, edges, pres)
-        for size in range(max(rank, 0), max_faces + 1):
-            chi = vertex_count - len(edges) + size
-            if chi < 1 or size > len(faces_avail):
+    for canon, state in states.items():
+        chi = euler_characteristic(state)
+        if chi < 1 or not state.faces:
+            continue  # graphs with chi >= 1 are trees, which collapse
+        try:
+            if collapsible(state, budget):
                 continue
-            for combo in itertools.combinations(faces_avail, size):
-                complex_ = TwoComplex(vertex_count, edges, combo)
-                if not link_injective(complex_):
-                    continue
-                canon = canonical_complex(complex_)
-                if canon in found:
-                    continue
-                if size == 0 and rank == 0:
-                    continue  # trees always collapse
-                try:
-                    if collapsible(complex_, budget):
-                        continue
-                    note = ""
-                except SearchBudgetExceeded:
-                    note = "collapse search budget exceeded"
-                assert is_folded(complex_) and is_connected(complex_)
+            note = ""
+        except SearchBudgetExceeded:
+            note = "collapse search budget exceeded"
+        found[canon] = ImmersionReport(from_canonical(canon), chi, "candidate", note)
+    for core in list(found.values()):
+        for decorated in _decorate_with_trees(pres, core.complex, max_edges):
+            canon = canonical_complex(decorated)
+            if canon not in found:
                 found[canon] = ImmersionReport(
-                    from_canonical(canon), chi, "candidate", note
+                    from_canonical(canon), core.chi, "candidate", core.note
                 )
 
-    if core_only:
-        for canon in list(found):
-            base = found[canon].complex
-            for decorated in _decorate_with_trees(pres, base, max_edges):
-                dcanon = canonical_complex(decorated)
-                if dcanon not in found:
-                    found[dcanon] = ImmersionReport(
-                        decorated, euler_characteristic(decorated), "candidate",
-                        found[canon].note,
-                    )
-
-    return [found[c] for c in sorted(found)]
+    reports = [found[c] for c in sorted(found)]
+    for r in reports:
+        assert is_folded(r.complex) and is_connected(r.complex)
+        assert link_injective(r.complex)
+        check_faces(pres, r.complex)
+    return reports

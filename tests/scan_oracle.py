@@ -1,0 +1,98 @@
+"""Graph-first reference for ``complexes.npi_scan``, kept as a differential
+oracle.
+
+This is the exhaustive search that the face-first scan replaced: grow every
+connected folded graph of cycle rank at most ``max_faces`` (chi >= 1 needs
+rank <= faces), attach every link-injective set of closing relator walks,
+and keep the non-collapsible classes with chi >= 1.  It is the former
+``max_faces >= 3`` path verbatim.  The former ``max_faces <= 2`` shortcut
+(minimum-degree-two cores plus pendant trees) is left out: it assumed that
+faces never cross a pendant edge, which fails for relators with a
+cancelling wrap pair.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from npicheck.complexes import (
+    SCAN_MAX_EDGES,
+    SCAN_MAX_FACES,
+    ImmersionReport,
+    SearchBudgetExceeded,
+    TwoComplex,
+    _children,
+    _face_candidates,
+    _require_valid,
+    canonical_complex,
+    canonical_graph,
+    collapsible,
+    from_canonical,
+    is_connected,
+    is_folded,
+    link_injective,
+)
+
+
+def grow_graphs(n_gens, max_edges, rank_cap):
+    """All connected folded graphs with at most max_edges edges and cycle
+    rank at most rank_cap, up to isomorphism (rank never falls as a graph
+    grows)."""
+    start = (1, ())
+    seen = {canonical_graph(*start)}
+    level = [start]
+    yield start
+    for e_count in range(1, max_edges + 1):
+        nxt = []
+        for vertex_count, edges in level:
+            out_used = {(s, g) for s, _, g in edges}
+            in_used = {(d, g) for _, d, g in edges}
+            for child_v, child_edges in _children(
+                vertex_count, edges, n_gens, out_used, in_used
+            ):
+                if e_count - child_v + 1 > rank_cap:
+                    continue
+                canon = canonical_graph(child_v, child_edges)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                state = (canon[0], canon[1])
+                nxt.append(state)
+                yield state
+        level = nxt
+
+
+def oracle_scan(pres, max_edges, max_faces, budget=200_000):
+    if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
+        raise ValueError(
+            f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
+        )
+    _require_valid(pres)
+    found: dict[tuple, ImmersionReport] = {}
+    for vertex_count, edges in grow_graphs(len(pres.generators), max_edges, max_faces):
+        rank = len(edges) - vertex_count + 1
+        faces_avail = _face_candidates(vertex_count, edges, pres)
+        for size in range(max(rank, 0), max_faces + 1):
+            chi = vertex_count - len(edges) + size
+            if chi < 1 or size > len(faces_avail):
+                continue
+            for combo in itertools.combinations(faces_avail, size):
+                complex_ = TwoComplex(vertex_count, edges, combo)
+                if not link_injective(complex_):
+                    continue
+                canon = canonical_complex(complex_)
+                if canon in found:
+                    continue
+                if size == 0 and rank == 0:
+                    continue  # trees always collapse
+                try:
+                    if collapsible(complex_, budget):
+                        continue
+                    note = ""
+                except SearchBudgetExceeded:
+                    note = "collapse search budget exceeded"
+                assert is_folded(complex_) and is_connected(complex_)
+                found[canon] = ImmersionReport(
+                    from_canonical(canon), chi, "candidate", note
+                )
+    return [found[c] for c in sorted(found)]

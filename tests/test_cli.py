@@ -255,6 +255,25 @@ def test_report_scan_option(files, capsys):
     assert doc["oracle_scan"]["count"] == 1
 
 
+def test_report_scan_wrap_pair_relator(tmp_path, capsys):
+    # The faces of a b^2 a^-1 cross the a-edge out and back.
+    path = tmp_path / "wrap.pres"
+    path.write_text("gens: a b\nrel: a b^2 a^-1\n")
+    assert run(["report", str(path), "--scan", "2,2"]) == 0
+    assert "oracle scan bounds [2, 2]: 1 candidate(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("immerse", "--bounds", "-1,2"), ("report", "--scan", "3,-1")],
+)
+def test_negative_scan_bounds_exit_2(files, capsys, command, option, value):
+    assert run([command, files["torsion.pres"], f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"bounds ({value.replace(',', ', ')}) must be non-negative" in captured.err
+    assert "candidate" not in captured.out
+
+
 def test_report_chain_beyond_twenty_relators(tmp_path, capsys):
     path = tmp_path / "chain21.pres"
     path.write_text(

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,8 +16,10 @@ from npicheck.complexes import (
     npi_scan,
     presentation_complex,
 )
-from npicheck.words import letter_gen, make_presentation
-from samples import sample_a, torsion_presentation
+from npicheck.textio import parse_presentation
+from npicheck.words import letter_gen, make_presentation, validate
+from samples import sample_a, sample_b, sample_braid, torsion_presentation
+from scan_oracle import oracle_scan
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,85 @@ def test_scan_bounds_enforced():
         npi_scan(torsion_presentation(), 11, 1)
     with pytest.raises(ValueError):
         enumerate_immersions(torsion_presentation(), 2, 6)
+
+
+@pytest.mark.parametrize("bounds", [(-1, 2), (3, -1), (-1, -1)])
+def test_negative_bounds_rejected(bounds):
+    for scan in (npi_scan, enumerate_immersions):
+        with pytest.raises(ValueError, match=rf"bounds \({bounds[0]}, {bounds[1]}\)"):
+            scan(torsion_presentation(), *bounds)
+
+
+# The second relator reads a b b a^-1: its first and last letters cancel
+# cyclically, so its faces cross an edge out and back.
+WRAP_TEXT = "gens: a b\nrel: a b^2 a^-1\n"
+
+
+def _scan_key(reports):
+    return [(canonical_complex(r.complex), r.chi, r.note) for r in reports]
+
+
+def _within(key, max_edges, max_faces):
+    # Candidacy does not depend on the bounds, so a scan at smaller bounds
+    # is the part of the larger scan that fits them.
+    return [k for k in key if len(k[0][1]) <= max_edges and len(k[0][2]) <= max_faces]
+
+
+def test_npi_scan_wrap_pair_relator():
+    # A search over minimum-degree-two cores plus pendant trees misses all
+    # of these at F <= 2: their faces cross the a-edge out and back.
+    pres = parse_presentation(WRAP_TEXT)
+    assert len(npi_scan(pres, 2, 2)) == len(npi_scan(pres, 2, 3)) == 1
+    assert len(npi_scan(pres, 3, 2)) == 5
+    for max_e in range(5):
+        for max_f in range(3):
+            fewer = set(_scan_key(npi_scan(pres, max_e, max_f)))
+            assert fewer <= set(_scan_key(npi_scan(pres, max_e, max_f + 1)))
+
+
+def _random_word(rng, n_gens, length, wrap):
+    letters = [g for g in range(1, n_gens + 1)] + [-g for g in range(1, n_gens + 1)]
+    word = [rng.choice(letters)]
+    while len(word) < length:
+        x = rng.choice(letters)
+        if x != -word[-1]:
+            word.append(x)
+    if wrap and length >= 3 and word[-2] != word[0]:
+        word[-1] = -word[0]  # a cancelling wrap pair
+    return tuple(word)
+
+
+def _differential_presentations():
+    yield sample_a()
+    yield sample_b()
+    yield sample_braid()
+    yield torsion_presentation()
+    yield parse_presentation(WRAP_TEXT)
+    yield parse_presentation("gens: a b\nrel: a^2\nrel: b^2\n")
+    yield parse_presentation("gens: a b\nrel: a^3\nrel: a b a^-1 b^-1\n")
+    rng = random.Random(2024)
+    made = 0
+    while made < 16:
+        rels = [
+            _random_word(rng, 2, rng.randint(1, 4), wrap=rng.random() < 0.5)
+            for _ in range(rng.randint(1, 2))
+        ]
+        pres = make_presentation(["a", "b"], rels)
+        if not validate(pres):
+            made += 1
+            yield pres
+
+
+def test_npi_scan_matches_graph_first_oracle():
+    wraps = 0
+    for pres in _differential_presentations():
+        wraps += any(len(r) > 1 and r[0] == -r[-1] for r in pres.relators)
+        expected = _scan_key(oracle_scan(pres, 4, 3))
+        for max_e in range(5):
+            for max_f in range(4):
+                got = _scan_key(npi_scan(pres, max_e, max_f))
+                assert got == _within(expected, max_e, max_f), (pres, max_e, max_f)
+    assert wraps >= 5
 
 
 def test_connectivity_helper():
