@@ -2,6 +2,16 @@
 document with a hypothesis checklist, certificates, cover verification and
 an optional immersion scan.
 
+There are two routes.  The presentation route checks validity, tries the
+weight maps (Thm 3.4 over the integers, Thm 3.6 over an ordered target)
+and for the integers falls back to the equal-length Adian route (Thm 4.1).
+The LOG route applies the forest criteria (Cor 4.3, or Thm 4.1).  Each
+route fills its own sections of the document and returns the verdict as
+(status, citation, detail).  :func:`full_report` then finishes every
+report the same way: it asserts that the cover checks pass, when there is
+a cover; runs the ``--scan`` on every input whose presentation passes
+``validate``; and writes the verdict.
+
 Verdicts are three-valued; the tool never claims the absence of the
 non-positive immersion property, only that a sufficient condition holds
 (npi-certified), fails to apply (not-decided), or that a hypothesis is
@@ -12,14 +22,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import cover as cover_mod
 from .complexes import npi_scan
 from .homology import NoSurjection, find_weight_homomorphisms, h1_structure
 from .logs import (
+    AdianVerdict,
     Log,
-    NotAdian,
     adian_npi_check,
     graph_I,
     graph_T,
@@ -28,7 +38,17 @@ from .logs import (
     log_to_presentation,
     underlying_forest,
 )
-from .minima import MIN, CheckVerdict, check_assignment, presentation_hypotheses
+from .minima import (
+    MAX,
+    MIN,
+    CheckVerdict,
+    ConcatCertificate,
+    HypothesisResult,
+    check_assignment,
+    minima_multiset,
+    presentation_hypotheses,
+    weak_concatenability,
+)
 from .orders import (
     BraidTarget,
     IntTarget,
@@ -36,7 +56,7 @@ from .orders import (
     OrderedTarget,
     TargetAssignment,
 )
-from .words import Presentation
+from .words import Presentation, flip_generator, validate
 
 REPORT_FORMAT = "npicheck-report-v2"
 
@@ -164,47 +184,31 @@ def _merge_hypotheses(doc: dict, entries) -> None:
             present.add(entry["name"])
 
 
-def _multiset_dicts(pres: Presentation, multisets) -> list[dict]:
-    out = []
-    for m in multisets:
-        out.append(
-            {
-                "relator": m.relator,
-                "mode": m.mode,
-                "counts": {
-                    pres.generators[g]: [p, n]
-                    for g, (p, n) in sorted(m.counts.items())
-                },
-            }
-        )
-    return out
-
-
-def _certificate_dict(pres: Presentation, cert) -> dict:
-    return {
-        "ordering": list(cert.ordering),
-        "witnesses": [
-            {
-                "generator": pres.generators[w.gen],
-                "positive": w.positive,
-                "negative": w.negative,
-            }
-            for w in cert.witnesses
-        ],
-    }
-
-
 def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
+    names = pres.generators  # flipping keeps the generator names
     entry: dict = {
         "status": verdict.status,
         "mode": verdict.mode,
-        "flips": sorted(pres.generators[j] for j in verdict.flips),
+        "flips": sorted(names[j] for j in verdict.flips),
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
     }
     if verdict.multisets is not None:
-        entry["multisets"] = _multiset_dicts(verdict.presentation, verdict.multisets)
+        entry["multisets"] = [
+            {
+                "relator": m.relator,
+                "mode": m.mode,
+                "counts": {names[g]: [p, n] for g, (p, n) in sorted(m.counts.items())},
+            }
+            for m in verdict.multisets
+        ]
     if verdict.certificate is not None:
-        entry["certificate"] = _certificate_dict(verdict.presentation, verdict.certificate)
+        entry["certificate"] = {
+            "ordering": list(verdict.certificate.ordering),
+            "witnesses": [
+                {"generator": names[w.gen], "positive": w.positive, "negative": w.negative}
+                for w in verdict.certificate.witnesses
+            ],
+        }
     if verdict.failure is not None:
         entry["failure_witness"] = {"stuck_core": list(verdict.failure.stuck_core)}
     return entry
@@ -213,7 +217,13 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
 def cover_section(verdict: CheckVerdict, window_bounds) -> dict:
     """Verify the slim certificate of a concatenable integer verdict on a
     cover window: ``window_bounds`` (lo, hi), or by default one level
-    beyond the largest relator span on each side."""
+    beyond the largest relator span on each side.
+
+    The slim order of the cover is built for minima, so a max-mode
+    verdict is verified on its mirror (see :func:`_mirror`).
+    """
+    if verdict.mode == MAX:
+        verdict = _mirror(verdict)
     pres = verdict.presentation
     weights = tuple(verdict.assignment.image(j) for j in range(len(pres.generators)))
     spans = [
@@ -236,15 +246,63 @@ def cover_section(verdict: CheckVerdict, window_bounds) -> dict:
     }
 
 
+def _mirror(verdict: CheckVerdict) -> CheckVerdict:
+    """The min-mode verdict on the mirror of a max-mode one.
+
+    Maxima under phi are minima under -phi.  Flipping every generator
+    negates each prefix profile under the same nonnegative weights, so the
+    maxima become the minima and every copy changes sign.  Weak
+    concatenability sees only supports and unequal copy counts, so the
+    mirrored certificate must have the same ordering and witnesses.
+    """
+    pres = verdict.presentation
+    for j in range(len(pres.generators)):
+        pres = flip_generator(pres, j)
+    multisets = tuple(
+        minima_multiset(pres, i, IntTarget(), verdict.assignment)
+        for i in range(len(pres.relators))
+    )
+    cert = weak_concatenability(multisets)
+
+    def shape(c: ConcatCertificate):
+        return c.ordering, [w.gen for w in c.witnesses]
+
+    if not isinstance(cert, ConcatCertificate) or shape(cert) != shape(verdict.certificate):
+        raise AssertionError("the mirror of a max-mode verdict has another certificate")
+    return replace(verdict, presentation=pres, mode=MIN, multisets=multisets, certificate=cert)
+
+
 def full_report(
     source: Presentation | Log,
     options: ReportOptions,
     input_text: str = "",
 ) -> dict:
-    """Dispatch on the input kind and assemble the report document."""
+    """Run the route for the input kind, then finish the report: assert
+    that its cover checks pass, scan a valid presentation when ``--scan``
+    asks for it, and write the verdict."""
     if isinstance(source, Log):
-        return _log_report(source, options, input_text)
-    return _presentation_report(source, options, input_text)
+        pres = log_to_presentation(source)
+        doc = _base_doc("log", pres, input_text)
+        status, citation, detail = _log_route(doc, source, pres, options)
+    else:
+        pres = source
+        doc = _base_doc("presentation", pres, input_text)
+        status, citation, detail = _presentation_route(doc, pres, options)
+    if doc["cover"] is not None and not doc["cover"]["ok"]:
+        raise AssertionError("cover verification failed for a valid certificate")
+    if options.scan_bounds is not None and _passes_validate(doc, pres):
+        max_e, max_f = options.scan_bounds
+        reports = npi_scan(pres, max_e, max_f)
+        doc["oracle_scan"] = {
+            "bounds": [max_e, max_f],
+            "count": len(reports),
+            "candidates": [
+                {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": r.note}
+                for r in reports
+            ],
+        }
+    doc["verdict"] = {"status": status, "citation": citation, "detail": detail}
+    return doc
 
 
 def _base_doc(kind: str, pres: Presentation, input_text: str) -> dict:
@@ -267,240 +325,162 @@ def _base_doc(kind: str, pres: Presentation, input_text: str) -> dict:
     }
 
 
-def _finish(doc: dict, status: str, citation: str, detail: str) -> dict:
-    doc["verdict"] = {"status": status, "citation": citation, "detail": detail}
-    return doc
+def _passes_validate(doc: dict, pres: Presentation) -> bool:
+    # The presentation route records the outcome of validate first.
+    if doc["input"]["kind"] == "presentation":
+        return doc["hypotheses"][0]["status"] == "pass"
+    return not validate(pres)
 
 
-def _presentation_report(pres: Presentation, options: ReportOptions, input_text: str) -> dict:
-    doc = _base_doc("presentation", pres, input_text)
-    pres_hyps = presentation_hypotheses(pres)
-    valid = pres_hyps[0]
-    # A passing validity check carries no detail in the report.
-    doc["hypotheses"] = [
-        {
-            "name": valid.key,
-            "status": valid.status,
-            "citation": "",
-            "detail": valid.detail if valid.status == "fail" else "",
-        }
-    ]
-    if valid.status == "fail":
-        return _finish(doc, "hypothesis-failure", "", "invalid presentation")
-
-    target = options.target
-    if isinstance(target, IntTarget):
-        try:
-            candidates = phi_candidates(options.phi_spec, pres, target, options.coeff_bound)
-        except NoSurjection as exc:
-            h1 = h1_structure(pres)
-            doc["hypotheses"].append(
-                {
-                    "name": "weights-surjective",
-                    "status": "fail",
-                    "citation": HYPOTHESIS_CITATIONS["weights-surjective"],
-                    "detail": str(exc),
-                }
-            )
-            _maybe_scan(doc, pres, options)
-            return _finish(
-                doc,
-                "hypothesis-failure",
-                "",
-                f"no surjection to the integers (H1 rank {h1.free_rank}, "
-                f"torsion {list(h1.torsion)})",
-            )
-
-        # Thm 3.4 needs one concatenable map: stop at the first.  When there
-        # is none, every attempt stays in the report as the witness of why.
-        chosen = None
-        for cand in candidates:
-            verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
-            entry = _verdict_to_entry(pres, verdict)
-            entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
-            doc["attempts"].append(entry)
-            if verdict.status == "concatenable":
-                chosen = (entry["weights"], verdict)
-                break
-        if chosen is not None:
-            weights, verdict = chosen
-            doc["phi"] = {
-                "target": target.name,
-                "weights": dict(weights),
-                "flips": sorted(pres.generators[j] for j in verdict.flips),
-            }
-            _merge_hypotheses(doc, _hypothesis_dicts(verdict.hypotheses))
-            doc["cover"] = cover_section(verdict, options.window)
-            if not doc["cover"]["ok"]:
-                raise AssertionError("cover verification failed for a valid certificate")
-            _maybe_scan(doc, pres, options)
-            return _finish(
-                doc,
-                "npi-certified",
-                CITATIONS["concat-z"],
-                "weakly concatenable over the integers; certificate replayed and "
-                "cover checks passed",
-            )
-        statuses = {a["status"] for a in doc["attempts"]}
-        if statuses == {"hypothesis-failure"}:
-            first = doc["attempts"][0]
-            _merge_hypotheses(doc, first["hypotheses"])
-            failed = [
-                h for h in first["hypotheses"] if h["status"] == "fail"
-            ]
-            detail = failed[0]["detail"] if failed else "hypothesis failure"
-            _maybe_scan(doc, pres, options)
-            return _finish(doc, "hypothesis-failure", "", detail)
-        adian_entry = _try_adian(doc, pres)
-        if adian_entry is not None:
-            return adian_entry
-        _maybe_scan(doc, pres, options)
-        return _finish(
-            doc,
-            "not-decided",
-            "",
-            "no tried weight map is weakly concatenable; the sufficient "
-            "conditions do not apply",
-        )
-
-    # Ordered non-integer target.
-    assignment = parse_phi_spec(options.phi_spec, pres, target)
-    verdict = check_assignment(pres, pres_hyps, target, assignment, options.mode)
-    entry = _verdict_to_entry(pres, verdict)
-    doc["attempts"].append(entry)
-    _merge_hypotheses(doc, _hypothesis_dicts(verdict.hypotheses))
-    doc["phi"] = {
-        "target": target.name,
-        "weights": {
-            pres.generators[j]: target.describe(assignment.image(j))
-            for j in range(len(pres.generators))
-        },
-        "flips": [],
-    }
-    if verdict.status == "concatenable":
-        _maybe_scan(doc, pres, options)
-        return _finish(
-            doc,
-            "npi-certified",
-            CITATIONS["concat-ordered"],
-            f"weakly concatenable over {target.name}; local indicability of the "
-            "target is recorded as an assumed hypothesis",
-        )
-    if verdict.status == "hypothesis-failure":
-        failed = [h for h in entry["hypotheses"] if h["status"] == "fail"]
-        _maybe_scan(doc, pres, options)
-        return _finish(
-            doc, "hypothesis-failure", "", failed[0]["detail"] if failed else ""
-        )
-    _maybe_scan(doc, pres, options)
-    return _finish(doc, "not-decided", "", "not weakly concatenable for this assignment")
+def _first_failure(entries: list[dict]) -> str:
+    """Detail of the first failing hypothesis entry."""
+    return next((h["detail"] for h in entries if h["status"] == "fail"), "")
 
 
-def _try_adian(doc: dict, pres: Presentation) -> dict | None:
-    try:
-        verdict = adian_npi_check(pres)
-    except NotAdian:
-        return None
-    doc["adian"] = {
-        "hypotheses": _hypothesis_dicts(verdict.hypotheses),
-        "graph_t_forest": verdict.t_forest.ok if verdict.t_forest else None,
-        "graph_i_forest": verdict.i_forest.ok if verdict.i_forest else None,
-    }
-    if verdict.status == "npi":
-        branch = "T-forest (min mode)" if verdict.t_forest.ok else "I-forest (max mode)"
-        return _finish(
-            doc,
-            "npi-certified",
-            CITATIONS["adian-equal-lengths"],
-            f"equal-length Adian presentation with {branch}",
-        )
-    return None
-
-
-def _maybe_scan(doc: dict, pres: Presentation, options: ReportOptions) -> None:
-    if options.scan_bounds is None:
-        return
-    max_e, max_f = options.scan_bounds
-    reports = npi_scan(pres, max_e, max_f)
-    doc["oracle_scan"] = {
-        "bounds": [max_e, max_f],
-        "count": len(reports),
-        "candidates": [
-            {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": r.note}
-            for r in reports
-        ],
-    }
-
-
-def _log_report(log: Log, options: ReportOptions, input_text: str) -> dict:
-    pres = log_to_presentation(log)
-    doc = _base_doc("log", pres, input_text)
-    reduced, diags = log_is_reduced(log)
-    doc["lot"] = {
-        "reduced": reduced,
-        "diagnostics": [{"edge": i, "code": code} for i, code in diags],
-        "underlying_forest": underlying_forest(log),
-        "graph_i_forest": is_forest(graph_I(log)).ok if reduced else None,
-        "graph_t_forest": is_forest(graph_T(log)).ok if reduced else None,
-    }
-    doc["hypotheses"].append(
-        {
-            "name": "lof-reduced",
-            "status": "pass" if reduced else "fail",
-            "citation": HYPOTHESIS_CITATIONS["lof-reduced"],
-            "detail": "" if reduced else "; ".join(f"edge {i}: {c}" for i, c in diags),
-        }
-    )
-    if not reduced:
-        return _finish(
-            doc,
-            "hypothesis-failure",
-            "",
-            "the LOG is not reduced; the forest criteria require reduced input",
-        )
+def _adian_section(doc: dict, pres: Presentation) -> AdianVerdict:
+    """Run the equal-length Adian route and record it in ``adian``."""
     verdict = adian_npi_check(pres)
     doc["adian"] = {
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
         "graph_t_forest": verdict.t_forest.ok if verdict.t_forest else None,
         "graph_i_forest": verdict.i_forest.ok if verdict.i_forest else None,
     }
-    _merge_hypotheses(doc, _hypothesis_dicts(verdict.hypotheses))
-    if verdict.status == "npi":
-        concat = verdict.min_check or verdict.max_check
-        entry = _verdict_to_entry(pres, concat)
+    return verdict
+
+
+def _presentation_route(
+    doc: dict, pres: Presentation, options: ReportOptions
+) -> tuple[str, str, str]:
+    """Validity, then the weight maps (Thm 3.4 over the integers, Thm 3.6
+    over an ordered target), then for the integers the Adian fallback."""
+    pres_hyps = presentation_hypotheses(pres)
+    valid = pres_hyps[0]
+    # A passing validity check carries no detail in the report.
+    doc["hypotheses"] = _hypothesis_dicts(
+        [valid if valid.status == "fail" else replace(valid, detail="")]
+    )
+    if valid.status == "fail":
+        return "hypothesis-failure", "", "invalid presentation"
+
+    target = options.target
+    integer = isinstance(target, IntTarget)
+    try:
+        candidates = phi_candidates(options.phi_spec, pres, target, options.coeff_bound)
+    except NoSurjection as exc:
+        h1 = h1_structure(pres)
+        doc["hypotheses"] += _hypothesis_dicts(
+            [HypothesisResult("weights-surjective", "fail", str(exc))]
+        )
+        return (
+            "hypothesis-failure",
+            "",
+            f"no surjection to the integers (H1 rank {h1.free_rank}, "
+            f"torsion {list(h1.torsion)})",
+        )
+
+    # Thm 3.4 needs one concatenable map: stop at the first.  When there
+    # is none, every attempt stays in the report as the witness of why.
+    for cand in candidates:
+        verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
+        entry = _verdict_to_entry(pres, verdict)
+        if integer:
+            entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
         doc["attempts"].append(entry)
+        if verdict.status == "concatenable":
+            break
+    certified = verdict.status == "concatenable"
+    # The one assignment of an ordered target is always shown; an integer
+    # map only when it certifies.
+    if certified or not integer:
         doc["phi"] = {
-            "target": "z",
-            "weights": {name: 1 for name in pres.generators},
-            "flips": [],
+            "target": target.name,
+            "weights": {
+                name: cand.image(j) if integer else target.describe(cand.image(j))
+                for j, name in enumerate(pres.generators)
+            },
+            "flips": sorted(pres.generators[j] for j in verdict.flips),
         }
-        doc["cover"] = (
-            cover_section(verdict.min_check, options.window)
-            if verdict.min_check
-            else None
-        )
-        citation = (
-            CITATIONS["reduced-lof-forest"]
-            if underlying_forest(log)
-            else CITATIONS["adian-equal-lengths"]
-        )
-        branch = "T" if verdict.t_forest.ok else "I"
-        return _finish(
-            doc,
+        _merge_hypotheses(doc, entry["hypotheses"])
+    if certified and integer:
+        doc["cover"] = cover_section(verdict, options.window)
+        return (
             "npi-certified",
-            citation,
-            f"reduced labelled oriented input with graph {branch} a forest",
+            CITATIONS["concat-z"],
+            "weakly concatenable over the integers; certificate replayed and "
+            "cover checks passed",
         )
-    if verdict.status == "hypothesis-failure":
-        failed = [h for h in doc["hypotheses"] if h["status"] == "fail"]
-        return _finish(
-            doc, "hypothesis-failure", "", failed[0]["detail"] if failed else ""
+    if certified:
+        return (
+            "npi-certified",
+            CITATIONS["concat-ordered"],
+            f"weakly concatenable over {target.name}; local indicability of the "
+            "target is recorded as an assumed hypothesis",
         )
-    return _finish(
-        doc,
+    first = doc["attempts"][0]
+    if all(a["status"] == "hypothesis-failure" for a in doc["attempts"]):
+        _merge_hypotheses(doc, first["hypotheses"])
+        return "hypothesis-failure", "", _first_failure(first["hypotheses"])
+    if not integer:
+        return "not-decided", "", "not weakly concatenable for this assignment"
+    adian = _adian_section(doc, pres)
+    if adian.status == "npi":
+        branch = "T-forest (min mode)" if adian.t_forest.ok else "I-forest (max mode)"
+        return (
+            "npi-certified",
+            CITATIONS["adian-equal-lengths"],
+            f"equal-length Adian presentation with {branch}",
+        )
+    return (
         "not-decided",
         "",
-        "both letter graphs contain cycles; the forest criteria do not apply",
+        "no tried weight map is weakly concatenable; the sufficient "
+        "conditions do not apply",
+    )
+
+
+def _log_route(
+    doc: dict, log: Log, pres: Presentation, options: ReportOptions
+) -> tuple[str, str, str]:
+    """A reduced LOG through the forest criteria on its letter graphs:
+    Cor 4.3 when its underlying graph is a forest, else Thm 4.1."""
+    reduced, diags = log_is_reduced(log)
+    forest = underlying_forest(log)
+    doc["lot"] = {
+        "reduced": reduced,
+        "diagnostics": [{"edge": i, "code": code} for i, code in diags],
+        "underlying_forest": forest,
+        "graph_i_forest": is_forest(graph_I(log)).ok if reduced else None,
+        "graph_t_forest": is_forest(graph_T(log)).ok if reduced else None,
+    }
+    detail = "; ".join(f"edge {i}: {c}" for i, c in diags)
+    doc["hypotheses"] = _hypothesis_dicts(
+        [HypothesisResult("lof-reduced", "pass" if reduced else "fail", detail)]
+    )
+    if not reduced:
+        return (
+            "hypothesis-failure",
+            "",
+            "the LOG is not reduced; the forest criteria require reduced input",
+        )
+    verdict = _adian_section(doc, pres)
+    _merge_hypotheses(doc, doc["adian"]["hypotheses"])
+    if verdict.status == "hypothesis-failure":
+        return "hypothesis-failure", "", _first_failure(doc["hypotheses"])
+    if verdict.status != "npi":
+        return (
+            "not-decided",
+            "",
+            "both letter graphs contain cycles; the forest criteria do not apply",
+        )
+    doc["attempts"].append(_verdict_to_entry(pres, verdict.min_check or verdict.max_check))
+    doc["phi"] = {"target": "z", "weights": {name: 1 for name in pres.generators}, "flips": []}
+    if verdict.min_check:
+        doc["cover"] = cover_section(verdict.min_check, options.window)
+    branch = "T" if verdict.t_forest.ok else "I"
+    return (
+        "npi-certified",
+        CITATIONS["reduced-lof-forest" if forest else "adian-equal-lengths"],
+        f"reduced labelled oriented input with graph {branch} a forest",
     )
 
 

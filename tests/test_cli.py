@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -248,11 +249,81 @@ def test_report_free_presentation(tmp_path, capsys):
     assert "NPI-certified(Thm 3.4)" in capsys.readouterr().out
 
 
-def test_report_scan_option(files, capsys):
+def test_report_scan_option(files, tmp_path, capsys):
     assert run(["report", files["torsion.pres"], "--scan", "1,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"]["status"] == "hypothesis-failure"
     assert doc["oracle_scan"]["count"] == 1
+
+    # Every verdict route scans a valid input: Thm 4.1, and a LOG input.
+    adian = tmp_path / "adian.pres"
+    adian.write_text("gens: v0 v1 v2\nrel: v1^-1 v2^-1 v0 v2\nrel: v1^-1 v0^-1 v2 v0\n")
+    for path, citation in [(str(adian), "Thm 4.1"), (files["lot.log"], "Cor 4.3")]:
+        assert run(["report", path, "--scan", "3,2", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"]["citation"] == citation
+        assert doc["oracle_scan"] is not None and doc["oracle_scan"]["bounds"] == [3, 2]
+
+    # An invalid presentation is not scanned.
+    invalid = tmp_path / "invalid.pres"
+    invalid.write_text("gens: a b\nrel: a a^-1 b\n")
+    assert run(["report", str(invalid), "--scan", "3,2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["status"] == "hypothesis-failure"
+    assert doc["oracle_scan"] is None
+
+
+def test_log_cover_failure_exits_3(files, monkeypatch, capsys):
+    import npicheck.report as report_mod
+    from npicheck.cover import SlimReport
+
+    monkeypatch.setattr(
+        report_mod.cover_mod,
+        "verify_weak_slim_certificate",
+        lambda *args: SlimReport(False, ()),
+    )
+    assert run(["report", files["lot.log"]]) == 3
+    assert "cover verification failed" in capsys.readouterr().err
+
+
+def _random_words(rng: random.Random) -> str:
+    gens = "abc"[: rng.randint(1, 3)]
+    rels = [
+        " ".join(rng.choice(gens) + rng.choice(["", "^-1"]) for _ in range(rng.randint(1, 8)))
+        for _ in range(rng.randint(1, 2))
+    ]
+    return f"gens: {' '.join(gens)}\n" + "".join(f"rel: {r}\n" for r in rels)
+
+
+def test_report_never_exits_3(tmp_path, capsys):
+    # Both modes, on seeded forests and random words, with integer weights
+    # and with an explicit lexicographic map.  A max-mode certificate is
+    # verified on the cover of its mirror.
+    rng = random.Random(2024)
+    texts = [
+        format_presentation(log_to_presentation(lof_random(n, n - rank, rng)))
+        for n in range(4, 9)
+        for rank in (2, 3)
+        for _ in range(2)
+    ]
+    texts += [_random_words(rng) for _ in range(20)]
+    failures, certified = [], Counter()
+    for i, text in enumerate(texts):
+        path = tmp_path / f"p{i}.pres"
+        path.write_text(text)
+        pres = parse_presentation(text)
+        lex = ",".join(f"{g}={rng.randint(-1, 1)}:{rng.randint(-1, 1)}" for g in pres.generators)
+        for mode in ("min", "max"):
+            for extra in ([], ["--target", "zlex:2", "--phi", lex]):
+                code = run(["report", "--json", str(path), "--mode", mode, *extra])
+                out = capsys.readouterr().out
+                if code:
+                    failures.append((text, mode, extra, code))
+                else:
+                    certified[mode, json.loads(out)["verdict"]["citation"]] += 1
+    assert failures == []
+    for mode in ("min", "max"):
+        assert certified[mode, "Thm 3.4"] and certified[mode, "Thm 3.6"]
 
 
 def test_report_scan_wrap_pair_relator(tmp_path, capsys):
