@@ -59,6 +59,7 @@ from .logs import (
     NotAdian,
     PresentationGraph,
     Unsatisfiable,
+    adian_check,
     adian_normalize,
     adian_npi_check,
     artin_presentation,

@@ -12,12 +12,7 @@ import sys
 from pathlib import Path
 
 from .complexes import npi_scan
-from .homology import (
-    NoSurjection,
-    find_weight_homomorphisms,
-    h1_structure,
-    is_generalized_wirtinger,
-)
+from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
 from .logs import adian_npi_check
 from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
@@ -45,6 +40,24 @@ def _int_pair(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (argparse names the option)."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _target(text: str):
+    """A target spec, parsed (argparse names the option)."""
+    try:
+        return parse_target_spec(text)
+    except BadTargetSpec as exc:
+        why = f" ({exc.__cause__})" if exc.__cause__ else ""
+        raise argparse.ArgumentTypeError(
+            f"expected z | zlex:<d> | braid:<n>[:opp], got {text!r}{why}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npicheck",
@@ -60,11 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", "report presentation diagnostics")
     add("h1", "first homology and the free-abelian rank check")
     p = add("phi", "list primitive weight maps to the integers")
-    p.add_argument("--bound", type=int, default=3, help="kernel coefficient bound")
+    p.add_argument(
+        "--bound", type=_positive_int, default=3, help="kernel coefficient bound (>= 1)"
+    )
     for name in ("minima", "concat"):
         p = add(name, "multisets of minima" if name == "minima" else "weak concatenability verdict")
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
-        p.add_argument("--target", default="z", help="z | zlex:<d> | braid:<n>[:opp]")
+        p.add_argument(
+            "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
+        )
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
     add("lot", "labelled oriented graph pipeline")
     add("adian", "equal-length Adian pipeline")
@@ -76,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("report", "full pipeline with verdict")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--phi", default="auto")
-    p.add_argument("--target", default="z")
+    p.add_argument("--target", type=_target, default="z")
     p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
     p.add_argument("--window", type=_int_pair, default=None, help="LO,HI window bounds")
     p.add_argument("--scan", type=_int_pair, default=None, help="E,F immersion scan bounds")
@@ -98,7 +115,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
-    except (ParseError, BadTargetSpec, BadPhiSpec, NoSurjection, ValueError) as exc:
+    except (ParseError, BadPhiSpec, NoSurjection, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
@@ -118,9 +135,8 @@ def _dispatch(args) -> int:
 
     if command == "report":
         kind = sniff_kind(text)
-        target = parse_target_spec(args.target)
         options = ReportOptions(
-            target=target,
+            target=args.target,
             phi_spec=args.phi,
             mode=args.mode,
             window=args.window,
@@ -142,9 +158,8 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "h1":
-        h1 = h1_structure(pres)
         wirt = is_generalized_wirtinger(pres)
-        print(f"H1: free rank {h1.free_rank}, torsion {list(h1.torsion)}")
+        print(f"H1: free rank {wirt.h1.free_rank}, torsion {list(wirt.h1.torsion)}")
         if wirt.ok:
             print(f"ok: {wirt.reason}")
         else:
@@ -166,7 +181,7 @@ def _dispatch(args) -> int:
         return 0
 
     if command in ("minima", "concat"):
-        target = parse_target_spec(args.target)
+        target = args.target
         try:
             candidates = phi_candidates(args.phi, pres, target)
         except NoSurjection as exc:

@@ -208,16 +208,9 @@ def canonical_graph(vertex_count: int, edges) -> tuple:
     Requires a folded connected graph; foldedness makes the (label,
     direction) keys at each vertex distinct, so the BFS order from a fixed
     start is well defined and isomorphic graphs serialize identically.
+    This is :func:`canonical_complex` of the faceless complex.
     """
-    ends = [_ends_of(edges, v) for v in range(vertex_count)]
-    best = None
-    for start in range(vertex_count):
-        pos = _bfs_positions(ends, start)
-        relabeled = tuple(sorted((pos[s], pos[d], g) for s, d, g in edges))
-        cand = (vertex_count, relabeled)
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else (vertex_count, ())
+    return canonical_complex(TwoComplex(vertex_count, tuple(edges), ()))[:2]
 
 
 def canonical_complex(complex_: TwoComplex) -> tuple:
@@ -264,22 +257,9 @@ def collapsible(complex_: TwoComplex, budget: int = 200_000) -> bool:
     steps = [0]
 
     def residual_is_tree(alive_edges: frozenset) -> bool:
-        if len(alive_edges) != vertex_count - 1:
-            return False
-        adj: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
-        for e in alive_edges:
-            s, d, _ = complex_.edges[e]
-            adj[s].append(d)
-            adj[d].append(s)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == vertex_count
+        return len(alive_edges) == vertex_count - 1 and is_connected(
+            TwoComplex(vertex_count, tuple(complex_.edges[e] for e in alive_edges), ())
+        )
 
     def search(alive_e: frozenset, alive_f: frozenset) -> bool:
         key = (alive_e, alive_f)
@@ -439,7 +419,8 @@ def _require_valid(pres: Presentation) -> None:
 
 
 def _decorate_with_trees(pres, base: TwoComplex, max_edges: int):
-    """All pendant-tree decorations of a complex within the edge budget."""
+    """All pendant-tree decorations of a complex within the edge budget:
+    the one-edge extensions of ``_children`` that add a fresh vertex."""
     seen = {canonical_complex(base)}
     level = [base]
     while level:
@@ -449,22 +430,17 @@ def _decorate_with_trees(pres, base: TwoComplex, max_edges: int):
                 continue
             out_used = {(s, g) for s, _, g in cur.edges}
             in_used = {(d, g) for _, d, g in cur.edges}
-            for v in range(cur.vertex_count):
-                for g in range(len(pres.generators)):
-                    grown = []
-                    if (v, g) not in out_used:
-                        grown.append((v, cur.vertex_count, g))
-                    if (v, g) not in in_used:
-                        grown.append((cur.vertex_count, v, g))
-                    for edge in grown:
-                        child = TwoComplex(
-                            cur.vertex_count + 1, cur.edges + (edge,), cur.faces
-                        )
-                        canon = canonical_complex(child)
-                        if canon not in seen:
-                            seen.add(canon)
-                            nxt.append(child)
-                            yield child
+            for child_v, child_edges in _children(
+                cur.vertex_count, cur.edges, len(pres.generators), out_used, in_used
+            ):
+                if child_v == cur.vertex_count:
+                    continue  # an edge between existing vertices closes a cycle
+                child = TwoComplex(child_v, child_edges, cur.faces)
+                canon = canonical_complex(child)
+                if canon not in seen:
+                    seen.add(canon)
+                    nxt.append(child)
+                    yield child
         level = nxt
 
 

@@ -64,9 +64,6 @@ class CoverWindow:
     hi: int
     cells: tuple[CoverCell, ...]
 
-    def levels(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def edges(self) -> list[CoverEdge]:
         out = []
         for g, w in enumerate(self.weights):
@@ -117,6 +114,10 @@ def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEd
     return tuple(out)
 
 
+def edge_key(edge: CoverEdge, gen_priority) -> tuple[int, int]:
+    return (edge.level, -gen_priority[edge.gen])
+
+
 def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
     """Strictly minimal boundary edge under the (level, priority) key.
 
@@ -125,12 +126,8 @@ def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
     equal level the highest-priority generator wins as the minimum.
     Distinct edges have distinct keys, so the minimum is unique.
     """
-    edges = {e for e, _ in lifted_boundary(window, cell)}
-    return min(edges, key=lambda e: (e.level, -gen_priority[e.gen]))
-
-
-def edge_key(edge: CoverEdge, gen_priority) -> tuple[int, int]:
-    return (edge.level, -gen_priority[edge.gen])
+    edges = (e for e, _ in lifted_boundary(window, cell))
+    return min(edges, key=lambda e: edge_key(e, gen_priority))
 
 
 @dataclass(frozen=True)
@@ -209,107 +206,65 @@ def verify_weak_slim_certificate(
     if not ok:
         raise CertificateMismatch(why)
     by_rel = {m.relator: m for m in multisets}
+    priority = slim.gen_priority
     checks: list[SlimCheckEntry] = []
 
+    def record(check: str, failures: list[str], passed: str) -> None:
+        checks.append(SlimCheckEntry(check, not failures, "; ".join(failures) or passed))
+
     power_bad = [i for i, r in enumerate(pres.relators) if is_proper_power(r)]
-    checks.append(
-        SlimCheckEntry(
-            "no-proper-power",
-            not power_bad,
-            "syntactic necessary condition; the rest follows from "
-            "conservativity of ordered targets"
-            if not power_bad
-            else f"relators {power_bad} are proper powers",
-        )
+    record(
+        "no-proper-power",
+        [f"relators {power_bad} are proper powers"] if power_bad else [],
+        "syntactic necessary condition; the rest follows from "
+        "conservativity of ordered targets",
     )
 
-    min_by_cell: dict[CoverCell, CoverEdge] = {}
-    ok_a = True
-    details_a = []
+    boundary = {cell: lifted_boundary(window, cell) for cell in window.cells}
+    min_by_cell = {
+        cell: min((e for e, _ in path), key=lambda e: edge_key(e, priority))
+        for cell, path in boundary.items()
+    }
+
+    failures = []
     for cell in window.cells:
-        got = min_edge(window, cell, slim.gen_priority)
+        got = min_by_cell[cell]
         want = CoverEdge(cell.level, slim.witness_by_relator[cell.relator])
-        min_by_cell[cell] = got
         if got != want:
-            ok_a = False
-            details_a.append(f"cell {cell}: min {got} != witness lift {want}")
-    checks.append(
-        SlimCheckEntry(
-            "min-edge-is-witness-lift",
-            ok_a,
-            "; ".join(details_a) if details_a else f"{len(window.cells)} cells",
-        )
-    )
+            failures.append(f"cell {cell}: min {got} != witness lift {want}")
+    record("min-edge-is-witness-lift", failures, f"{len(window.cells)} cells")
 
-    ok_b = True
-    details_b = []
+    failures = []
     for cell in window.cells:
         witness = slim.witness_by_relator[cell.relator]
         target = CoverEdge(cell.level, witness)
-        signed = sum(
-            d for e, d in lifted_boundary(window, cell) if e == target
-        )
+        signed = sum(d for e, d in boundary[cell] if e == target)
         p, n = by_rel[cell.relator].counts.get(witness, (0, 0))
         if signed != p - n or signed == 0:
-            ok_b = False
-            details_b.append(
-                f"cell {cell}: signed count {signed}, expected {p - n} != 0"
-            )
-    checks.append(
-        SlimCheckEntry(
-            "witness-signed-traversal",
-            ok_b,
-            "; ".join(details_b) if details_b else "all counts match pos - neg",
-        )
-    )
+            failures.append(f"cell {cell}: signed count {signed}, expected {p - n} != 0")
+    record("witness-signed-traversal", failures, "all counts match pos - neg")
 
-    owner: dict[CoverEdge, CoverCell] = {}
-    for cell, edge in min_by_cell.items():
-        owner[edge] = cell
-    ok_c = True
-    details_c = []
+    owner = {edge: cell for cell, edge in min_by_cell.items()}
+    failures = []
     for cell in window.cells:
-        key_min = edge_key(min_by_cell[cell], slim.gen_priority)
-        for edge in {e for e, _ in lifted_boundary(window, cell)}:
+        key_min = edge_key(min_by_cell[cell], priority)
+        for edge in {e for e, _ in boundary[cell]}:
             other = owner.get(edge)
-            if other is None or other == cell:
-                continue
-            if not edge_key(edge, slim.gen_priority) > key_min:
-                ok_c = False
-                details_c.append(
-                    f"min edge of {other} appears on {cell} without larger key"
-                )
-    checks.append(
-        SlimCheckEntry(
-            "cross-boundary-minimality",
-            ok_c,
-            "; ".join(details_c) if details_c else "all cross appearances larger",
-        )
-    )
+            if other is not None and other != cell and not edge_key(edge, priority) > key_min:
+                failures.append(f"min edge of {other} appears on {cell} without larger key")
+    record("cross-boundary-minimality", failures, "all cross appearances larger")
 
-    ok_d = True
-    details_d = []
+    failures = []
     for cell in window.cells:
         shifted = CoverCell(cell.level + 1, cell.relator)
-        if shifted not in min_by_cell:
+        if shifted not in boundary:
             continue
-        moved = tuple(
-            (CoverEdge(e.level + 1, e.gen), d) for e, d in lifted_boundary(window, cell)
-        )
-        if moved != lifted_boundary(window, shifted):
-            ok_d = False
-            details_d.append(f"boundary of {cell} does not shift onto {shifted}")
+        moved = tuple((CoverEdge(e.level + 1, e.gen), d) for e, d in boundary[cell])
+        if moved != boundary[shifted]:
+            failures.append(f"boundary of {cell} does not shift onto {shifted}")
         a = min_by_cell[cell]
-        b = min_by_cell[shifted]
-        if (CoverEdge(a.level + 1, a.gen)) != b:
-            ok_d = False
-            details_d.append(f"min edge of {cell} does not shift onto {shifted}")
-    checks.append(
-        SlimCheckEntry(
-            "deck-translation-equivariance",
-            ok_d,
-            "; ".join(details_d) if details_d else "shift by +1 commutes",
-        )
-    )
+        if CoverEdge(a.level + 1, a.gen) != min_by_cell[shifted]:
+            failures.append(f"min edge of {cell} does not shift onto {shifted}")
+    record("deck-translation-equivariance", failures, "shift by +1 commutes")
 
     return SlimReport(all(c.ok for c in checks), tuple(checks))

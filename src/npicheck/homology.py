@@ -203,9 +203,6 @@ class H1Structure:
     free_rank: int
     torsion: tuple[int, ...]
 
-    def is_free(self) -> bool:
-        return not self.torsion
-
 
 def h1_structure(pres: Presentation) -> H1Structure:
     n = len(pres.generators)
@@ -257,9 +254,6 @@ class WeightHom:
 
     weights: tuple[int, ...]
     flips: frozenset[int]
-
-    def nonnegative_weights(self) -> tuple[int, ...]:
-        return tuple(abs(w) for w in self.weights)
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:

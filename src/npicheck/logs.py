@@ -42,9 +42,6 @@ class Log:
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    def vertex_index(self, name: str) -> int:
-        return self.vertices.index(name)
-
 
 def log_to_presentation(log: Log) -> Presentation:
     """One relator t^-1 lambda^-1 i lambda per edge; generators are the vertices."""
@@ -126,28 +123,23 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]  # sorted vertex pairs
 
 
-def _adian_form_of(source: AdianForm | Log) -> AdianForm:
-    if isinstance(source, Log):
-        return adian_normalize(log_to_presentation(source))
-    return source
+def _letter_graph(source: AdianForm | Log, end: int) -> Multigraph:
+    """Edges join the letters of u and v at index ``end`` of each block."""
+    form = adian_normalize(log_to_presentation(source)) if isinstance(source, Log) else source
+    edges = tuple(
+        tuple(sorted((letter_gen(p.u[end]), letter_gen(p.v[end])))) for p in form.pairs
+    )
+    return Multigraph(len(form.generators), edges)
 
 
 def graph_I(source: AdianForm | Log) -> Multigraph:
     """Edges join the last letters of u and v (for a LOG edge: {lambda, t})."""
-    form = _adian_form_of(source)
-    edges = tuple(
-        tuple(sorted((letter_gen(p.u[-1]), letter_gen(p.v[-1])))) for p in form.pairs
-    )
-    return Multigraph(len(form.generators), edges)
+    return _letter_graph(source, -1)
 
 
 def graph_T(source: AdianForm | Log) -> Multigraph:
     """Edges join the first letters of u and v (for a LOG edge: {i, lambda})."""
-    form = _adian_form_of(source)
-    edges = tuple(
-        tuple(sorted((letter_gen(p.u[0]), letter_gen(p.v[0])))) for p in form.pairs
-    )
-    return Multigraph(len(form.generators), edges)
+    return _letter_graph(source, 0)
 
 
 @dataclass(frozen=True)
@@ -213,7 +205,16 @@ class AdianVerdict:
 
 
 def adian_npi_check(pres: Presentation) -> AdianVerdict:
-    """Equal-length Adian route to non-positive immersions.
+    """Run every hypothesis check and the equal-length Adian route."""
+    return adian_check(pres, presentation_hypotheses(pres))
+
+
+def adian_check(
+    pres: Presentation, pres_hyps: tuple[HypothesisResult, ...]
+) -> AdianVerdict:
+    """Equal-length Adian route to non-positive immersions, on a
+    presentation whose own hypotheses ``pres_hyps`` (from
+    :func:`presentation_hypotheses`) are known.
 
     Requires an Adian decomposition with len(u) = len(v) everywhere, a
     valid presentation and H1 free abelian of rank n - k; then a T-forest
@@ -240,7 +241,6 @@ def adian_npi_check(pres: Presentation) -> AdianVerdict:
         return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)
     hyps.append(HypothesisResult("equal-block-lengths", "pass", "len(u) = len(v) throughout"))
 
-    pres_hyps = presentation_hypotheses(pres)
     hyps.append(pres_hyps[-1])
     if pres_hyps[-1].status == "fail":
         return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)

@@ -357,13 +357,13 @@ def check_assignment(
     """
     hyps: list[HypothesisResult] = list(pres_hyps)
 
-    def failed(reason: str) -> CheckVerdict:
+    def failed() -> CheckVerdict:
         return CheckVerdict(
             "hypothesis-failure", tuple(hyps), frozenset(), pres, None, mode, None, None, None
         )
 
     if hyps[-1].status == "fail":
-        return failed(hyps[-1].detail)
+        return failed()
 
     flips: frozenset[int] = frozenset()
     work_pres = pres
@@ -377,7 +377,7 @@ def check_assignment(
                     "weights-surjective", "fail", f"gcd of weights is {gcd}, not 1"
                 )
             )
-            return failed("weights not surjective")
+            return failed()
         hyps.append(HypothesisResult("weights-surjective", "pass", "gcd of weights is 1"))
         flips = frozenset(j for j, w in enumerate(weights) if w < 0)
         for j in flips:
@@ -410,7 +410,7 @@ def check_assignment(
                 "assignment-well-defined", "fail", "a relator has a nontrivial image"
             )
         )
-        return failed("assignment not well defined")
+        return failed()
     hyps.append(
         HypothesisResult("assignment-well-defined", "pass", "all relators map to identity")
     )
@@ -420,26 +420,15 @@ def check_assignment(
         for i in range(len(work_pres.relators))
     )
     outcome = weak_concatenability(multisets)
-    if isinstance(outcome, ConcatCertificate):
-        return CheckVerdict(
-            "concatenable",
-            tuple(hyps),
-            flips,
-            work_pres,
-            work_assignment,
-            mode,
-            multisets,
-            outcome,
-            None,
-        )
+    concatenable = isinstance(outcome, ConcatCertificate)
     return CheckVerdict(
-        "not-concatenable",
+        "concatenable" if concatenable else "not-concatenable",
         tuple(hyps),
         flips,
         work_pres,
         work_assignment,
         mode,
         multisets,
-        None,
-        outcome,
+        outcome if concatenable else None,
+        None if concatenable else outcome,
     )

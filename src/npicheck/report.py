@@ -5,12 +5,16 @@ an optional immersion scan.
 There are two routes.  The presentation route checks validity, tries the
 weight maps (Thm 3.4 over the integers, Thm 3.6 over an ordered target)
 and for the integers falls back to the equal-length Adian route (Thm 4.1).
-The LOG route applies the forest criteria (Cor 4.3, or Thm 4.1).  Each
-route fills its own sections of the document and returns the verdict as
-(status, citation, detail).  :func:`full_report` then finishes every
-report the same way: it asserts that the cover checks pass, when there is
-a cover; runs the ``--scan`` on every input whose presentation passes
+The LOG route applies the forest criteria (Cor 4.3).  Each route fills
+its own sections of the document and returns the verdict as (status,
+citation, detail).  :func:`full_report` then finishes every report the
+same way: it asserts that the cover checks pass, when there is a cover;
+runs the ``--scan`` on every input whose presentation passes
 ``validate``; and writes the verdict.
+
+The hypotheses that depend on the presentation alone (validity, then H1
+free of rank n - k) are computed once, in :func:`full_report`; both
+routes, the Adian section and the scan gate read that one result.
 
 Verdicts are three-valued; the tool never claims the absence of the
 non-positive immersion property, only that a sufficient condition holds
@@ -30,7 +34,7 @@ from .homology import NoSurjection, find_weight_homomorphisms, h1_structure
 from .logs import (
     AdianVerdict,
     Log,
-    adian_npi_check,
+    adian_check,
     graph_I,
     graph_T,
     is_forest,
@@ -56,7 +60,7 @@ from .orders import (
     OrderedTarget,
     TargetAssignment,
 )
-from .words import Presentation, flip_generator, validate
+from .words import Presentation, flip_generator
 
 REPORT_FORMAT = "npicheck-report-v2"
 
@@ -90,7 +94,6 @@ class ReportOptions:
     target: OrderedTarget
     phi_spec: str = "auto"
     mode: str = MIN
-    coeff_bound: int = 3
     window: tuple[int, int] | None = None
     scan_bounds: tuple[int, int] | None = None
 
@@ -100,52 +103,55 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
 
     Returns None for ``auto`` (search over kernel combinations, integer
     targets only).  Comma lists map generator names to integers (weights
-    for z, signed Artin indices for braid targets) or to colon-separated
-    vectors for zlex targets.
+    for z, nonzero signed Artin indices for braid targets) or to
+    colon-separated vectors for zlex targets.  Every BadPhiSpec names
+    ``--phi``, and the generator when one value is at fault.
     """
     if spec == "auto":
         if not isinstance(target, IntTarget):
-            raise BadPhiSpec("auto weight search is only available for the z target")
+            raise BadPhiSpec("--phi auto: the weight search needs the z target")
         return None
     if spec == "all-ones":
         if not isinstance(target, IntTarget):
-            raise BadPhiSpec("all-ones weights need the z target")
+            raise BadPhiSpec("--phi all-ones: all-ones weights need the z target")
         return TargetAssignment.all_ones(pres)
     if spec == "named":
         if not isinstance(target, BraidTarget):
-            raise BadPhiSpec("named assignments need a braid target")
+            raise BadPhiSpec("--phi named: named assignments need a braid target")
         return TargetAssignment.named_braid(pres, target)
     images: dict[int, object] = {}
     for item in spec.split(","):
         if "=" not in item:
-            raise BadPhiSpec(f"expected name=value, got {item!r}")
+            raise BadPhiSpec(f"--phi: expected name=value, got {item!r}")
         name, value = item.split("=", 1)
         name = name.strip()
         if name not in pres.generators:
-            raise BadPhiSpec(f"unknown generator {name!r}")
-        gen = pres.generators.index(name)
-        if isinstance(target, IntTarget):
-            images[gen] = int(value)
-        elif isinstance(target, LexTarget):
-            vec = tuple(int(x) for x in value.split(":"))
-            if len(vec) != target.dim:
-                raise BadPhiSpec(f"{name}: expected {target.dim} components")
-            images[gen] = vec
-        elif isinstance(target, BraidTarget):
-            idx = int(value)
-            if idx == 0:
-                raise BadPhiSpec("Artin index must be nonzero")
-            images[gen] = target.generator(abs(idx), 1 if idx > 0 else -1)
-        else:
-            raise BadPhiSpec(f"unsupported target {target.name}")
+            raise BadPhiSpec(f"--phi: unknown generator {name!r}")
+        try:
+            if isinstance(target, IntTarget):
+                image = int(value)
+            elif isinstance(target, LexTarget):
+                image = tuple(int(x) for x in value.split(":"))
+                if len(image) != target.dim:
+                    raise ValueError
+            elif isinstance(target, BraidTarget):
+                idx = int(value)
+                image = target.generator(abs(idx), 1 if idx > 0 else -1)
+            else:
+                raise ValueError  # no value is an image in an unknown target
+        except ValueError:
+            raise BadPhiSpec(
+                f"--phi: generator {name}: {value!r} is not an image in {target.name}"
+            ) from None
+        images[pres.generators.index(name)] = image
     missing = [pres.generators[j] for j in range(len(pres.generators)) if j not in images]
     if missing:
-        raise BadPhiSpec(f"missing images for: {', '.join(missing)}")
+        raise BadPhiSpec(f"--phi: missing images for generators {', '.join(missing)}")
     return TargetAssignment(target, images)
 
 
 def phi_candidates(
-    spec: str, pres: Presentation, target: OrderedTarget, coeff_bound: int = 3
+    spec: str, pres: Presentation, target: OrderedTarget
 ) -> Iterator[TargetAssignment]:
     """The assignments a ``--phi`` spec asks to try, in order: the one it
     names, or for ``auto`` every weight map that
@@ -160,7 +166,7 @@ def phi_candidates(
         return iter([assignment])
     return (
         TargetAssignment.from_weights(pres, h.weights)
-        for h in find_weight_homomorphisms(pres, coeff_bound)
+        for h in find_weight_homomorphisms(pres)
     )
 
 
@@ -280,17 +286,17 @@ def full_report(
     """Run the route for the input kind, then finish the report: assert
     that its cover checks pass, scan a valid presentation when ``--scan``
     asks for it, and write the verdict."""
+    pres = log_to_presentation(source) if isinstance(source, Log) else source
+    pres_hyps = presentation_hypotheses(pres)
     if isinstance(source, Log):
-        pres = log_to_presentation(source)
         doc = _base_doc("log", pres, input_text)
-        status, citation, detail = _log_route(doc, source, pres, options)
+        status, citation, detail = _log_route(doc, source, pres, pres_hyps, options)
     else:
-        pres = source
         doc = _base_doc("presentation", pres, input_text)
-        status, citation, detail = _presentation_route(doc, pres, options)
+        status, citation, detail = _presentation_route(doc, pres, pres_hyps, options)
     if doc["cover"] is not None and not doc["cover"]["ok"]:
         raise AssertionError("cover verification failed for a valid certificate")
-    if options.scan_bounds is not None and _passes_validate(doc, pres):
+    if options.scan_bounds is not None and pres_hyps[0].status == "pass":
         max_e, max_f = options.scan_bounds
         reports = npi_scan(pres, max_e, max_f)
         doc["oracle_scan"] = {
@@ -325,21 +331,14 @@ def _base_doc(kind: str, pres: Presentation, input_text: str) -> dict:
     }
 
 
-def _passes_validate(doc: dict, pres: Presentation) -> bool:
-    # The presentation route records the outcome of validate first.
-    if doc["input"]["kind"] == "presentation":
-        return doc["hypotheses"][0]["status"] == "pass"
-    return not validate(pres)
-
-
 def _first_failure(entries: list[dict]) -> str:
     """Detail of the first failing hypothesis entry."""
     return next((h["detail"] for h in entries if h["status"] == "fail"), "")
 
 
-def _adian_section(doc: dict, pres: Presentation) -> AdianVerdict:
+def _adian_section(doc: dict, pres: Presentation, pres_hyps) -> AdianVerdict:
     """Run the equal-length Adian route and record it in ``adian``."""
-    verdict = adian_npi_check(pres)
+    verdict = adian_check(pres, pres_hyps)
     doc["adian"] = {
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
         "graph_t_forest": verdict.t_forest.ok if verdict.t_forest else None,
@@ -349,11 +348,10 @@ def _adian_section(doc: dict, pres: Presentation) -> AdianVerdict:
 
 
 def _presentation_route(
-    doc: dict, pres: Presentation, options: ReportOptions
+    doc: dict, pres: Presentation, pres_hyps, options: ReportOptions
 ) -> tuple[str, str, str]:
     """Validity, then the weight maps (Thm 3.4 over the integers, Thm 3.6
     over an ordered target), then for the integers the Adian fallback."""
-    pres_hyps = presentation_hypotheses(pres)
     valid = pres_hyps[0]
     # A passing validity check carries no detail in the report.
     doc["hypotheses"] = _hypothesis_dicts(
@@ -365,7 +363,7 @@ def _presentation_route(
     target = options.target
     integer = isinstance(target, IntTarget)
     try:
-        candidates = phi_candidates(options.phi_spec, pres, target, options.coeff_bound)
+        candidates = phi_candidates(options.phi_spec, pres, target)
     except NoSurjection as exc:
         h1 = h1_structure(pres)
         doc["hypotheses"] += _hypothesis_dicts(
@@ -422,7 +420,7 @@ def _presentation_route(
         return "hypothesis-failure", "", _first_failure(first["hypotheses"])
     if not integer:
         return "not-decided", "", "not weakly concatenable for this assignment"
-    adian = _adian_section(doc, pres)
+    adian = _adian_section(doc, pres, pres_hyps)
     if adian.status == "npi":
         branch = "T-forest (min mode)" if adian.t_forest.ok else "I-forest (max mode)"
         return (
@@ -439,16 +437,22 @@ def _presentation_route(
 
 
 def _log_route(
-    doc: dict, log: Log, pres: Presentation, options: ReportOptions
+    doc: dict, log: Log, pres: Presentation, pres_hyps, options: ReportOptions
 ) -> tuple[str, str, str]:
-    """A reduced LOG through the forest criteria on its letter graphs:
-    Cor 4.3 when its underlying graph is a forest, else Thm 4.1."""
+    """A reduced LOG through the forest criteria on its letter graphs
+    (Cor 4.3).
+
+    A certified LOG always has a forest as its underlying graph.  Each
+    relator makes its two endpoints equal in H1, so H1 of a reduced LOG is
+    free of rank c, the number of components of the underlying graph.  That
+    is n - k only for a forest; otherwise the H1 hypothesis of the Adian
+    route fails first.
+    """
     reduced, diags = log_is_reduced(log)
-    forest = underlying_forest(log)
     doc["lot"] = {
         "reduced": reduced,
         "diagnostics": [{"edge": i, "code": code} for i, code in diags],
-        "underlying_forest": forest,
+        "underlying_forest": underlying_forest(log),
         "graph_i_forest": is_forest(graph_I(log)).ok if reduced else None,
         "graph_t_forest": is_forest(graph_T(log)).ok if reduced else None,
     }
@@ -462,7 +466,7 @@ def _log_route(
             "",
             "the LOG is not reduced; the forest criteria require reduced input",
         )
-    verdict = _adian_section(doc, pres)
+    verdict = _adian_section(doc, pres, pres_hyps)
     _merge_hypotheses(doc, doc["adian"]["hypotheses"])
     if verdict.status == "hypothesis-failure":
         return "hypothesis-failure", "", _first_failure(doc["hypotheses"])
@@ -479,7 +483,7 @@ def _log_route(
     branch = "T" if verdict.t_forest.ok else "I"
     return (
         "npi-certified",
-        CITATIONS["reduced-lof-forest" if forest else "adian-equal-lengths"],
+        CITATIONS["reduced-lof-forest"],
         f"reduced labelled oriented input with graph {branch} a forest",
     )
 

@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from npicheck import minima
+from npicheck import minima, words
 from npicheck.cli import run
 from npicheck.logs import Log, log_to_presentation, lof_random
 from npicheck.minima import check_presentation
@@ -107,6 +108,8 @@ def files(tmp_path):
         ("braid.pres", SAMPLE_BRAID_TEXT),
         ("torsion.pres", TORSION_TEXT),
         ("lot.log", LOT_SINGLE_EDGE_TEXT),
+        # Two parallel edges: the underlying graph is not a forest.
+        ("cycle.log", "vertices: a b c\nedge: a c b\nedge: b c a\n"),
         ("broken.pres", "gens: a\nrel: a^0\n"),
     ]:
         path = tmp_path / name
@@ -128,6 +131,12 @@ def test_cli_report_verdicts(files, capsys):
     assert run(["lot", files["lot.log"]]) == 0
     out = capsys.readouterr().out
     assert "NPI-certified(Cor 4.3)" in out
+
+    # A reduced LOG whose underlying graph has a cycle fails the H1
+    # hypothesis before the letter graphs are looked at.
+    assert run(["lot", files["cycle.log"]]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: HypothesisFailure -- H1 rank 2 != n - k = 1" in out
 
 
 def test_cli_concat_auto_braid_z(files, capsys):
@@ -401,7 +410,7 @@ def test_presentation_hypotheses_checked_once(monkeypatch):
     # Without a certificate the report keeps every attempt as its witness.
     assert doc["verdict"]["status"] == "not-decided"
     assert len(doc["attempts"]) == 145
-    assert len(calls) <= 2  # the weight route, and the Adian route if reached
+    assert len(calls) == 1  # shared by the weight route and the Adian route
     for attempt in doc["attempts"]:
         weights = [attempt["weights"][name] for name in pres.generators]
         alone = check_presentation(
@@ -409,3 +418,46 @@ def test_presentation_hypotheses_checked_once(monkeypatch):
         )
         got = [(h["name"], h["status"], h["detail"]) for h in attempt["hypotheses"]]
         assert got == [(h.key, h.status, h.detail) for h in alone.hypotheses]
+
+
+def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
+    # The report validates its input once; npi_scan, a public entry point,
+    # checks its own input once more.
+    calls = []
+    original = words.validate
+
+    def counting_in(module_name):
+        def counting(pres):
+            calls.append(module_name)
+            return original(pres)
+
+        return counting
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("npicheck."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_in(module_name))
+    assert run(["report", files["lot.log"], "--scan", "2,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_scan"] is not None
+    assert Counter(calls) == {"npicheck.minima": 1, "npicheck.complexes": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "a.pres", "--phi", "a=1,b=1,c=x"], "--phi: generator c: 'x'"),
+        (["report", "a.pres", "--target", "zlex:2", "--phi", "a=1,b=1:0,c=1:0"],
+         "--phi: generator a: '1'"),
+        (["concat", "braid.pres", "--target", "braid:4", "--phi", "x=0,y=1,z=2"],
+         "--phi: generator x: '0'"),
+        (["report", "a.pres", "--phi", "a=1,b=1"], "--phi: missing images for generators c"),
+        (["report", "a.pres", "--target", "braid:1"], "argument --target: expected z |"),
+        (["minima", "a.pres", "--target", "q"], "argument --target: expected z |"),
+        (["phi", "a.pres", "--bound", "0"], "argument --bound: expected an integer >= 1"),
+    ],
+    ids=["phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound"],
+)
+def test_usage_errors_name_the_option(files, capsys, argv, message):
+    assert run([files.get(arg, arg) for arg in argv]) == 2
+    assert message in capsys.readouterr().err

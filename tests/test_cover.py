@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +28,7 @@ from npicheck.minima import (
 from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.words import letter_gen, make_presentation
 from samples import sample_a, sample_b
+from slim_verify_oracle import oracle_verify_weak_slim_certificate
 
 Z = IntTarget()
 ONES = (1, 1, 1)
@@ -184,3 +187,47 @@ def test_certificates_verify_for_random_concatenable_presentations():
             pres, weights, verdict.multisets, slim, window
         )
         assert report.ok, report.failures()
+
+
+def test_verifier_matches_oracle_on_sound_and_tampered_certificates():
+    # Seeded certified forests, each also with a shuffled generator priority
+    # and with two relators' witnesses swapped: the verifier must give the
+    # oracle's (check, ok, detail) entries, and checks (a), (b) and (c) must
+    # each fail somewhere.  Check (d) compares a boundary with its own
+    # translate, so it cannot fail.
+    rng = random.Random(61)
+    failing = Counter()
+    compared = 0
+    while compared < 240:
+        n = rng.randrange(3, 8)
+        pres = log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
+        verdict = check_presentation(pres, Z, TargetAssignment.all_ones(pres), MIN)
+        if verdict.status != "concatenable":
+            continue
+        weights = tuple([1] * n)
+        slim = build_slim_certificate(pres, verdict.multisets, verdict.certificate)
+        window = build_cover_window(pres, weights, -3, 3)
+        priority = list(slim.gen_priority)
+        rng.shuffle(priority)
+        witnesses = dict(slim.witness_by_relator)
+        if len(witnesses) >= 2:
+            i, j = rng.sample(sorted(witnesses), 2)
+            witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
+        for variant in (
+            slim,
+            replace(slim, gen_priority=tuple(priority)),
+            replace(slim, witness_by_relator=witnesses),
+        ):
+            args = (pres, weights, verdict.multisets, variant, window)
+            got = verify_weak_slim_certificate(*args)
+            want = oracle_verify_weak_slim_certificate(*args)
+            assert [(c.check, c.ok, c.detail) for c in got.checks] == [
+                (c.check, c.ok, c.detail) for c in want.checks
+            ]
+            assert got.ok == want.ok
+            failing.update(c.check for c in got.failures())
+            compared += 1
+    assert failing["min-edge-is-witness-lift"] > 0
+    assert failing["witness-signed-traversal"] > 0
+    assert failing["cross-boundary-minimality"] > 0
+    assert failing["deck-translation-equivariance"] == 0
