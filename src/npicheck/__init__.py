@@ -84,7 +84,6 @@ from .cover import (
 )
 from .complexes import (
     ImmersionReport,
-    SearchBudgetExceeded,
     TwoComplex,
     collapsible,
     enumerate_immersions,

@@ -11,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .complexes import npi_scan
+from .complexes import _check_bounds, npi_scan
+from .cover import WindowTooSmall
 from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
 from .logs import adian_npi_check
 from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
@@ -38,6 +39,24 @@ def _int_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected LO,HI (two integers), got {text!r}"
         ) from None
+
+
+def _window(text: str) -> tuple[int, int]:
+    """``LO,HI`` with LO <= HI (argparse names the option)."""
+    lo, hi = _int_pair(text)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected LO <= HI, got {text!r}")
+    return lo, hi
+
+
+def _scan_bounds(text: str) -> tuple[int, int]:
+    """``E,F`` within the immersion scan caps (argparse names the option)."""
+    bounds = _int_pair(text)
+    try:
+        _check_bounds(*bounds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return bounds
 
 
 def _positive_int(text: str) -> int:
@@ -87,16 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("adian", "equal-length Adian pipeline")
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
-    p.add_argument("--window", type=_int_pair, default=None, help="LO,HI window bounds")
+    p.add_argument("--window", type=_window, default=None, help="LO,HI window bounds")
     p = add("immerse", "bounded immersion scan")
-    p.add_argument("--bounds", type=_int_pair, default="4,2", help="E,F bounds")
+    p.add_argument("--bounds", type=_scan_bounds, default="4,2", help="E,F bounds")
     p = add("report", "full pipeline with verdict")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--phi", default="auto")
     p.add_argument("--target", type=_target, default="z")
     p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    p.add_argument("--window", type=_int_pair, default=None, help="LO,HI window bounds")
-    p.add_argument("--scan", type=_int_pair, default=None, help="E,F immersion scan bounds")
+    p.add_argument("--window", type=_window, default=None, help="LO,HI window bounds")
+    p.add_argument("--scan", type=_scan_bounds, default=None, help="E,F immersion scan bounds")
     return parser
 
 
@@ -115,6 +134,9 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
+    except WindowTooSmall as exc:  # only a window given by --window is too small
+        print(f"error: argument --window: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, BadPhiSpec, NoSurjection, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -254,7 +276,7 @@ def _dispatch(args) -> int:
         reports = npi_scan(pres, max_e, max_f)
         print(f"candidates within bounds ({max_e}, {max_f}): {len(reports)}")
         for r in reports:
-            print(f"  chi={r.chi} {r.complex.to_dict(pres)}" + (f" ({r.note})" if r.note else ""))
+            print(f"  chi={r.chi} {r.complex.to_dict(pres)}")
         return 0
 
     raise AssertionError(f"unhandled command {command}")

@@ -11,8 +11,9 @@ serialization over start vertices.
 ``enumerate_immersions`` lists every complex within the bounds, faceless
 ones included: it grows every connected folded graph one edge at a time
 and attaches faces afterwards.  ``npi_scan`` wants only candidates
-(chi >= 1 and not collapsible) and builds them face first, by moves that
-keep a state connected, folded and link-injective.  Why no candidate is
+(chi >= 1 and not collapsible, which greedy collapse decides exactly:
+see ``collapsible``) and builds them face first, by moves that keep a
+state connected, folded and link-injective.  Why no candidate is
 missed, for a candidate C within the bounds.  An edge is *faced* if some
 face crosses it.  A relator with a cancelling wrap pair (``c^-1 ... c``)
 has faces that cross an edge out and back, so a faced edge may end at a
@@ -61,17 +62,12 @@ expanded once.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .words import Presentation, letter_gen, validate
 
 SCAN_MAX_EDGES = 10
 SCAN_MAX_FACES = 5
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The collapsibility backtracking search ran out of budget."""
 
 
 @dataclass(frozen=True)
@@ -240,55 +236,36 @@ def from_canonical(canon: tuple) -> TwoComplex:
     return TwoComplex(vertex_count, tuple(edges), tuple(faces))
 
 
-def collapsible(complex_: TwoComplex, budget: int = 200_000) -> bool:
-    """Exhaustive backtracking over elementary collapses.
+def collapsible(complex_: TwoComplex) -> bool:
+    """Whether the complex collapses to a point, decided by greedy collapse.
 
-    A free edge is traversed exactly once across all faces; collapsing
-    removes it with its face.  Once no faces remain the complex collapses
-    to a point iff the residual graph is a tree.  Memoization is on exact
-    alive-cell states; the budget turns pathological searches into a loud
-    SearchBudgetExceeded instead of a guess.
+    An elementary collapse removes a face together with a *free* edge of
+    it: one that the face crosses exactly once and no other face crosses.
+    Crossings are counted with multiplicity, so an edge that one face
+    crosses twice is never free.  Collapsing a face only lowers the
+    crossing counts of other edges, and the edge it uses belongs to no
+    other face, so a face that can collapse stays collapsible until it
+    does.  Hence collapses commute: the faces left once none can collapse
+    do not depend on the order.  Each collapse removes one edge and one
+    face, keeping chi and connectivity, so when no face is left the
+    residual graph is a tree iff the complex is connected with chi = 1.
     """
-    face_paths = [path for _, path in complex_.faces]
-    vertex_count = complex_.vertex_count
-    all_edges = frozenset(range(len(complex_.edges)))
-    all_faces = frozenset(range(len(face_paths)))
-    memo: dict[tuple, bool] = {}
-    steps = [0]
-
-    def residual_is_tree(alive_edges: frozenset) -> bool:
-        return len(alive_edges) == vertex_count - 1 and is_connected(
-            TwoComplex(vertex_count, tuple(complex_.edges[e] for e in alive_edges), ())
-        )
-
-    def search(alive_e: frozenset, alive_f: frozenset) -> bool:
-        key = (alive_e, alive_f)
-        if key in memo:
-            return memo[key]
-        steps[0] += 1
-        if steps[0] > budget:
-            raise SearchBudgetExceeded(f"collapse search exceeded {budget} states")
-        if not alive_f:
-            result = residual_is_tree(alive_e)
-        else:
-            usage = Counter(
-                e for f in alive_f for e, _ in face_paths[f] if e in alive_e
-            )
-            result = False
-            tried = set()
-            for f in alive_f:
-                for e, _ in face_paths[f]:
-                    if usage[e] == 1 and (e, f) not in tried:
-                        tried.add((e, f))
-                        if search(alive_e - {e}, alive_f - {f}):
-                            result = True
-                            break
-                if result:
-                    break
-        memo[key] = result
-        return result
-
-    return search(all_edges, all_faces)
+    crossings: list[list[int]] = [[] for _ in complex_.edges]  # edge -> faces
+    for f, (_, path) in enumerate(complex_.faces):
+        for e, _ in path:
+            crossings[e].append(f)
+    faces_left = len(complex_.faces)
+    free = list(range(len(crossings)))  # edges to look at
+    while free:
+        e = free.pop()
+        if len(crossings[e]) != 1:
+            continue
+        (f,) = crossings[e]
+        faces_left -= 1
+        for d, _ in complex_.faces[f][1]:
+            crossings[d].remove(f)
+            free.append(d)
+    return faces_left == 0 and euler_characteristic(complex_) == 1 and is_connected(complex_)
 
 
 def _children(vertex_count, edges, n_gens, out_used, in_used):
@@ -408,8 +385,6 @@ def _enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
 class ImmersionReport:
     complex: TwoComplex
     chi: int
-    classification: str  # "neg-or-zero-chi" | "collapsible" | "candidate"
-    note: str = ""
 
 
 def _require_valid(pres: Presentation) -> None:
@@ -601,17 +576,17 @@ class _Moves:
                                 self._pop()
 
 
-def npi_scan(pres: Presentation, max_edges: int, max_faces: int, budget: int = 200_000):
+def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     """Candidates for the non-positive-immersion dichotomy within bounds.
 
-    Emits every immersion with chi >= 1 that the collapse search cannot
-    contract, one per isomorphism class, in canonical order, each as its
-    class's canonical representative.  An empty result means every
-    immersion within the bounds has chi <= 0 or collapses; a candidate is
-    evidence for inspection, never a refutation, since collapsibility is
-    sufficient but not necessary for contractibility.  The search is
-    face-first; the module docstring gives the argument that it misses no
-    class.
+    Emits every immersion with chi >= 1 that does not collapse (see
+    :func:`collapsible`), one per isomorphism class, in canonical order,
+    each as its class's canonical representative.  An empty result means
+    every immersion within the bounds has chi <= 0 or collapses; a
+    candidate is evidence for inspection, never a refutation, since
+    collapsibility is sufficient but not necessary for contractibility.
+    The search is face-first; the module docstring gives the argument
+    that it misses no class.
     """
     _check_bounds(max_edges, max_faces)
     _require_valid(pres)
@@ -635,22 +610,14 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int, budget: int = 2
     found: dict[tuple, ImmersionReport] = {}
     for canon, state in states.items():
         chi = euler_characteristic(state)
-        if chi < 1 or not state.faces:
-            continue  # graphs with chi >= 1 are trees, which collapse
-        try:
-            if collapsible(state, budget):
-                continue
-            note = ""
-        except SearchBudgetExceeded:
-            note = "collapse search budget exceeded"
-        found[canon] = ImmersionReport(from_canonical(canon), chi, "candidate", note)
+        # Graphs (no faces) with chi >= 1 are trees, which collapse.
+        if chi >= 1 and state.faces and not collapsible(state):
+            found[canon] = ImmersionReport(from_canonical(canon), chi)
     for core in list(found.values()):
         for decorated in _decorate_with_trees(pres, core.complex, max_edges):
             canon = canonical_complex(decorated)
             if canon not in found:
-                found[canon] = ImmersionReport(
-                    from_canonical(canon), core.chi, "candidate", core.note
-                )
+                found[canon] = ImmersionReport(from_canonical(canon), core.chi)
 
     reports = [found[c] for c in sorted(found)]
     for r in reports:

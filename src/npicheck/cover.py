@@ -137,7 +137,6 @@ class SlimCertificate:
     concat: ConcatCertificate
     witness_by_relator: dict  # relator index -> witness generator index
     gen_priority: tuple[int, ...]  # generator index -> position 1..n
-    cell_rank: dict  # relator index -> reindexed cell position (n-k+1..n)
 
 
 def build_slim_certificate(
@@ -159,8 +158,7 @@ def build_slim_certificate(
     witness_by_relator = {
         rel: step.gen for rel, step in zip(cert.ordering, cert.witnesses)
     }
-    cell_rank = {rel: n - k + 1 + pos for pos, rel in enumerate(cert.ordering)}
-    return SlimCertificate(cert, witness_by_relator, tuple(priority), cell_rank)
+    return SlimCertificate(cert, witness_by_relator, tuple(priority))
 
 
 @dataclass(frozen=True)

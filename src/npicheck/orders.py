@@ -19,13 +19,15 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 TRIVIAL = "trivial"
 
+HANDLE_REDUCTION_MAX_STEPS = 10**6  # see handle_reduce
+
 
 class UnassignedGenerator(KeyError):
     """A word letter has no image under the target assignment."""
 
 
 class HandleReductionBudget(RuntimeError):
-    """Handle reduction exceeded its hard iteration cap."""
+    """Handle reduction exceeded HANDLE_REDUCTION_MAX_STEPS."""
 
 
 class BadTargetSpec(ValueError):
@@ -50,7 +52,7 @@ def _find_handle(word: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce(word, n_strands: int, max_steps: int = 10**6) -> Word:
+def handle_reduce(word, n_strands: int) -> Word:
     """Handle-free word representing the same braid in B_{n_strands}.
 
     Each step deletes the flanking pair of a handle and conjugates the
@@ -62,7 +64,7 @@ def handle_reduce(word, n_strands: int, max_steps: int = 10**6) -> Word:
     for x in w:
         if not 1 <= abs(x) <= n_strands - 1:
             raise ValueError(f"letter {x} outside sigma_1..sigma_{n_strands - 1}")
-    for _ in range(max_steps):
+    for _ in range(HANDLE_REDUCTION_MAX_STEPS):
         found = _find_handle(w)
         if found is None:
             return w
@@ -77,12 +79,12 @@ def handle_reduce(word, n_strands: int, max_steps: int = 10**6) -> Word:
             else:
                 mid.append(x)
         w = freely_reduce(w[:s] + tuple(mid) + w[t + 1 :])
-    raise HandleReductionBudget(f"no handle-free form within {max_steps} steps")
+    raise HandleReductionBudget(f"no handle-free form within {HANDLE_REDUCTION_MAX_STEPS} steps")
 
 
-def braid_sign(word, n_strands: int, max_steps: int = 10**6) -> str:
+def braid_sign(word, n_strands: int) -> str:
     """Dehornoy trichotomy class of a braid word."""
-    w = handle_reduce(word, n_strands, max_steps)
+    w = handle_reduce(word, n_strands)
     if not w:
         return TRIVIAL
     main = min(abs(x) for x in w)
@@ -173,12 +175,11 @@ class BraidTarget(OrderedTarget):
 
     local_indicability = "assumed"
 
-    def __init__(self, n_strands: int, opposite: bool = False, max_steps: int = 10**6):
+    def __init__(self, n_strands: int, opposite: bool = False):
         if n_strands < 2:
             raise ValueError("need at least 2 strands")
         self.n_strands = n_strands
         self.opposite = opposite
-        self.max_steps = max_steps
         self.name = f"braid:{n_strands}" + (":opp" if opposite else "")
 
     def generator(self, index: int, sign: int = 1) -> Word:
@@ -196,7 +197,7 @@ class BraidTarget(OrderedTarget):
         return inverse_word(g)
 
     def compare(self, g, h) -> int:
-        sign = braid_sign(self.multiply(self.inverse(g), h), self.n_strands, self.max_steps)
+        sign = braid_sign(self.multiply(self.inverse(g), h), self.n_strands)
         if sign == TRIVIAL:
             return EQ
         base = LT if sign == POSITIVE else GT

@@ -81,7 +81,6 @@ HYPOTHESIS_CITATIONS = {
     "adian-form": "Thm 4.1",
     "equal-block-lengths": "Thm 4.1",
     "lof-reduced": "Cor 4.3",
-    "no-proper-power": "Thm 3.4",
 }
 
 
@@ -302,8 +301,9 @@ def full_report(
         doc["oracle_scan"] = {
             "bounds": [max_e, max_f],
             "count": len(reports),
+            # "note" is always empty; it stays until the next schema version.
             "candidates": [
-                {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": r.note}
+                {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": ""}
                 for r in reports
             ],
         }

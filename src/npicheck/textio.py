@@ -9,7 +9,8 @@ Presentation grammar (whitespace separated, ``#`` starts a comment):
 where letter is ``name``, ``name^-1`` or ``name^<k>`` for nonzero k
 (expanding to |k| letters, at most ``MAX_TOKEN_LETTERS``).  LOG files use
 ``vertices:`` and ``edge: <initial> <label> <terminal>`` lines; Artin graph
-files use ``vertices:`` and ``edge: <u> <v> <m>`` lines with m >= 2.
+files use ``vertices:`` and ``edge: <u> <v> <m>`` lines with
+2 <= m <= ``MAX_TOKEN_LETTERS``.  Numbers are written in ASCII digits.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import re
 from .logs import Log, PresentationGraph
 from .words import GENERATOR_NAME, Presentation, Word
 
-_LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+_LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?\Z")
 
-# A letter token ``name^k`` expands to |k| letters; larger |k| is a parse
-# error, so a short hostile line cannot demand an arbitrarily long relator.
+# A letter token ``name^k`` expands to |k| letters, and an Artin edge
+# label m to a relator of 2m letters; larger |k| or m is a parse error, so
+# a short hostile line cannot demand an arbitrarily long relator.
 MAX_TOKEN_LETTERS = 10_000
 
 
@@ -84,19 +86,27 @@ def _parse_file(text: str, header: str, noun: str, body: str, items: str, parse_
     return tuple(names), tuple(parsed)
 
 
+def _bounded_int(digits: str) -> int | None:
+    """A signed run of ASCII digits as an int, or None when its magnitude
+    exceeds MAX_TOKEN_LETTERS.  Leading zeros are dropped and the digits
+    counted before int() runs, since int() refuses thousands of them."""
+    magnitude = digits.lstrip("-").lstrip("0") or "0"
+    if len(magnitude) > len(str(MAX_TOKEN_LETTERS)) or int(magnitude) > MAX_TOKEN_LETTERS:
+        return None
+    return -int(magnitude) if digits.startswith("-") else int(magnitude)
+
+
 def _parse_relator(lineno: int, col0: int, tokens, generators) -> Word:
     word: list[int] = []
     for col, tok in tokens[1:]:
         m = _LETTER.match(tok)
         if not m:
             raise ParseError(lineno, col, "letter name[^k]")
-        name, exp = m.group(1), m.group(2) or "1"
+        name, k = m.group(1), _bounded_int(m.group(2) or "1")
         if name not in generators:
             raise ParseError(lineno, col, f"known generator, got {name!r}")
-        # Count digits before calling int(), which refuses thousands of them.
-        if len(exp.lstrip("-0")) > len(str(MAX_TOKEN_LETTERS)) or abs(int(exp)) > MAX_TOKEN_LETTERS:
+        if k is None:
             raise ParseError(lineno, col, f"at most {MAX_TOKEN_LETTERS} letters per token")
-        k = int(exp)
         if k == 0:
             raise ParseError(lineno, col, "nonzero exponent")
         base = generators.index(name) + 1
@@ -157,9 +167,10 @@ def _parse_artin_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, in
         raise UnknownVertex(lineno, cu, u)
     if v not in vertices:
         raise UnknownVertex(lineno, cv, v)
-    if not m.isdigit() or int(m) < 2:
-        raise ParseError(lineno, cm, "integer label >= 2")
-    return vertices.index(u), vertices.index(v), int(m)
+    label = _bounded_int(m) if re.fullmatch("[0-9]+", m) else None
+    if label is None or label < 2:
+        raise ParseError(lineno, cm, f"integer label from 2 to {MAX_TOKEN_LETTERS}")
+    return vertices.index(u), vertices.index(v), label
 
 
 def parse_artin_graph(text: str) -> PresentationGraph:

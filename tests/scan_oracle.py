@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import itertools
 
+from collapse_oracle import collapsible
 from npicheck.complexes import (
     SCAN_MAX_EDGES,
     SCAN_MAX_FACES,
     ImmersionReport,
-    SearchBudgetExceeded,
     TwoComplex,
     _children,
     _face_candidates,
     _require_valid,
     canonical_complex,
     canonical_graph,
-    collapsible,
     from_canonical,
     is_connected,
     is_folded,
@@ -62,7 +61,7 @@ def grow_graphs(n_gens, max_edges, rank_cap):
         level = nxt
 
 
-def oracle_scan(pres, max_edges, max_faces, budget=200_000):
+def oracle_scan(pres, max_edges, max_faces):
     if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
         raise ValueError(
             f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
@@ -85,14 +84,8 @@ def oracle_scan(pres, max_edges, max_faces, budget=200_000):
                     continue
                 if size == 0 and rank == 0:
                     continue  # trees always collapse
-                try:
-                    if collapsible(complex_, budget):
-                        continue
-                    note = ""
-                except SearchBudgetExceeded:
-                    note = "collapse search budget exceeded"
+                if collapsible(complex_):
+                    continue
                 assert is_folded(complex_) and is_connected(complex_)
-                found[canon] = ImmersionReport(
-                    from_canonical(canon), chi, "candidate", note
-                )
+                found[canon] = ImmersionReport(from_canonical(canon), chi)
     return [found[c] for c in sorted(found)]

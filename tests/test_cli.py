@@ -71,6 +71,13 @@ def test_parse_artin_graph():
     assert g.edges == ((0, 1, 3),)
     with pytest.raises(ParseError):
         parse_artin_graph("vertices: s t\nedge: s t 1\n")
+    assert parse_artin_graph("vertices: s t\nedge: s t 10000\n").edges == ((0, 1, 10_000),)
+    assert parse_artin_graph(f"vertices: s t\nedge: s t {'0' * 5000}3\n").edges == ((0, 1, 3),)
+    # A superscript digit, more digits than int() accepts, a label above the cap.
+    for label in ("\u00b2", "9" * 5000, "10001"):
+        with pytest.raises(ParseError) as err:
+            parse_artin_graph(f"vertices: s t\nedge: s t {label}\n")
+        assert (err.value.line, err.value.col) == (2, 11) and "10000" in err.value.expected
     with pytest.raises(ParseError) as err:
         parse_artin_graph("vertices: s s\nedge: s s 2\n")
     assert (err.value.line, err.value.col) == (1, 13) and "repeats" in err.value.expected
@@ -85,6 +92,9 @@ def test_exponent_expansion_bounded():
     with pytest.raises(ParseError) as err:
         parse_presentation("gens: a b\nrel: b a^10001\n")
     assert (err.value.line, err.value.col) == (2, 8) and "10000" in err.value.expected
+    # Leading zeros do not count: int() refuses more than 4300 digits.
+    zeros = "0" * 5000
+    assert parse_presentation(f"gens: a\nrel: a^-{zeros}3\n").relators == ((-1, -1, -1),)
 
 
 def test_roundtrip():
@@ -100,6 +110,10 @@ def test_sniff_kind():
     assert sniff_kind(LOT_SINGLE_EDGE_TEXT) == "log"
 
 
+# Equal block lengths, graph I a forest: NPI by Thm 4.1.
+ADIAN_TEXT = "gens: v0 v1 v2\nrel: v1^-1 v2^-1 v0 v2\nrel: v1^-1 v0^-1 v2 v0\n"
+
+
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
@@ -111,6 +125,7 @@ def files(tmp_path):
         # Two parallel edges: the underlying graph is not a forest.
         ("cycle.log", "vertices: a b c\nedge: a c b\nedge: b c a\n"),
         ("broken.pres", "gens: a\nrel: a^0\n"),
+        ("adian.pres", ADIAN_TEXT),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -168,6 +183,35 @@ def test_cli_minima_and_cover(files, capsys):
     assert run(["cover", files["a.pres"], "--window=-4,4"]) == 0
     out = capsys.readouterr().out
     assert "certificate verified" in out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["adian", "adian.pres"], [
+            "   pass  adian-form: all relators are u v^-1",
+            "   pass  equal-block-lengths: len(u) = len(v) throughout",
+            "   pass  h1-free-abelian-rank-n-k: H1 free abelian of rank 1",
+            "graph T forest: False",
+            "graph I forest: True",
+            "verdict: NPI",
+        ]),
+        (["adian", "a.pres"], [
+            "   fail  adian-form: relator 1 is not cyclically (positive block)(negative block)",
+            "verdict: HypothesisFailure",
+        ]),
+        (["concat", "a.pres"], [
+            "phi: a=1, b=1, c=1",
+            "  Concatenable: ordering (r0, r1); witnesses (a, c)",
+        ]),
+        (["cover", "braid.pres"], ["no certificate: not-concatenable"]),
+        (["h1", "a.pres"], ["H1: free rank 1, torsion []", "ok: H1 free abelian of rank 1"]),
+    ],
+    ids=["adian-npi", "adian-not-adian", "concat", "cover-no-certificate", "h1"],
+)
+def test_cli_views_print(files, capsys, argv, expected):
+    assert run([files.get(arg, arg) for arg in argv]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
 
 
 def test_cli_immerse(files, capsys):
@@ -265,9 +309,7 @@ def test_report_scan_option(files, tmp_path, capsys):
     assert doc["oracle_scan"]["count"] == 1
 
     # Every verdict route scans a valid input: Thm 4.1, and a LOG input.
-    adian = tmp_path / "adian.pres"
-    adian.write_text("gens: v0 v1 v2\nrel: v1^-1 v2^-1 v0 v2\nrel: v1^-1 v0^-1 v2 v0\n")
-    for path, citation in [(str(adian), "Thm 4.1"), (files["lot.log"], "Cor 4.3")]:
+    for path, citation in [(files["adian.pres"], "Thm 4.1"), (files["lot.log"], "Cor 4.3")]:
         assert run(["report", path, "--scan", "3,2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"]["citation"] == citation
@@ -455,8 +497,17 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["report", "a.pres", "--target", "braid:1"], "argument --target: expected z |"),
         (["minima", "a.pres", "--target", "q"], "argument --target: expected z |"),
         (["phi", "a.pres", "--bound", "0"], "argument --bound: expected an integer >= 1"),
+        (["report", "a.pres", "--scan", "11,1"], "argument --scan: bounds capped at 10 edges"),
+        (["immerse", "a.pres", "--bounds", "3,6"], "argument --bounds: bounds capped at 10 edges"),
+        (["report", "a.pres", "--scan=-1,2"], "argument --scan: bounds (-1, 2) must be non-negative"),
+        (["report", "a.pres", "--window", "5,1"], "argument --window: expected LO <= HI, got '5,1'"),
+        (["report", "a.pres", "--window", "0,1"],
+         "argument --window: window height 1 below the maximum relator span 3"),
     ],
-    ids=["phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound"],
+    ids=[
+        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound",
+        "scan-cap", "bounds-cap", "scan-negative", "window-order", "window-small",
+    ],
 )
 def test_usage_errors_name_the_option(files, capsys, argv, message):
     assert run([files.get(arg, arg) for arg in argv]) == 2

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
+import collapse_oracle
 from npicheck.complexes import (
-    SearchBudgetExceeded,
     TwoComplex,
     canonical_complex,
     collapsible,
@@ -172,8 +174,18 @@ def test_collapsible():
     assert not collapsible(presentation_complex(torsion_presentation()))
     tree = TwoComplex(3, ((0, 1, 0), (1, 2, 0)), ())
     assert collapsible(tree)
-    with pytest.raises(SearchBudgetExceeded):
-        collapsible(presentation_complex(sample_a()), budget=0)
+    # RP^2 with 12 bigon disks wedged at its vertex: each bigon collapses
+    # through either edge, so a search over collapse orders meets 3^12
+    # states (the former budgeted search gave up after ~8 s).
+    edges = [(0, 0, 0)]
+    faces = [(0, ((0, 1), (0, 1)))]
+    for i in range(12):
+        edges += [(0, i + 1, 0), (0, i + 1, 0)]
+        faces.append((0, ((2 * i + 1, 1), (2 * i + 2, -1))))
+    wedge = TwoComplex(13, tuple(edges), tuple(faces))
+    start = time.perf_counter()
+    assert not collapsible(wedge)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_enumerate_free_group_graphs():
@@ -214,7 +226,7 @@ def test_npi_scan_examples():
     reports = npi_scan(torsion_presentation(), 1, 1)
     assert len(reports) == 1
     report = reports[0]
-    assert report.chi == 1 and report.classification == "candidate"
+    assert report.chi == 1
     assert canonical_complex(report.complex) == canonical_complex(
         presentation_complex(torsion_presentation())
     )
@@ -263,7 +275,7 @@ WRAP_TEXT = "gens: a b\nrel: a b^2 a^-1\n"
 
 
 def _scan_key(reports):
-    return [(canonical_complex(r.complex), r.chi, r.note) for r in reports]
+    return [(canonical_complex(r.complex), r.chi) for r in reports]
 
 
 def _within(key, max_edges, max_faces):
@@ -327,6 +339,54 @@ def test_npi_scan_matches_graph_first_oracle():
                 got = _scan_key(npi_scan(pres, max_e, max_f))
                 assert got == _within(expected, max_e, max_f), (pres, max_e, max_f)
     assert wraps >= 5
+
+
+def _random_unfolded_complex(rng):
+    """Random edges, faces that are random closed walks: not folded, at
+    times disconnected, with faces that may cross an edge twice."""
+    vertex_count = rng.randint(1, 4)
+    edges = [(rng.randrange(v), v, 0) for v in range(1, vertex_count)]
+    if edges and rng.random() < 0.2:
+        edges.pop(rng.randrange(len(edges)))
+    extra = rng.randint(0, 3)
+    edges += [(rng.randrange(vertex_count), rng.randrange(vertex_count), 0) for _ in range(extra)]
+    steps = [(e, 1, s, d) for e, (s, d, _) in enumerate(edges)]
+    steps += [(e, -1, d, s) for e, (s, d, _) in enumerate(edges)]
+    faces = []
+    for _ in range(extra + rng.randint(-1, 1)):  # chi near 1
+        for _ in range(20):
+            start = v = rng.randrange(vertex_count)
+            path = []
+            for _ in range(rng.randint(1, 5)):
+                out = [step for step in steps if step[2] == v]
+                if not out:
+                    break
+                e, d, _, v = rng.choice(out)
+                path.append((e, d))
+            if path and v == start:
+                faces.append((0, tuple(path)))
+                break
+    return TwoComplex(vertex_count, tuple(edges), tuple(faces))
+
+
+def test_collapsible_matches_search_oracle():
+    # Greedy collapse against the exhaustive search over collapse orders.
+    complexes = [TwoComplex(0, (), ())]
+    for pres in _differential_presentations():
+        complexes += enumerate_immersions(pres, 3, 2)
+    rng = random.Random(7)
+    complexes += [_random_unfolded_complex(rng) for _ in range(4000)]
+    outcomes = Counter()
+    for c in complexes:
+        verdict = collapsible(c)
+        assert verdict == collapse_oracle.collapsible(c), c
+        crossed_twice = any(
+            count > 1 for _, path in c.faces for count in Counter(e for e, _ in path).values()
+        )
+        outcomes[verdict, crossed_twice, is_connected(c)] += 1
+    assert outcomes[True, False, True] >= 300 and outcomes[False, False, True] >= 300
+    assert outcomes[True, True, True] >= 100 and outcomes[False, True, True] >= 100
+    assert sum(n for (_, _, connected), n in outcomes.items() if not connected) >= 100
 
 
 def test_connectivity_helper():

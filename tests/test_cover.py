@@ -157,7 +157,6 @@ def test_tampered_certificates_rejected():
             concat=swapped,
             witness_by_relator=slim.witness_by_relator,
             gen_priority=slim.gen_priority,
-            cell_rank=slim.cell_rank,
         )
         verify_weak_slim_certificate(pa, ONES, verdict.multisets, tampered, window)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from npicheck import orders
 from npicheck.orders import (
     GT,
     LT,
@@ -127,9 +128,10 @@ def test_representative_independence():
         assert braid.compare(stuffed, b) == base
 
 
-def test_handle_reduction_budget():
+def test_handle_reduction_budget(monkeypatch):
+    monkeypatch.setattr(orders, "HANDLE_REDUCTION_MAX_STEPS", 1)
     with pytest.raises(HandleReductionBudget):
-        handle_reduce((1, 2, -1, 2, 1, -2, -1, -2, 1, 2), 4, max_steps=1)
+        handle_reduce((1, 2, -1, 2, 1, -2, -1, -2, 1, 2), 4)
 
 
 def test_evaluate_word():
