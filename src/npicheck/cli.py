@@ -16,7 +16,7 @@ from .cover import WindowTooSmall
 from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
 from .logs import adian_npi_check
 from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
-from .orders import BadTargetSpec, IntTarget, parse_target_spec
+from .orders import BadTargetSpec, HandleReductionBudget, IntTarget, parse_target_spec
 from .report import (
     BadPhiSpec,
     ReportOptions,
@@ -134,6 +134,9 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
+    except HandleReductionBudget as exc:  # minima / concat on a braid target
+        print(f"NotDecided: handle reduction stopped: {exc}")
+        return 0
     except WindowTooSmall as exc:  # only a window given by --window is too small
         print(f"error: argument --window: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from . import cover as cover_mod
 from .complexes import npi_scan
-from .homology import NoSurjection, find_weight_homomorphisms, h1_structure
+from .homology import NoSurjection, _weight_stream, h1_structure
 from .logs import (
     AdianVerdict,
     Log,
@@ -55,6 +55,7 @@ from .minima import (
 )
 from .orders import (
     BraidTarget,
+    HandleReductionBudget,
     IntTarget,
     LexTarget,
     OrderedTarget,
@@ -154,18 +155,21 @@ def phi_candidates(
 ) -> Iterator[TargetAssignment]:
     """The assignments a ``--phi`` spec asks to try, in order: the one it
     names, or for ``auto`` every weight map that
-    :func:`find_weight_homomorphisms` finds.
+    :func:`find_weight_homomorphisms` lists, in its order.
 
-    The weight search runs at the call, which raises NoSurjection when it
-    finds no map; each assignment is built only when the iterator reaches
-    it, so a caller that stops at the first usable map builds no more.
+    For ``auto`` only the kernel basis is computed at the call, which
+    raises NoSurjection when it is empty.  The maps are read lazily: the
+    all-ones map comes first when the coefficient box holds it, and the
+    box is built only when the caller asks for a map after it (or first,
+    when all-ones is not in the box).  So a caller that stops at a
+    concatenable all-ones map never builds the box.
     """
     assignment = parse_phi_spec(spec, pres, target)
     if assignment is not None:
         return iter([assignment])
     return (
         TargetAssignment.from_weights(pres, h.weights)
-        for h in find_weight_homomorphisms(pres)
+        for h in _weight_stream(pres)
     )
 
 
@@ -379,7 +383,12 @@ def _presentation_route(
     # Thm 3.4 needs one concatenable map: stop at the first.  When there
     # is none, every attempt stays in the report as the witness of why.
     for cand in candidates:
-        verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
+        try:
+            verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
+        except HandleReductionBudget as exc:
+            # Only a braid target reduces handles, and it has one assignment:
+            # no attempt finished, so the verdict names the stage that stopped.
+            return "not-decided", "", f"handle reduction in {target.name} stopped: {exc}"
         entry = _verdict_to_entry(pres, verdict)
         if integer:
             entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}

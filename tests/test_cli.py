@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from npicheck import minima, words
+from npicheck import minima, orders, words
 from npicheck.cli import run
 from npicheck.logs import Log, log_to_presentation, lof_random
 from npicheck.minima import check_presentation
@@ -30,6 +30,7 @@ from samples import (
     TORSION_TEXT,
     sample_a,
 )
+from test_acceptance import budget
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -425,6 +426,41 @@ def test_weight_route_stops_at_first_certificate():
     assert last["status"] == "concatenable"
     assert all(a["status"] != "concatenable" for a in earlier)
     assert doc["phi"]["weights"] == last["weights"]
+
+
+# A reduced forest of H1 rank 7: the coefficient box holds 7^7 / 2 vectors,
+# but the all-ones map comes first and certifies.
+RANK7_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5 v6 v7 v8\n"
+    "rel: v4^-1 v7^-1 v2 v7\n"
+    "rel: v7^-1 v0^-1 v4 v0\n"
+)
+
+
+def test_rank7_forest_certifies_without_the_box(tmp_path, capsys):
+    with budget("rank-7 forest report", 1.0):
+        doc = full_report(parse_presentation(RANK7_TEXT), ReportOptions(target=IntTarget()))
+    assert doc["verdict"]["citation"] == "Thm 3.4"
+    assert len(doc["attempts"]) == 1
+    assert set(doc["phi"]["weights"].values()) == {1}
+    path = tmp_path / "rank7.pres"
+    path.write_text(RANK7_TEXT)
+    with budget("rank-7 forest cover", 1.0):
+        assert run(["cover", str(path)]) == 0
+    assert "certificate verified\n" in capsys.readouterr().out
+
+
+def test_handle_reduction_budget_is_not_decided(files, monkeypatch, capsys):
+    monkeypatch.setattr(orders, "HANDLE_REDUCTION_MAX_STEPS", 1)
+    argv = ["report", "--json", files["braid.pres"], "--target", "braid:4:opp", "--phi", "named"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["status"] == "not-decided"
+    assert "handle reduction" in doc["verdict"]["detail"]
+    assert doc["attempts"] == []
+    for command in ("minima", "concat"):
+        assert run([command] + argv[2:]) == 0
+        assert capsys.readouterr().out.startswith("NotDecided: handle reduction")
 
 
 @pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])

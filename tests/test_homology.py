@@ -20,6 +20,7 @@ from npicheck.homology import (
     mat_mul,
     smith_normal_form,
 )
+from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, make_presentation
 from samples import sample_a, sample_braid, torsion_presentation
 from weight_search_oracle import full_box_weight_homomorphisms
@@ -177,6 +178,48 @@ def test_half_box_search_matches_full_box_oracle():
         outcomes["maps"] += 1
     assert bounds_seen == {1, 2, 3}
     assert outcomes["none"] >= 100 and outcomes["maps"] >= 500
+
+
+# All-ones is in ker M, but its kernel coordinates are (-2, -1, 1): outside
+# the box at bound 1, first of the box at bound 2.
+EDGE_TEXT = "gens: a b c d e\nrel: a^-1 b^2 c^-1 d^2 e^-2\nrel: a^3 c^-1 d^3 e^-5\n"
+
+
+def test_all_ones_outside_the_box_is_not_listed():
+    pres = parse_presentation(EDGE_TEXT)
+    ones = (1,) * 5
+    assert all(sum(row) == 0 for row in exponent_matrix(pres))
+    small = full_box_weight_homomorphisms(pres, 1)
+    assert len(small) == 13 and ones not in [h.weights for h in small]
+    large = full_box_weight_homomorphisms(pres, 2)
+    assert len(large) == 49 and large[0].weights == ones
+    assert find_weight_homomorphisms(pres, 1) == small
+    assert find_weight_homomorphisms(pres, 2) == large
+
+
+def test_zero_sum_family_matches_full_box_oracle():
+    """Every relator has exponent sum 0, so all-ones is always in ker M;
+    at bound 1 it is in the box only when its kernel coordinates are
+    within 1."""
+    rng = random.Random(11)
+    outside = 0
+    for _ in range(1000):
+        n = rng.randrange(3, 7)
+        k = rng.randrange(1, n)
+        rows = []
+        while len(rows) < k:
+            row = [rng.randint(-3, 3) for _ in range(n)]
+            if any(row) and not sum(row):
+                rows.append(row)
+        rels = [
+            tuple(j + 1 if e > 0 else -(j + 1) for j, e in enumerate(row) for _ in range(abs(e)))
+            for row in rows
+        ]
+        pres = make_presentation([f"g{i}" for i in range(n)], rels)
+        expected = full_box_weight_homomorphisms(pres, 1)
+        assert find_weight_homomorphisms(pres, 1) == expected
+        outside += (1,) * n not in [h.weights for h in expected]
+    assert outside >= 10
 
 
 def test_h1_invariance_under_reordering_and_flips():
