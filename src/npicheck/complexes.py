@@ -54,6 +54,31 @@ vertex of degree one; nothing below assumes otherwise.
    chi(C) <= chi_now + (max_faces - faces_now), no route passes a state
    where this is below one, and a face move makes at most
    chi_now + max_faces - faces_now - 1 joins.
+5. Tracing each face once.  Which face extensions a trace finds does not
+   depend on the order in which it builds them: a face's joins number its
+   new edges less its new vertices, and the corner and landing tests are
+   per position.  Three reductions follow, none of which misses a class.
+   - The start state's first face.  Reading a relator from position t at
+     the one vertex gives the same complexes, renumbered, as reading it
+     from position 0 at the vertex of the position-0 corner; so position 0
+     alone is read.
+   - A blob's first face.  It touches only the bridge end u and vertices
+     it creates, so it is a single-face complex of its own, rooted at u by
+     one of its vertices.  It does not depend on the state, and its join
+     count E - V + 1 does not depend on build order.  Whether it fits
+     depends on the state only through the join cap, the room left and
+     the edge end the bridge's last edge takes at u.  So each relator's
+     single faces are traced once per scan, from the start state, whose
+     join cap max_faces and room max_edges are the largest any state has
+     (each face raises chi by at most one), and grafted at u by every
+     vertex that passes those three tests.
+   - A face from a vertex of the state.  If it lies on state edges, the
+     folded graph leaves one walk spelling the relator from the vertex of
+     its position-0 corner, and that walk finds it.  Otherwise a cyclic
+     run of its new edges starts at a vertex of the state: the end of the
+     state edge before the run, or, when every edge is new, a state vertex
+     the face passes through.  A trace is started only at such a corner,
+     one whose first edge is missing from the state.
 
 States are deduplicated by ``canonical_complex``, so each class is
 expanded once.
@@ -132,6 +157,12 @@ def is_folded(complex_: TwoComplex) -> bool:
     return True
 
 
+def _tail(edges, e: int, d: int) -> int:
+    """The vertex that crossing edge e in direction d starts from."""
+    s, dst, _ = edges[e]
+    return s if d == 1 else dst
+
+
 def link_injective(complex_: TwoComplex) -> bool:
     """No vertex carries two distinct face corners with the same image.
 
@@ -142,9 +173,7 @@ def link_injective(complex_: TwoComplex) -> bool:
     seen = set()
     for rel, path in complex_.faces:
         for t, (e, d) in enumerate(path):
-            s, dst, _ = complex_.edges[e]
-            vertex = s if d == 1 else dst
-            key = (vertex, rel, t)
+            key = (_tail(complex_.edges, e, d), rel, t)
             if key in seen:
                 return False
             seen.add(key)
@@ -305,38 +334,40 @@ def _grow_graphs(n_gens, max_edges):
         level = nxt
 
 
+def _spell(rel) -> list[tuple[int, bool]]:
+    """A relator as (label, forward) letters."""
+    return [(letter_gen(x), x > 0) for x in rel]
+
+
+def _closed_walk(word, v0, out, into, edges):
+    """The edge path spelling ``word`` (a list of (label, forward) letters)
+    from v0 along existing edges, or None if an edge is missing or the walk
+    does not close; ``out`` and ``into`` map (vertex, label) to an edge."""
+    v = v0
+    path = []
+    for g, forward in word:
+        e = (out if forward else into).get((v, g))
+        if e is None:
+            return None
+        path.append((e, 1 if forward else -1))
+        s, d, _ = edges[e]
+        v = d if forward else s
+    return tuple(path) if v == v0 else None
+
+
 def _face_candidates(vertex_count, edges, pres: Presentation):
     """All faces attachable to a folded graph: unique label-walks that close."""
-    out_map = {}
-    in_map = {}
-    for idx, (s, d, g) in enumerate(edges):
-        out_map[(s, g)] = idx
-        in_map[(d, g)] = idx
+    out = {(s, g): i for i, (s, _, g) in enumerate(edges)}
+    into = {(d, g): i for i, (_, d, g) in enumerate(edges)}
     found = []
     for rel_idx, rel in enumerate(pres.relators):
         if not rel:
             continue
+        word = _spell(rel)
         for v0 in range(vertex_count):
-            v = v0
-            path = []
-            for x in rel:
-                g = letter_gen(x)
-                if x > 0:
-                    e = out_map.get((v, g))
-                    if e is None:
-                        path = None
-                        break
-                    path.append((e, 1))
-                    v = edges[e][1]
-                else:
-                    e = in_map.get((v, g))
-                    if e is None:
-                        path = None
-                        break
-                    path.append((e, -1))
-                    v = edges[e][0]
-            if path is not None and v == v0:
-                found.append((rel_idx, tuple(path)))
+            path = _closed_walk(word, v0, out, into, edges)
+            if path is not None:
+                found.append((rel_idx, path))
     return found
 
 
@@ -426,21 +457,24 @@ class _Moves:
     ``into`` map (vertex, label) to the edge leaving or entering the vertex
     with that label, and ``corners`` holds the (vertex, relator, position)
     corners of the state's faces.  A move pushes edges, yields a snapshot
-    while they are in place, and pops them again.
+    while they are in place, and pops them again.  ``singles`` is the
+    scan's cache of single-face complexes, one list per relator (see
+    ``_single_faces``).
     """
 
-    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces):
+    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces, singles):
         self.state = state
         self.spelled = spelled
         self.n_gens = n_gens
         self.max_edges = max_edges
         self.max_faces = max_faces
+        self.singles = singles
         self.vertex_count = state.vertex_count
         self.edges = list(state.edges)
         self.out = {(s, g): i for i, (s, _, g) in enumerate(state.edges)}
         self.into = {(d, g): i for i, (_, d, g) in enumerate(state.edges)}
         self.corners = {
-            (state.edges[e][0] if d == 1 else state.edges[e][1], rel, t)
+            (_tail(state.edges, e, d), rel, t)
             for rel, path in state.faces
             for t, (e, d) in enumerate(path)
         }
@@ -485,13 +519,12 @@ class _Moves:
 
         yield from extend(x, 0)
 
-    def _trace(self, rel: int, start: int, v0: int, low: int, join_cap: int):
+    def _trace(self, rel: int, start: int, v0: int, join_cap: int):
         """Snapshots with one more face: relator ``rel`` read from position
         ``start`` at ``v0``.  An edge the word needs is followed if it
         exists; otherwise it is added, to a fresh vertex or, as a join, to
-        a vertex >= ``low`` (at most ``join_cap`` joins).  Existing edges
-        are followed only into vertices >= ``low``, the last step must land
-        on ``v0``, and no corner may repeat one of the state's."""
+        an existing one (at most ``join_cap`` joins).  The last step must
+        land on ``v0``, and no corner may repeat one of the state's."""
         spelled = self.spelled[rel]
         length = len(spelled)
         path = [None] * length
@@ -512,7 +545,7 @@ class _Moves:
             if e is not None:
                 s, d, _ = self.edges[e]
                 w = d if forward else s
-                if w >= low and (w == v0 or not last):
+                if w == v0 or not last:
                     path[k] = (e, sign)
                     yield from step(k + 1, w, joins)
                 return
@@ -520,7 +553,7 @@ class _Moves:
                 return
             far_slot = self.into if forward else self.out
             if joins < join_cap:
-                for w in (v0,) if last else range(low, self.vertex_count):
+                for w in (v0,) if last else range(self.vertex_count):
                     if (w, g) not in far_slot:
                         path[k] = (self._attach(v, g, forward, w), sign)
                         yield from step(k + 1, w, joins + 1)
@@ -535,24 +568,83 @@ class _Moves:
 
         yield from step(0, v0, 0)
 
+    def _single_faces(self, rel: int):
+        """The single-face complexes of relator ``rel`` within the bounds, as
+        (complex, joins, ends): what ``_trace`` yields from position 0 in
+        the one-vertex start state, whose join cap is ``max_faces``.  The
+        face's position-0 corner is at vertex 0, ``joins`` is E - V + 1, and
+        ``ends[v]`` is the set of (label, leaves v) edge ends at vertex v.
+        Traced once per scan, on first use."""
+        faces = self.singles.get(rel)
+        if faces is None:
+            start = _Moves(
+                TwoComplex(1, (), ()), self.spelled, self.n_gens,
+                self.max_edges, self.max_faces, self.singles,
+            )
+            faces = self.singles[rel] = []
+            for c in start._trace(rel, 0, 0, self.max_faces):
+                ends = [set() for _ in range(c.vertex_count)]
+                for s, d, g in c.edges:
+                    ends[s].add((g, True))
+                    ends[d].add((g, False))
+                faces.append((c, len(c.edges) - c.vertex_count + 1, ends))
+        return faces
+
+    def _grafts(self, rel: int, u: int, join_cap: int):
+        """Snapshots with a first face of relator ``rel`` in a new blob at
+        the end u of the bridge just pushed: each single face within the
+        join cap and the room left, rooted at u by any vertex whose edge
+        ends leave free the one the bridge's last edge takes at u.  The
+        face's other vertices are numbered after u, the last vertex."""
+        s, _, g = self.edges[-1]
+        taken = (g, s == u)
+        room = self.max_edges - len(self.edges)
+        first = len(self.edges)
+        for c, joins, ends in self._single_faces(rel):
+            if joins > join_cap or len(c.edges) > room:
+                continue
+            (_, path), = c.faces
+            face = (rel, tuple((first + e, d) for e, d in path))
+            for root in range(c.vertex_count):
+                if taken in ends[root]:
+                    continue
+                at = [u if v == root else u + v + (v < root) for v in range(c.vertex_count)]
+                edges = tuple(self.edges) + tuple((at[a], at[b], h) for a, b, h in c.edges)
+                yield TwoComplex(u + c.vertex_count, edges, self.state.faces + (face,))
+
     def face_moves(self):
-        """One new face traced from a vertex of the state, or from the end
-        of a new face-free bridge path, then inside a new blob only."""
+        """One new face traced from a vertex of the state, or grafted at the
+        end of a new face-free bridge path as the first face of a new blob."""
         state = self.state
         if len(state.faces) >= self.max_faces:
             return
+        rels = range(len(self.spelled))
+        if not state.faces:
+            # The start state, the only faceless one: one face at its vertex.
+            for rel in rels:
+                yield from (c for c, _, _ in self._single_faces(rel))
+            return
         # Each later face raises chi by at most one.
         join_cap = euler_characteristic(state) + self.max_faces - len(state.faces) - 1
-        starts = [(rel, t) for rel, word in enumerate(self.spelled) for t in range(len(word))]
+        # A trace from a corner whose first edge is missing must add it.
+        has_room = len(state.edges) < self.max_edges
         for v in range(state.vertex_count):
-            for rel, t in starts:
-                yield from self._trace(rel, t, v, 0, join_cap)
-        if not state.faces:
-            return  # a first blob grows from vertex 0 itself
+            for rel, word in enumerate(self.spelled):
+                path = _closed_walk(word, v, self.out, self.into, self.edges)
+                if path is not None and not any(
+                    (_tail(self.edges, e, d), rel, t) in self.corners
+                    for t, (e, d) in enumerate(path)
+                ):
+                    yield self._snapshot((rel, path))
+                if not has_room:
+                    continue
+                for t, (g, forward) in enumerate(word):
+                    if (v, g) not in (self.out if forward else self.into):
+                        yield from self._trace(rel, t, v, join_cap)
         for x in range(state.vertex_count):
             for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
-                for rel, t in starts:
-                    yield from self._trace(rel, t, u, u, join_cap)
+                for rel in rels:
+                    yield from self._grafts(rel, u, join_cap)
 
     def ear_moves(self):
         """One face-free ear: a folded path from a vertex of the state
@@ -591,12 +683,13 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     _check_bounds(max_edges, max_faces)
     _require_valid(pres)
     n_gens = len(pres.generators)
-    spelled = [[(letter_gen(x), x > 0) for x in rel] for rel in pres.relators]
+    spelled = [_spell(rel) for rel in pres.relators]
+    singles: dict[int, list] = {}
 
     def explore(stack, moves):
         while stack:
             state = stack.pop()
-            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces)):
+            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces, singles)):
                 canon = canonical_complex(child)
                 if canon not in states:
                     states[canon] = child

@@ -6,12 +6,16 @@ from collections import Counter
 import pytest
 
 import collapse_oracle
+from face_moves_oracle import OracleMoves, oracle_npi_scan
 from npicheck.complexes import (
     TwoComplex,
+    _Moves,
+    _spell,
     canonical_complex,
     collapsible,
     enumerate_immersions,
     euler_characteristic,
+    from_canonical,
     is_connected,
     is_folded,
     link_injective,
@@ -19,7 +23,7 @@ from npicheck.complexes import (
     presentation_complex,
 )
 from npicheck.textio import parse_presentation
-from npicheck.words import letter_gen, make_presentation, validate
+from npicheck.words import flip_generator, letter_gen, make_presentation, rotate_word, validate
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 from scan_oracle import oracle_scan
 
@@ -339,6 +343,66 @@ def test_npi_scan_matches_graph_first_oracle():
                 got = _scan_key(npi_scan(pres, max_e, max_f))
                 assert got == _within(expected, max_e, max_f), (pres, max_e, max_f)
     assert wraps >= 5
+
+
+def _face_move_cases():
+    for pres in _differential_presentations():
+        for max_e in range(6):
+            for max_f in range(4):
+                yield pres, max_e, max_f
+    yield sample_a(), 6, 2
+
+
+def test_face_moves_match_trace_everywhere_oracle():
+    # From every state the face moves reach, the moves and the oracle's reach
+    # the same classes, so they reach the same states; the scans agree.
+    for pres, max_e, max_f in _face_move_cases():
+        spelled = [_spell(rel) for rel in pres.relators]
+        n_gens = len(pres.generators)
+        singles = {}
+        start = TwoComplex(1, (), ())
+        seen = {canonical_complex(start)}
+        stack = [start]
+        while stack:
+            state = stack.pop()
+            got = {
+                canonical_complex(c)
+                for c in _Moves(state, spelled, n_gens, max_e, max_f, singles).face_moves()
+            }
+            want = {
+                canonical_complex(c)
+                for c in OracleMoves(state, spelled, n_gens, max_e, max_f, {}).face_moves()
+            }
+            assert got == want, (pres, max_e, max_f, state)
+            for canon in got - seen:
+                seen.add(canon)
+                stack.append(from_canonical(canon))
+        assert npi_scan(pres, max_e, max_f) == oracle_npi_scan(pres, max_e, max_f)
+
+
+def _isomorphic_twins(pres):
+    """Presentations with an isomorphic complex: one relator rotated
+    cyclically (where that keeps it valid), or one generator inverted."""
+    for i, rel in enumerate(pres.relators):
+        for k in range(1, len(rel)):
+            rels = list(pres.relators)
+            rels[i] = rotate_word(rel, k)
+            twin = make_presentation(pres.generators, rels)
+            if not validate(twin):
+                yield twin
+    for g in range(len(pres.generators)):
+        yield flip_generator(pres, g)
+
+
+def test_scan_counts_invariant_under_rotation_and_inversion():
+    for pres in _differential_presentations():
+        twins = list(_isomorphic_twins(pres))
+        for max_e in range(6):
+            for max_f in range(4):
+                counts = Counter(r.chi for r in npi_scan(pres, max_e, max_f))
+                for twin in twins:
+                    got = Counter(r.chi for r in npi_scan(twin, max_e, max_f))
+                    assert got == counts, (pres, twin, max_e, max_f)
 
 
 def _random_unfolded_complex(rng):
