@@ -57,12 +57,10 @@ from .logs import (
     Log,
     Multigraph,
     NotAdian,
-    PresentationGraph,
     Unsatisfiable,
     adian_check,
     adian_normalize,
     adian_npi_check,
-    artin_presentation,
     graph_I,
     graph_T,
     is_forest,
@@ -86,7 +84,6 @@ from .complexes import (
     ImmersionReport,
     TwoComplex,
     collapsible,
-    enumerate_immersions,
     euler_characteristic,
     is_folded,
     link_injective,
@@ -98,7 +95,6 @@ from .textio import (
     UnknownVertex,
     format_log,
     format_presentation,
-    parse_artin_graph,
     parse_log,
     parse_presentation,
 )

@@ -1,5 +1,5 @@
-"""Bounded enumeration of immersions into a presentation complex, plus
-the non-positive-immersion dichotomy scan.
+"""The non-positive-immersion dichotomy scan: a bounded search for
+immersions into a presentation complex that could refute NPI.
 
 A complex is a labeled directed multigraph plus faces; a face is a closed
 edge path spelling one relator exactly, position by position.  Folded
@@ -8,16 +8,14 @@ distinct (label, direction) types, so breadth-first search from a fixed
 start vertex is deterministic and a canonical form is the minimum BFS
 serialization over start vertices.
 
-``enumerate_immersions`` lists every complex within the bounds, faceless
-ones included: it grows every connected folded graph one edge at a time
-and attaches faces afterwards.  ``npi_scan`` wants only candidates
-(chi >= 1 and not collapsible, which greedy collapse decides exactly:
-see ``collapsible``) and builds them face first, by moves that keep a
-state connected, folded and link-injective.  Why no candidate is
-missed, for a candidate C within the bounds.  An edge is *faced* if some
-face crosses it.  A relator with a cancelling wrap pair (``c^-1 ... c``)
-has faces that cross an edge out and back, so a faced edge may end at a
-vertex of degree one; nothing below assumes otherwise.
+``npi_scan`` wants only candidates (chi >= 1 and not collapsible, which
+greedy collapse decides exactly: see ``collapsible``) and builds them
+face first, by moves that keep a state connected, folded and
+link-injective.  Why no candidate is missed, for a candidate C within
+the bounds.  An edge is *faced* if some face crosses it.  A relator with
+a cancelling wrap pair (``c^-1 ... c``) has faces that cross an edge out
+and back, so a faced edge may end at a vertex of degree one; nothing
+below assumes otherwise.
 
 1. Pendant trees.  A face-free edge ending at a vertex of degree one
    changes neither chi nor collapsibility: no collapse uses it, and the
@@ -310,30 +308,6 @@ def _children(vertex_count, edges, n_gens, out_used, in_used):
                 yield vertex_count + 1, edges + ((vertex_count, v, g),)
 
 
-def _grow_graphs(n_gens, max_edges):
-    """All connected folded graphs with at most max_edges edges, up to iso."""
-    start = (1, ())
-    seen = {canonical_graph(*start)}
-    level = [start]
-    yield start
-    for _ in range(max_edges):
-        nxt = []
-        for vertex_count, edges in level:
-            out_used = {(s, g) for s, _, g in edges}
-            in_used = {(d, g) for _, d, g in edges}
-            for child_v, child_edges in _children(
-                vertex_count, edges, n_gens, out_used, in_used
-            ):
-                canon = canonical_graph(child_v, child_edges)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                state = (canon[0], canon[1])
-                nxt.append(state)
-                yield state
-        level = nxt
-
-
 def _spell(rel) -> list[tuple[int, bool]]:
     """A relator as (label, forward) letters."""
     return [(letter_gen(x), x > 0) for x in rel]
@@ -355,22 +329,6 @@ def _closed_walk(word, v0, out, into, edges):
     return tuple(path) if v == v0 else None
 
 
-def _face_candidates(vertex_count, edges, pres: Presentation):
-    """All faces attachable to a folded graph: unique label-walks that close."""
-    out = {(s, g): i for i, (s, _, g) in enumerate(edges)}
-    into = {(d, g): i for i, (_, d, g) in enumerate(edges)}
-    found = []
-    for rel_idx, rel in enumerate(pres.relators):
-        if not rel:
-            continue
-        word = _spell(rel)
-        for v0 in range(vertex_count):
-            path = _closed_walk(word, v0, out, into, edges)
-            if path is not None:
-                found.append((rel_idx, path))
-    return found
-
-
 def _check_bounds(max_edges: int, max_faces: int) -> None:
     if max_edges < 0 or max_faces < 0:
         raise ValueError(f"bounds ({max_edges}, {max_faces}) must be non-negative")
@@ -378,38 +336,6 @@ def _check_bounds(max_edges: int, max_faces: int) -> None:
         raise ValueError(
             f"bounds capped at {SCAN_MAX_EDGES} edges / {SCAN_MAX_FACES} faces"
         )
-
-
-def enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
-    """All connected folded link-injective complexes within the bounds.
-
-    One representative per isomorphism class, emitted in canonical-form
-    order.  Desk scale is enforced; full enumeration is exponential and
-    meant for small bounds (the dichotomy scan builds from faces instead).
-    """
-    _check_bounds(max_edges, max_faces)
-    _require_valid(pres)
-    return _enumerate_immersions(pres, max_edges, max_faces)
-
-
-def _enumerate_immersions(pres: Presentation, max_edges: int, max_faces: int):
-    results = {}
-    for vertex_count, edges in _grow_graphs(len(pres.generators), max_edges):
-        faces_avail = _face_candidates(vertex_count, edges, pres)
-        max_here = min(max_faces, len(faces_avail))
-        for size in range(0, max_here + 1):
-            for combo in itertools.combinations(faces_avail, size):
-                complex_ = TwoComplex(vertex_count, edges, combo)
-                if not link_injective(complex_):
-                    continue
-                canon = canonical_complex(complex_)
-                if canon in results:
-                    continue
-                assert is_folded(complex_) and is_connected(complex_)
-                check_faces(pres, complex_)
-                results[canon] = None
-    for canon in sorted(results):
-        yield from_canonical(canon)
 
 
 @dataclass(frozen=True)
@@ -530,25 +456,32 @@ class _Moves:
         path = [None] * length
 
         def step(k, v, joins):
-            if k == length:
-                if v == v0:
-                    cut = (length - start) % length  # path[cut] is position 0
-                    yield self._snapshot((rel, tuple(path[cut:] + path[:cut])))
-                return
-            pos = (start + k) % length
-            if (v, rel, pos) in self.corners:
-                return
-            g, forward = spelled[pos]
-            sign = 1 if forward else -1
-            last = k == length - 1
-            e = (self.out if forward else self.into).get((v, g))
-            if e is not None:
+            # Existing edges are followed in this loop; only an added edge
+            # recurses.  Each open call below the first holds one pushed
+            # edge, popped when it returns, and the state never holds more
+            # than max_edges edges, so the depth is at most max_edges + 1
+            # however long the relator.
+            while True:
+                if k == length:
+                    if v == v0:
+                        cut = (length - start) % length  # path[cut] is position 0
+                        yield self._snapshot((rel, tuple(path[cut:] + path[:cut])))
+                    return
+                pos = (start + k) % length
+                if (v, rel, pos) in self.corners:
+                    return
+                g, forward = spelled[pos]
+                sign = 1 if forward else -1
+                last = k == length - 1
+                e = (self.out if forward else self.into).get((v, g))
+                if e is None:
+                    break
                 s, d, _ = self.edges[e]
                 w = d if forward else s
-                if w == v0 or not last:
-                    path[k] = (e, sign)
-                    yield from step(k + 1, w, joins)
-                return
+                if last and w != v0:
+                    return
+                path[k] = (e, sign)
+                k, v = k + 1, w
             if len(self.edges) >= self.max_edges:
                 return
             far_slot = self.into if forward else self.out

@@ -267,28 +267,6 @@ def adian_check(
     return AdianVerdict(status, tuple(hyps), t_check, i_check, min_verdict, max_verdict)
 
 
-@dataclass(frozen=True)
-class PresentationGraph:
-    """Simple graph with integer edge labels m >= 2 (Artin presentation data)."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, m) with u != v
-
-
-def artin_presentation(graph: PresentationGraph) -> Presentation:
-    """One relator (sts...)(tst...)^-1 with m letters per block per edge."""
-    rels: list[Word] = []
-    for u, v, m in graph.edges:
-        if u == v:
-            raise ValueError("presentation graphs are simple: no loops")
-        if m < 2:
-            raise ValueError("edge labels must be >= 2")
-        block_u = tuple((u + 1) if i % 2 == 0 else (v + 1) for i in range(m))
-        block_v = tuple((v + 1) if i % 2 == 0 else (u + 1) for i in range(m))
-        rels.append(block_u + tuple(-x for x in reversed(block_v)))
-    return Presentation(graph.vertices, tuple(rels))
-
-
 def lof_random(n_vertices: int, n_edges: int, rng: random.Random) -> Log:
     """Uniform reduced labelled oriented forest by rejection sampling.
 

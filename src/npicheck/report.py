@@ -118,6 +118,11 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
     if spec == "named":
         if not isinstance(target, BraidTarget):
             raise BadPhiSpec("--phi named: named assignments need a braid target")
+        if len(pres.generators) >= target.n_strands:
+            raise BadPhiSpec(
+                f"--phi named: {len(pres.generators)} generators need a braid target "
+                f"on at least {len(pres.generators) + 1} strands, got {target.n_strands}"
+            )
         return TargetAssignment.named_braid(pres, target)
     images: dict[int, object] = {}
     for item in spec.split(","):
@@ -380,8 +385,11 @@ def _presentation_route(
             f"torsion {list(h1.torsion)})",
         )
 
-    # Thm 3.4 needs one concatenable map: stop at the first.  When there
-    # is none, every attempt stays in the report as the witness of why.
+    # Thm 3.4 needs one concatenable map: stop at the first.  A named spec
+    # gives one map and every auto map is primitive, so a failed
+    # hypothesis is the presentation's own, which every later map would
+    # fail too: stop there as well.  Otherwise every attempt stays in the
+    # report as the witness of why none certifies.
     for cand in candidates:
         try:
             verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
@@ -393,7 +401,7 @@ def _presentation_route(
         if integer:
             entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
         doc["attempts"].append(entry)
-        if verdict.status == "concatenable":
+        if verdict.status != "not-concatenable":
             break
     certified = verdict.status == "concatenable"
     # The one assignment of an ordered target is always shown; an integer
@@ -423,10 +431,9 @@ def _presentation_route(
             f"weakly concatenable over {target.name}; local indicability of the "
             "target is recorded as an assumed hypothesis",
         )
-    first = doc["attempts"][0]
-    if all(a["status"] == "hypothesis-failure" for a in doc["attempts"]):
-        _merge_hypotheses(doc, first["hypotheses"])
-        return "hypothesis-failure", "", _first_failure(first["hypotheses"])
+    if verdict.status == "hypothesis-failure":
+        _merge_hypotheses(doc, entry["hypotheses"])
+        return "hypothesis-failure", "", _first_failure(entry["hypotheses"])
     if not integer:
         return "not-decided", "", "not weakly concatenable for this assignment"
     adian = _adian_section(doc, pres, pres_hyps)

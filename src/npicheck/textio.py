@@ -1,5 +1,4 @@
-"""Text formats for presentations, labelled oriented graphs, and Artin
-presentation graphs.
+"""Text formats for presentations and labelled oriented graphs.
 
 Presentation grammar (whitespace separated, ``#`` starts a comment):
 
@@ -8,23 +7,21 @@ Presentation grammar (whitespace separated, ``#`` starts a comment):
 
 where letter is ``name``, ``name^-1`` or ``name^<k>`` for nonzero k
 (expanding to |k| letters, at most ``MAX_TOKEN_LETTERS``).  LOG files use
-``vertices:`` and ``edge: <initial> <label> <terminal>`` lines; Artin graph
-files use ``vertices:`` and ``edge: <u> <v> <m>`` lines with
-2 <= m <= ``MAX_TOKEN_LETTERS``.  Numbers are written in ASCII digits.
+``vertices:`` and ``edge: <initial> <label> <terminal>`` lines.  Numbers
+are written in ASCII digits.
 """
 
 from __future__ import annotations
 
 import re
 
-from .logs import Log, PresentationGraph
+from .logs import Log
 from .words import GENERATOR_NAME, Presentation, Word
 
 _LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?\Z")
 
-# A letter token ``name^k`` expands to |k| letters, and an Artin edge
-# label m to a relator of 2m letters; larger |k| or m is a parse error, so
-# a short hostile line cannot demand an arbitrarily long relator.
+# A letter token ``name^k`` expands to |k| letters; a larger |k| is a parse
+# error, so a short hostile line cannot demand an arbitrarily long relator.
 MAX_TOKEN_LETTERS = 10_000
 
 
@@ -157,26 +154,6 @@ def format_log(log: Log) -> str:
     for i, lam, t in log.edges:
         lines.append(f"edge: {log.vertices[i]} {log.vertices[lam]} {log.vertices[t]}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_artin_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int, int]:
-    if len(tokens) != 4:
-        raise ParseError(lineno, col0, "edge: <u> <v> <m>")
-    (cu, u), (cv, v), (cm, m) = tokens[1], tokens[2], tokens[3]
-    if u not in vertices:
-        raise UnknownVertex(lineno, cu, u)
-    if v not in vertices:
-        raise UnknownVertex(lineno, cv, v)
-    label = _bounded_int(m) if re.fullmatch("[0-9]+", m) else None
-    if label is None or label < 2:
-        raise ParseError(lineno, cm, f"integer label from 2 to {MAX_TOKEN_LETTERS}")
-    return vertices.index(u), vertices.index(v), label
-
-
-def parse_artin_graph(text: str) -> PresentationGraph:
-    return PresentationGraph(
-        *_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_artin_edge)
-    )
 
 
 def sniff_kind(text: str) -> str:

@@ -1,10 +1,15 @@
-"""Graph-first reference for ``complexes.npi_scan``, kept as a differential
-oracle.
+"""Graph-first references for ``complexes.npi_scan``, kept as differential
+oracles; this is the only graph-first enumerator.
 
-This is the exhaustive search that the face-first scan replaced: grow every
-connected folded graph of cycle rank at most ``max_faces`` (chi >= 1 needs
-rank <= faces), attach every link-injective set of closing relator walks,
-and keep the non-collapsible classes with chi >= 1.  It is the former
+``enumerate_immersions`` lists every connected folded link-injective
+complex within the bounds, faceless ones included: it grows every
+connected folded graph one edge at a time and attaches faces afterwards.
+
+``oracle_scan`` is the exhaustive search that the face-first scan
+replaced: grow every connected folded graph of cycle rank at most
+``max_faces`` (chi >= 1 needs rank <= faces), attach every link-injective
+set of closing relator walks, and keep the non-collapsible classes with
+chi >= 1.  It is the former
 ``max_faces >= 3`` path verbatim.  The former ``max_faces <= 2`` shortcut
 (minimum-degree-two cores plus pendant trees) is left out: it assumed that
 faces never cross a pendant edge, which fails for relators with a
@@ -21,11 +26,14 @@ from npicheck.complexes import (
     SCAN_MAX_FACES,
     ImmersionReport,
     TwoComplex,
+    _check_bounds,
     _children,
-    _face_candidates,
+    _closed_walk,
     _require_valid,
+    _spell,
     canonical_complex,
     canonical_graph,
+    check_faces,
     from_canonical,
     is_connected,
     is_folded,
@@ -61,6 +69,46 @@ def grow_graphs(n_gens, max_edges, rank_cap):
         level = nxt
 
 
+def face_candidates(vertex_count, edges, pres):
+    """All faces attachable to a folded graph: unique label-walks that close."""
+    out = {(s, g): i for i, (s, _, g) in enumerate(edges)}
+    into = {(d, g): i for i, (_, d, g) in enumerate(edges)}
+    found = []
+    for rel_idx, rel in enumerate(pres.relators):
+        if not rel:
+            continue
+        word = _spell(rel)
+        for v0 in range(vertex_count):
+            path = _closed_walk(word, v0, out, into, edges)
+            if path is not None:
+                found.append((rel_idx, path))
+    return found
+
+
+def enumerate_immersions(pres, max_edges, max_faces):
+    """All connected folded link-injective complexes within the bounds, one
+    representative per isomorphism class, in canonical-form order.
+    Exponential; meant for small bounds."""
+    _check_bounds(max_edges, max_faces)
+    _require_valid(pres)
+    results = {}
+    # A graph with E edges has cycle rank at most E: no cap.
+    for vertex_count, edges in grow_graphs(len(pres.generators), max_edges, max_edges):
+        faces_avail = face_candidates(vertex_count, edges, pres)
+        for size in range(0, min(max_faces, len(faces_avail)) + 1):
+            for combo in itertools.combinations(faces_avail, size):
+                complex_ = TwoComplex(vertex_count, edges, combo)
+                if not link_injective(complex_):
+                    continue
+                canon = canonical_complex(complex_)
+                if canon in results:
+                    continue
+                assert is_folded(complex_) and is_connected(complex_)
+                check_faces(pres, complex_)
+                results[canon] = None
+    return [from_canonical(canon) for canon in sorted(results)]
+
+
 def oracle_scan(pres, max_edges, max_faces):
     if max_edges > SCAN_MAX_EDGES or max_faces > SCAN_MAX_FACES:
         raise ValueError(
@@ -70,7 +118,7 @@ def oracle_scan(pres, max_edges, max_faces):
     found: dict[tuple, ImmersionReport] = {}
     for vertex_count, edges in grow_graphs(len(pres.generators), max_edges, max_faces):
         rank = len(edges) - vertex_count + 1
-        faces_avail = _face_candidates(vertex_count, edges, pres)
+        faces_avail = face_candidates(vertex_count, edges, pres)
         for size in range(max(rank, 0), max_faces + 1):
             chi = vertex_count - len(edges) + size
             if chi < 1 or size > len(faces_avail):

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,7 +19,6 @@ from npicheck.textio import (
     UnknownVertex,
     format_log,
     format_presentation,
-    parse_artin_graph,
     parse_log,
     parse_presentation,
     sniff_kind,
@@ -65,25 +66,12 @@ def test_parse_log():
     with pytest.raises(UnknownVertex):
         parse_log("vertices: a b\nedge: a b q\n")
     assert parse_log("vertices: a b\n").edges == ()
-
-
-def test_parse_artin_graph():
-    g = parse_artin_graph("vertices: s t\nedge: s t 3\n")
-    assert g.edges == ((0, 1, 3),)
-    with pytest.raises(ParseError):
-        parse_artin_graph("vertices: s t\nedge: s t 1\n")
-    assert parse_artin_graph("vertices: s t\nedge: s t 10000\n").edges == ((0, 1, 10_000),)
-    assert parse_artin_graph(f"vertices: s t\nedge: s t {'0' * 5000}3\n").edges == ((0, 1, 3),)
-    # A superscript digit, more digits than int() accepts, a label above the cap.
-    for label in ("\u00b2", "9" * 5000, "10001"):
-        with pytest.raises(ParseError) as err:
-            parse_artin_graph(f"vertices: s t\nedge: s t {label}\n")
-        assert (err.value.line, err.value.col) == (2, 11) and "10000" in err.value.expected
+    # A header line with a repeated name, or with none, fails at its column.
     with pytest.raises(ParseError) as err:
-        parse_artin_graph("vertices: s s\nedge: s s 2\n")
+        parse_log("vertices: a a\nedge: a a a\n")
     assert (err.value.line, err.value.col) == (1, 13) and "repeats" in err.value.expected
     with pytest.raises(ParseError) as err:
-        parse_artin_graph("vertices:\n")
+        parse_log("vertices:\n")
     assert (err.value.line, err.value.col) == (1, 1) and "at least one" in err.value.expected
 
 
@@ -96,6 +84,10 @@ def test_exponent_expansion_bounded():
     # Leading zeros do not count: int() refuses more than 4300 digits.
     zeros = "0" * 5000
     assert parse_presentation(f"gens: a\nrel: a^-{zeros}3\n").relators == ((-1, -1, -1),)
+    # More digits than int() accepts is over the cap, not a crash.
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"gens: a\nrel: a^{'9' * 5000}\n")
+    assert (err.value.line, err.value.col) == (2, 6) and "10000" in err.value.expected
 
 
 def test_roundtrip():
@@ -378,6 +370,18 @@ def test_report_never_exits_3(tmp_path, capsys):
         assert certified[mode, "Thm 3.4"] and certified[mode, "Thm 3.6"]
 
 
+@pytest.mark.parametrize("n", [300, 900, 2000])
+def test_scan_long_relator_exits_0(tmp_path, capsys, n):
+    # A face trace follows runs of existing edges without recursing, so its
+    # depth does not grow with the relator: every n gives the count of n = 300.
+    path = tmp_path / "long.pres"
+    path.write_text(f"gens: a b\nrel: a^{n} b a^-{n} b^-1\n")
+    assert run(["immerse", str(path)]) == 0
+    assert capsys.readouterr().out == "candidates within bounds (4, 2): 0\n"
+    assert run(["report", str(path), "--scan", "2,1"]) == 0
+    assert "oracle scan bounds [2, 1]: 0 candidate(s)\n" in capsys.readouterr().out
+
+
 def test_report_scan_wrap_pair_relator(tmp_path, capsys):
     # The faces of a b^2 a^-1 cross the a-edge out and back.
     path = tmp_path / "wrap.pres"
@@ -426,6 +430,17 @@ def test_weight_route_stops_at_first_certificate():
     assert last["status"] == "concatenable"
     assert all(a["status"] != "concatenable" for a in earlier)
     assert doc["phi"]["weights"] == last["weights"]
+
+
+def test_h1_failure_reports_one_attempt():
+    # H1 has rank 6 for one relator on six generators; the box holds
+    # 58,096 maps, and each would fail on the same hypothesis.
+    pres = parse_presentation("gens: a b c d e f\nrel: a b a^-1 b^-1\n")
+    doc = full_report(pres, ReportOptions(target=IntTarget()))
+    assert doc["verdict"] == {
+        "status": "hypothesis-failure", "citation": "", "detail": "H1 rank 6 != n - k = 5",
+    }
+    assert [a["status"] for a in doc["attempts"]] == ["hypothesis-failure"]
 
 
 # A reduced forest of H1 rank 7: the coefficient box holds 7^7 / 2 vectors,
@@ -539,12 +554,31 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["report", "a.pres", "--window", "5,1"], "argument --window: expected LO <= HI, got '5,1'"),
         (["report", "a.pres", "--window", "0,1"],
          "argument --window: window height 1 below the maximum relator span 3"),
+        (["report", "a.pres", "--target", "braid:3", "--phi", "named"],
+         "--phi named: 3 generators need a braid target on at least 4 strands, got 3"),
     ],
     ids=[
         "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound",
-        "scan-cap", "bounds-cap", "scan-negative", "window-order", "window-small",
+        "scan-cap", "bounds-cap", "scan-negative", "window-order", "window-small", "phi-named",
     ],
 )
 def test_usage_errors_name_the_option(files, capsys, argv, message):
     assert run([files.get(arg, arg) for arg in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_traced_benchmark_finds_the_names_it_reads():
+    # perfbench/run.py reads some call counts by function name; deleting or
+    # renaming one of those functions breaks the traced benchmark.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import npicheck.cli, run, tracer\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "run.layer_metrics(t.totals(), 1, 1.0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

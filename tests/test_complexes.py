@@ -13,7 +13,6 @@ from npicheck.complexes import (
     _spell,
     canonical_complex,
     collapsible,
-    enumerate_immersions,
     euler_characteristic,
     from_canonical,
     is_connected,
@@ -25,7 +24,7 @@ from npicheck.complexes import (
 from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, letter_gen, make_presentation, rotate_word, validate
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
-from scan_oracle import oracle_scan
+from scan_oracle import enumerate_immersions, oracle_scan
 
 
 # ---------------------------------------------------------------------------

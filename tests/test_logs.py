@@ -7,11 +7,9 @@ from npicheck.logs import (
     Log,
     Multigraph,
     NotAdian,
-    PresentationGraph,
     Unsatisfiable,
     adian_normalize,
     adian_npi_check,
-    artin_presentation,
     graph_I,
     graph_T,
     is_forest,
@@ -22,6 +20,7 @@ from npicheck.logs import (
 )
 from npicheck.minima import MAX, MIN, check_presentation
 from npicheck.orders import IntTarget, TargetAssignment
+from npicheck.textio import parse_presentation
 from npicheck.words import make_presentation, validate
 
 
@@ -82,8 +81,10 @@ def test_adian_npi_check_examples():
     assert verdict.min_check.status == "concatenable"
     assert verdict.max_check.status == "concatenable"
 
-    artin = artin_presentation(PresentationGraph(("s", "t"), ((0, 1, 3),)))
-    assert adian_npi_check(artin).status == "npi"
+    # The braid relation s t s = t s t.
+    braid = parse_presentation("gens: s t\nrel: s t s t^-1 s^-1 t^-1\n")
+    assert validate(braid) == []
+    assert adian_npi_check(braid).status == "npi"
 
     # both letter graphs cyclic: ab = cd and aab = ccd give parallel edges
     # in T ({a,c} twice) and in I ({b,d} twice), with H1 free of rank n - k
@@ -96,18 +97,9 @@ def test_adian_npi_check_examples():
     assert not verdict.t_forest.ok and not verdict.i_forest.ok
 
 
-def test_artin_presentation():
-    p2 = artin_presentation(PresentationGraph(("s", "t"), ((0, 1, 2),)))
-    assert p2.relators == ((1, 2, -1, -2),)
-    p3 = artin_presentation(PresentationGraph(("s", "t"), ((0, 1, 3),)))
-    assert p3.relators == ((1, 2, 1, -2, -1, -2),)
-    empty = artin_presentation(PresentationGraph(("s",), ()))
-    assert empty.relators == () and empty.generators == ("s",)
-    assert validate(p3) == []
-
-
 def test_artin_even_label_fails_rank_check():
-    even = artin_presentation(PresentationGraph(("s", "t"), ((0, 1, 2),)))
+    # s t = t s: H1 has rank 2, not n - k = 1.
+    even = parse_presentation("gens: s t\nrel: s t s^-1 t^-1\n")
     assert adian_npi_check(even).status == "hypothesis-failure"
 
 
