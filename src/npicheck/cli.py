@@ -1,8 +1,11 @@
 """Command line driver.
 
 Subcommands: validate, h1, phi, minima, concat, lot, adian, cover,
-immerse, report.  Exit codes: 0 a verdict was computed (whatever it is),
-2 parse or usage error, 3 internal assertion failure.
+immerse, report.  ``minima``, ``concat`` and ``cover`` print parts of
+:func:`report.full_report` (its attempts, its cover section), so they
+try the report's maps in its order, stop where it stops and check its
+window.  Exit codes: 0 a verdict was computed (whatever it is), 2 parse
+or usage error, 3 any other failure (an internal check).
 """
 
 from __future__ import annotations
@@ -12,22 +15,25 @@ import sys
 from pathlib import Path
 
 from .complexes import _check_bounds, npi_scan
-from .cover import WindowTooSmall
+from .cover import WINDOW_MAX_HEIGHT, WindowTooSmall
 from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
 from .logs import adian_npi_check
-from .minima import MAX, MIN, check_assignment, check_presentation, presentation_hypotheses
-from .orders import BadTargetSpec, HandleReductionBudget, IntTarget, parse_target_spec
+from .minima import MAX, MIN
+from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
+    VERDICT_LABELS,
     BadPhiSpec,
     ReportOptions,
-    cover_section,
     full_report,
-    phi_candidates,
     render_text,
     report_json,
 )
 from .textio import ParseError, parse_log, parse_presentation, sniff_kind
 from .words import validate as validate_presentation
+
+# How minima and concat name the status of one attempt.
+ATTEMPT_LABELS = {"concatenable": "Concatenable", "not-concatenable": "NotConcatenable",
+                  "hypothesis-failure": "HypothesisFailure"}
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -42,10 +48,13 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 def _window(text: str) -> tuple[int, int]:
-    """``LO,HI`` with LO <= HI (argparse names the option)."""
+    """``LO,HI`` with LO <= HI, at most ``WINDOW_MAX_HEIGHT`` apart
+    (argparse names the option)."""
     lo, hi = _int_pair(text)
     if lo > hi:
         raise argparse.ArgumentTypeError(f"expected LO <= HI, got {text!r}")
+    if hi - lo > WINDOW_MAX_HEIGHT:
+        raise argparse.ArgumentTypeError(f"window height {hi - lo} above the cap {WINDOW_MAX_HEIGHT}")
     return lo, hi
 
 
@@ -95,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bound", type=_positive_int, default=3, help="kernel coefficient bound (>= 1)"
     )
+    # minima, concat and cover are views of the report: options they lack take defaults.
     for name in ("minima", "concat"):
         p = add(name, "multisets of minima" if name == "minima" else "weak concatenability verdict")
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
@@ -102,11 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
         )
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
+        p.set_defaults(window=None, scan=None)
     add("lot", "labelled oriented graph pipeline")
     add("adian", "equal-length Adian pipeline")
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
     p.add_argument("--window", type=_window, default=None, help="LO,HI window bounds")
+    p.set_defaults(target=IntTarget(), mode=MIN, scan=None)
     p = add("immerse", "bounded immersion scan")
     p.add_argument("--bounds", type=_scan_bounds, default="4,2", help="E,F bounds")
     p = add("report", "full pipeline with verdict")
@@ -134,18 +146,57 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
-    except HandleReductionBudget as exc:  # minima / concat on a braid target
-        print(f"NotDecided: handle reduction stopped: {exc}")
-        return 0
     except WindowTooSmall as exc:  # only a window given by --window is too small
         print(f"error: argument --window: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, BadPhiSpec, NoSurjection, ValueError) as exc:
+    except (ParseError, BadPhiSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
+    except Exception as exc:  # every other failure is the program's own
+        import traceback  # imported here so that start-up does not load it
+
+        traceback.print_exc()
+        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def _print_attempts(doc: dict, command: str, name_maps: bool) -> None:
+    """``minima`` / ``concat``: one block per attempt of the report."""
+    if not doc["attempts"]:
+        verdict = doc["verdict"]
+        print(f"{VERDICT_LABELS[verdict['status']]}: {verdict['detail']}")
+    for attempt in doc["attempts"]:
+        label = ATTEMPT_LABELS[attempt["status"]]
+        if name_maps:
+            print("phi: " + ", ".join(f"{n}={w}" for n, w in attempt["weights"].items()))
+        if command == "minima" and "multisets" in attempt:
+            for m in attempt["multisets"]:
+                counts = ", ".join(f"{g}:(+{p},-{n})" for g, (p, n) in m["counts"].items())
+                print(f"  r{m['relator']}: {{{counts}}}")
+        elif command == "concat" and "certificate" in attempt:
+            cert = attempt["certificate"]
+            order = ", ".join(f"r{i}" for i in cert["ordering"])
+            wits = ", ".join(w["generator"] for w in cert["witnesses"])
+            print(f"  {label}: ordering ({order}); witnesses ({wits})")
+        elif command == "concat" and "failure_witness" in attempt:
+            core = ", ".join(f"r{i}" for i in attempt["failure_witness"]["stuck_core"])
+            print(f"  {label} -- stuck core ({core})")
+        else:
+            print(f"  {label}")
+
+
+def _print_cover(doc: dict) -> None:
+    """``cover``: the report's cover section, or the verdict without one."""
+    section = doc["cover"]
+    if section is None:
+        verdict = doc["verdict"]
+        cite = f" ({verdict['citation']})" if verdict["citation"] else ""
+        print(f"no cover: {verdict['status']}{cite}")
+        return
+    print(f"window {section['window']}: {section['cells']} cells")
+    for c in section["checks"]:
+        print(f"  {'ok' if c['ok'] else 'FAIL':>4}  {c['check']}: {c['detail']}")
+    print("certificate verified" if section["ok"] else "certificate REJECTED")
 
 
 def _dispatch(args) -> int:
@@ -158,18 +209,19 @@ def _dispatch(args) -> int:
         sys.stdout.write(render_text(doc))
         return 0
 
-    if command == "report":
-        kind = sniff_kind(text)
+    if command in ("report", "minima", "concat", "cover"):
+        log = command == "report" and sniff_kind(text) == "log"
+        source = parse_log(text) if log else parse_presentation(text)
         options = ReportOptions(
-            target=args.target,
-            phi_spec=args.phi,
-            mode=args.mode,
-            window=args.window,
-            scan_bounds=args.scan,
+            args.target, phi_spec=args.phi, mode=args.mode, window=args.window, scan_bounds=args.scan
         )
-        source = parse_log(text) if kind == "log" else parse_presentation(text)
         doc = full_report(source, options, input_text=text)
-        sys.stdout.write(report_json(doc) if args.json else render_text(doc))
+        if command == "report":
+            sys.stdout.write(report_json(doc) if args.json else render_text(doc))
+        elif command == "cover":
+            _print_cover(doc)
+        else:
+            _print_attempts(doc, command, name_maps=args.phi == "auto")
         return 0
 
     pres = parse_presentation(text)
@@ -205,45 +257,6 @@ def _dispatch(args) -> int:
             print(f"weights: {weights}  (flips: {flips})")
         return 0
 
-    if command in ("minima", "concat"):
-        target = args.target
-        try:
-            candidates = phi_candidates(args.phi, pres, target)
-        except NoSurjection as exc:
-            print(f"HypothesisFailure: {exc}")
-            return 0
-        pres_hyps = presentation_hypotheses(pres)
-        for cand in candidates:
-            verdict = check_assignment(pres, pres_hyps, target, cand, args.mode)
-            label = {
-                "concatenable": "Concatenable",
-                "not-concatenable": "NotConcatenable",
-                "hypothesis-failure": "HypothesisFailure",
-            }[verdict.status]
-            if args.phi == "auto":  # name each searched weight map
-                print("phi: " + ", ".join(
-                    f"{n}={cand.image(j)}" for j, n in enumerate(pres.generators)
-                ))
-            if verdict.multisets is not None and command == "minima":
-                for m in verdict.multisets:
-                    print(f"  r{m.relator}: {m.describe(verdict.presentation)}")
-            if command == "concat":
-                if verdict.certificate is not None:
-                    order = ", ".join(f"r{i}" for i in verdict.certificate.ordering)
-                    wits = ", ".join(
-                        verdict.presentation.generators[w.gen]
-                        for w in verdict.certificate.witnesses
-                    )
-                    print(f"  {label}: ordering ({order}); witnesses ({wits})")
-                elif verdict.failure is not None:
-                    core = ", ".join(f"r{i}" for i in verdict.failure.stuck_core)
-                    print(f"  {label} -- stuck core ({core})")
-                else:
-                    print(f"  {label}")
-            elif command == "minima" and verdict.multisets is None:
-                print(f"  {label}")
-        return 0
-
     if command == "adian":
         verdict = adian_npi_check(pres)
         for h in verdict.hypotheses:
@@ -255,26 +268,11 @@ def _dispatch(args) -> int:
         print(f"verdict: {label[verdict.status]}")
         return 0
 
-    if command == "cover":
-        target = IntTarget()
-        try:
-            # Only the first weight map is certified, concatenable or not.
-            assignment = next(phi_candidates(args.phi, pres, target))
-        except NoSurjection as exc:
-            print(f"HypothesisFailure: {exc}")
-            return 0
-        verdict = check_presentation(pres, target, assignment, MIN)
-        if verdict.status != "concatenable":
-            print(f"no certificate: {verdict.status}")
-            return 0
-        section = cover_section(verdict, args.window)
-        print(f"window {section['window']}: {section['cells']} cells")
-        for c in section["checks"]:
-            print(f"  {'ok' if c['ok'] else 'FAIL':>4}  {c['check']}: {c['detail']}")
-        print("certificate verified" if section["ok"] else "certificate REJECTED")
-        return 0
-
     if command == "immerse":
+        diags = validate_presentation(pres)
+        if diags:  # the scan is defined for valid presentations only
+            print("error: invalid presentation: " + "; ".join(map(str, diags)), file=sys.stderr)
+            return 2
         max_e, max_f = args.bounds
         reports = npi_scan(pres, max_e, max_f)
         print(f"candidates within bounds ({max_e}, {max_f}): {len(reports)}")

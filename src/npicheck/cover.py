@@ -19,6 +19,13 @@ from .minima import ConcatCertificate, replay_certificate
 from .words import Presentation, is_proper_power, letter_gen
 
 
+# Cap on the height hi - lo of a --window.  Each cover check gives the same
+# result after a deck translation, so a taller window checks nothing new,
+# while its cost grows with the height.  The cap holds a relator of one
+# maximal token (``textio.MAX_TOKEN_LETTERS``) at weight 1.
+WINDOW_MAX_HEIGHT = 10_000
+
+
 class WindowTooSmall(ValueError):
     """The window cannot contain a whole 2-cell boundary."""
 

@@ -25,7 +25,6 @@ violated (hypothesis-failure).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from . import cover as cover_mod
@@ -71,6 +70,13 @@ CITATIONS = {
     "concat-ordered": "Thm 3.6",
     "adian-equal-lengths": "Thm 4.1",
     "reduced-lof-forest": "Cor 4.3",
+}
+
+# The verdict statuses as the text report and the CLI print them.
+VERDICT_LABELS = {
+    "npi-certified": "NPI-certified",
+    "not-decided": "NotDecided",
+    "hypothesis-failure": "HypothesisFailure",
 }
 
 HYPOTHESIS_CITATIONS = {
@@ -153,29 +159,6 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
     if missing:
         raise BadPhiSpec(f"--phi: missing images for generators {', '.join(missing)}")
     return TargetAssignment(target, images)
-
-
-def phi_candidates(
-    spec: str, pres: Presentation, target: OrderedTarget
-) -> Iterator[TargetAssignment]:
-    """The assignments a ``--phi`` spec asks to try, in order: the one it
-    names, or for ``auto`` every weight map that
-    :func:`find_weight_homomorphisms` lists, in its order.
-
-    For ``auto`` only the kernel basis is computed at the call, which
-    raises NoSurjection when it is empty.  The maps are read lazily: the
-    all-ones map comes first when the coefficient box holds it, and the
-    box is built only when the caller asks for a map after it (or first,
-    when all-ones is not in the box).  So a caller that stops at a
-    concatenable all-ones map never builds the box.
-    """
-    assignment = parse_phi_spec(spec, pres, target)
-    if assignment is not None:
-        return iter([assignment])
-    return (
-        TargetAssignment.from_weights(pres, h.weights)
-        for h in _weight_stream(pres)
-    )
 
 
 def _hypothesis_dicts(hyps) -> list[dict]:
@@ -371,8 +354,17 @@ def _presentation_route(
 
     target = options.target
     integer = isinstance(target, IntTarget)
+    # The map a named spec gives, or for ``auto`` every weight map in the
+    # order find_weight_homomorphisms lists them.  Only the kernel basis is
+    # computed here, raising NoSurjection when it is empty.  The maps are
+    # read lazily: all-ones comes first when the coefficient box holds it,
+    # and the box is built only when a map after it is asked for, so a run
+    # that stops at a concatenable all-ones map never builds the box.
+    assignment = parse_phi_spec(options.phi_spec, pres, target)
     try:
-        candidates = phi_candidates(options.phi_spec, pres, target)
+        candidates = iter([assignment]) if assignment is not None else (
+            TargetAssignment.from_weights(pres, h.weights) for h in _weight_stream(pres)
+        )
     except NoSurjection as exc:
         h1 = h1_structure(pres)
         doc["hypotheses"] += _hypothesis_dicts(
@@ -551,11 +543,7 @@ def render_text(doc: dict) -> str:
             f"oracle scan bounds {scan['bounds']}: {scan['count']} candidate(s)"
         )
     verdict = doc["verdict"]
-    label = {
-        "npi-certified": "NPI-certified",
-        "not-decided": "NotDecided",
-        "hypothesis-failure": "HypothesisFailure",
-    }[verdict["status"]]
+    label = VERDICT_LABELS[verdict["status"]]
     cite = f"({verdict['citation']})" if verdict["citation"] else ""
     lines.append(f"verdict: {label}{cite} -- {verdict['detail']}")
     return "\n".join(lines) + "\n"

@@ -119,6 +119,7 @@ def files(tmp_path):
         ("cycle.log", "vertices: a b c\nedge: a c b\nedge: b c a\n"),
         ("broken.pres", "gens: a\nrel: a^0\n"),
         ("adian.pres", ADIAN_TEXT),
+        ("invalid.pres", "gens: a b\nrel: a a^-1 b\n"),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -197,7 +198,7 @@ def test_cli_minima_and_cover(files, capsys):
             "phi: a=1, b=1, c=1",
             "  Concatenable: ordering (r0, r1); witnesses (a, c)",
         ]),
-        (["cover", "braid.pres"], ["no certificate: not-concatenable"]),
+        (["cover", "braid.pres"], ["no cover: not-decided"]),
         (["h1", "a.pres"], ["H1: free rank 1, torsion []", "ok: H1 free abelian of rank 1"]),
     ],
     ids=["adian-npi", "adian-not-adian", "concat", "cover-no-certificate", "h1"],
@@ -228,6 +229,23 @@ def test_cli_internal_assertions_exit_3(files, monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "full_report", boom)
     assert run(["report", files["a.pres"]]) == 3
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("synthetic"), KeyError("synthetic"), RecursionError("synthetic")],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_failures_exit_3(files, monkeypatch, capsys, error):
+    # Only the usage errors exit 2; any other exception is the program's own.
+    import npicheck.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "full_report", boom)
+    assert run(["report", files["a.pres"]]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"internal check failed: {type(error).__name__}: {error}"
 
 
 def test_report_json_deterministic_and_golden():
@@ -465,6 +483,66 @@ def test_rank7_forest_certifies_without_the_box(tmp_path, capsys):
     assert "certificate verified\n" in capsys.readouterr().out
 
 
+def test_rank7_forest_views_print_one_map(tmp_path, capsys):
+    # minima and concat print the report's attempts, so they stop at the
+    # certifying all-ones map instead of walking the 7^7 box.
+    path = tmp_path / "rank7.pres"
+    path.write_text(RANK7_TEXT)
+    for command in ("concat", "minima"):
+        with budget(f"rank-7 forest {command}", 1.0):
+            assert run([command, str(path)]) == 0
+        phi_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("phi:")]
+        assert phi_lines == ["phi: " + ", ".join(f"v{i}=1" for i in range(9))]
+
+
+# A rank-3 forest whose all-ones map is not weakly concatenable; the
+# report certifies it on its second map, v5=1.
+SECOND_MAP_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5\n"
+    "rel: v2^-1 v5^-1 v4 v5\n"
+    "rel: v0^-1 v3^-1 v4 v3\n"
+    "rel: v1^-1 v4^-1 v3 v4\n"
+)
+
+
+def test_views_agree_with_the_report(tmp_path, capsys):
+    # cover verifies exactly when the report has a passing cover, and
+    # concat names exactly the report's maps, in its order.
+    rng = random.Random(13)
+    texts = [SECOND_MAP_TEXT] + [
+        format_presentation(log_to_presentation(lof_random(n, n - rank, rng)))
+        for rank, sizes in ((3, range(4, 9)), (4, range(5, 9)))
+        for n in sizes
+        for _ in range(3)
+    ]
+    verified = 0
+    for i, text in enumerate(texts):
+        path = str(tmp_path / f"f{i}.pres")
+        Path(path).write_text(text)
+        assert run(["report", "--json", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run(["cover", path]) == 0
+        cover_ok = doc["cover"] is not None and doc["cover"]["ok"]
+        assert ("certificate verified\n" in capsys.readouterr().out) == cover_ok, text
+        verified += cover_ok
+        assert run(["concat", path]) == 0
+        phi_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("phi:")]
+        assert phi_lines == [
+            "phi: " + ", ".join(f"{g}={w}" for g, w in a["weights"].items())
+            for a in doc["attempts"]
+        ], text
+        if i == 0:
+            assert doc["phi"]["weights"] == {**{f"v{j}": 0 for j in range(5)}, "v5": 1}
+            assert len(doc["attempts"]) == 2 and cover_ok
+    assert 0 < verified < len(texts)
+
+
+def test_window_height_cap_exits_2_at_once(files, capsys):
+    with budget("report with a window of height 2 * 10^9", 1.0):
+        assert run(["report", files["a.pres"], "--window=-1000000000,1000000000"]) == 2
+    assert "argument --window: window height 2000000000 above the cap" in capsys.readouterr().err
+
+
 def test_handle_reduction_budget_is_not_decided(files, monkeypatch, capsys):
     monkeypatch.setattr(orders, "HANDLE_REDUCTION_MAX_STEPS", 1)
     argv = ["report", "--json", files["braid.pres"], "--target", "braid:4:opp", "--phi", "named"]
@@ -556,10 +634,14 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
          "argument --window: window height 1 below the maximum relator span 3"),
         (["report", "a.pres", "--target", "braid:3", "--phi", "named"],
          "--phi named: 3 generators need a braid target on at least 4 strands, got 3"),
+        (["cover", "a.pres", "--window=-5001,5000"],
+         "argument --window: window height 10001 above the cap 10000"),
+        (["immerse", "invalid.pres"], "error: invalid presentation: "),
     ],
     ids=[
         "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound",
         "scan-cap", "bounds-cap", "scan-negative", "window-order", "window-small", "phi-named",
+        "window-cap", "immerse-invalid",
     ],
 )
 def test_usage_errors_name_the_option(files, capsys, argv, message):
