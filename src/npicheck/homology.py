@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import Presentation, exponent_sum
 
@@ -199,17 +199,23 @@ def integer_det(matrix: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class H1Structure:
-    """Free rank and invariant factors of the abelianized group."""
+    """Free rank and invariant factors of the abelianized group.
+
+    ``smith`` is the Smith form of the exponent matrix they were read
+    from, kept so that the weight search reads its kernel basis from the
+    same form; it takes no part in comparisons.
+    """
 
     free_rank: int
     torsion: tuple[int, ...]
+    smith: SmithForm | None = field(default=None, compare=False, repr=False)
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
     n = len(pres.generators)
     snf = smith_normal_form(exponent_matrix(pres), n)
     diag = [x for x in snf.diagonal() if x != 0]
-    return H1Structure(free_rank=n - len(diag), torsion=tuple(x for x in diag if x > 1))
+    return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf)
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,11 @@ def integer_kernel_basis(matrix: list[list[int]], ncols: int = 0) -> list[tuple[
 
     ``ncols`` is the column count of a matrix with no rows.
     """
-    snf = smith_normal_form(matrix, ncols)
+    return _kernel_basis(smith_normal_form(matrix, ncols))
+
+
+def _kernel_basis(snf: SmithForm) -> list[tuple[int, ...]]:
+    """The columns of V whose diagonal entry in D is zero."""
     k, n = len(snf.left), len(snf.right)
     basis = []
     for j in range(n):
@@ -282,21 +292,26 @@ def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[
     return list(_weight_stream(pres, coeff_bound))
 
 
-def _weight_stream(pres: Presentation, coeff_bound: int = 3) -> Iterator[WeightHom]:
+def _weight_stream(
+    pres: Presentation, coeff_bound: int = 3, snf: SmithForm | None = None
+) -> Iterator[WeightHom]:
     """The maps of :func:`find_weight_homomorphisms`, in its order, built
     only as far as the caller reads.
 
-    At the call: one Smith form gives the kernel basis, and NoSurjection
-    is raised exactly when the basis is empty.  A nonempty basis always
-    gives a map, since its vectors are nonzero and independent.
+    At the call: one Smith form of the exponent matrix gives the kernel
+    basis, and NoSurjection is raised exactly when the basis is empty.  A
+    nonempty basis always gives a map, since its vectors are nonzero and
+    independent.  ``snf`` is that Smith form when the caller has it
+    already (see :class:`H1Structure`); it is computed here otherwise.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    mat = exponent_matrix(pres)
-    basis = integer_kernel_basis(mat, len(pres.generators))
+    if snf is None:
+        snf = smith_normal_form(exponent_matrix(pres), len(pres.generators))
+    basis = _kernel_basis(snf)
     if not basis:
         raise NoSurjection("no primitive kernel vector in the search box")
-    return _weight_maps(mat, basis, coeff_bound)
+    return _weight_maps(snf.matrix, basis, coeff_bound)
 
 
 def _all_ones_coordinates(mat: list[list[int]], basis: list[tuple[int, ...]]):

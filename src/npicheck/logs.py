@@ -210,11 +210,14 @@ def adian_npi_check(pres: Presentation) -> AdianVerdict:
 
 
 def adian_check(
-    pres: Presentation, pres_hyps: tuple[HypothesisResult, ...]
+    pres: Presentation,
+    pres_hyps: tuple[HypothesisResult, ...],
+    outcomes: dict | None = None,
 ) -> AdianVerdict:
     """Equal-length Adian route to non-positive immersions, on a
     presentation whose own hypotheses ``pres_hyps`` (from
-    :func:`presentation_hypotheses`) are known.
+    :func:`presentation_hypotheses`) are known.  ``outcomes`` is passed
+    on to :func:`check_assignment`.
 
     Requires an Adian decomposition with len(u) = len(v) everywhere, a
     valid presentation and H1 free abelian of rank n - k; then a T-forest
@@ -252,13 +255,13 @@ def adian_check(
     min_verdict = None
     max_verdict = None
     if t_check.ok:
-        min_verdict = check_assignment(pres, pres_hyps, target, assignment, MIN)
+        min_verdict = check_assignment(pres, pres_hyps, target, assignment, MIN, outcomes)
         if min_verdict.status != "concatenable":
             raise AssertionError(
                 "T-forest without Min-mode concatenability: internal cross-check failed"
             )
     if i_check.ok:
-        max_verdict = check_assignment(pres, pres_hyps, target, assignment, MAX)
+        max_verdict = check_assignment(pres, pres_hyps, target, assignment, MAX, outcomes)
         if max_verdict.status != "concatenable":
             raise AssertionError(
                 "I-forest without Max-mode concatenability: internal cross-check failed"

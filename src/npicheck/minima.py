@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .homology import is_generalized_wirtinger
+from .homology import H1Structure, is_generalized_wirtinger
 from .orders import (
     GT,
     LT,
     IntTarget,
     OrderedTarget,
     TargetAssignment,
-    verify_assignment,
 )
 from .words import Presentation, flip_generator, letter_gen, validate
 
@@ -40,6 +39,17 @@ class NonVanishingRelatorWeight(ValueError):
     """The relator does not map to the identity; phi is not well defined."""
 
 
+def _profile(word, target: OrderedTarget, assignment: TargetAssignment) -> list:
+    """Images of the initial subwords of ``word`` (length-1 up to full)."""
+    out = []
+    acc = target.identity()
+    for x in word:
+        img = assignment.image(letter_gen(x))
+        acc = target.multiply(acc, img if x > 0 else target.inverse(img))
+        out.append(acc)
+    return out
+
+
 def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignment: TargetAssignment) -> list:
     """Images of the initial subwords of relator ``rel`` (length-1 up to full)."""
     if isinstance(target, IntTarget):
@@ -48,13 +58,7 @@ def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignme
                 raise NegativeWeight(
                     f"generator {pres.generators[j]} has negative weight; flip it first"
                 )
-    word = pres.relators[rel]
-    out = []
-    acc = target.identity()
-    for x in word:
-        img = assignment.image(letter_gen(x))
-        acc = target.multiply(acc, img if x > 0 else target.inverse(img))
-        out.append(acc)
+    out = _profile(pres.relators[rel], target, assignment)
     if out and not target.equals(out[-1], target.identity()):
         raise NonVanishingRelatorWeight(
             f"relator {rel} has nonzero image {target.describe(out[-1])}"
@@ -85,8 +89,14 @@ class MinimaMultiset:
         return "{" + ", ".join(bits) + "}"
 
 
-def _extremal_multiset(pres, rel, target, assignment, mode) -> MinimaMultiset:
-    profile = prefix_profile(pres, rel, target, assignment)
+def _extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMultiset:
+    """The multiset of relator ``rel`` (letters ``word``) from its prefix
+    profile, which ends at the identity.
+
+    Letter t counts when v_{t-1} or v_t is the extremum.  Each prefix
+    value is compared with the extremum once; v_0, the identity, takes
+    the answer of v_l, which is the identity too.
+    """
     if not profile:
         raise ValueError("empty relator has no extremal multiset")
     want = LT if mode == MIN else GT
@@ -94,15 +104,15 @@ def _extremal_multiset(pres, rel, target, assignment, mode) -> MinimaMultiset:
     for v in profile[1:]:
         if target.compare(v, extremum) == want:
             extremum = v
-    word = pres.relators[rel]
+    at = [target.equals(v, extremum) for v in profile]
     counts: dict[int, list[int]] = {}
-    prev = target.identity()
-    for x, cur in zip(word, profile):
-        if target.equals(prev, extremum) or target.equals(cur, extremum):
+    prev = at[-1]
+    for x, here in zip(word, at):
+        if prev or here:
             g = letter_gen(x)
             pair = counts.setdefault(g, [0, 0])
             pair[0 if x > 0 else 1] += 1
-        prev = cur
+        prev = here
     return MinimaMultiset(
         relator=rel,
         mode=mode,
@@ -113,12 +123,14 @@ def _extremal_multiset(pres, rel, target, assignment, mode) -> MinimaMultiset:
 
 def minima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
     """Multiset of minima of relator ``rel`` with respect to the assignment."""
-    return _extremal_multiset(pres, rel, target, assignment, MIN)
+    profile = prefix_profile(pres, rel, target, assignment)
+    return _extremal_multiset(rel, pres.relators[rel], profile, target, MIN)
 
 
 def maxima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
     """Mirror image of :func:`minima_multiset` at the profile maximum."""
-    return _extremal_multiset(pres, rel, target, assignment, MAX)
+    profile = prefix_profile(pres, rel, target, assignment)
+    return _extremal_multiset(rel, pres.relators[rel], profile, target, MAX)
 
 
 @dataclass(frozen=True)
@@ -315,20 +327,29 @@ def presentation_hypotheses(pres: Presentation) -> tuple[HypothesisResult, ...]:
     """The hypotheses that depend on the presentation alone, checked once
     for every weight map tried on it: validity, then H1 free abelian of
     rank n - k.  A failing entry is the last one."""
+    return _presentation_hypotheses(pres)[0]
+
+
+def _presentation_hypotheses(
+    pres: Presentation,
+) -> tuple[tuple[HypothesisResult, ...], H1Structure | None]:
+    """:func:`presentation_hypotheses` with the H1 structure it read, None
+    for an invalid presentation.  The structure carries its Smith form,
+    from which the weight search reads the kernel basis."""
     diags = validate(pres)
     if diags:
         return (
             HypothesisResult(
                 "presentation-valid", "fail", "; ".join(str(d) for d in diags)
             ),
-        )
+        ), None
     wirt = is_generalized_wirtinger(pres)
     return (
         HypothesisResult("presentation-valid", "pass", "relators cyclically reduced"),
         HypothesisResult(
             "h1-free-abelian-rank-n-k", "pass" if wirt.ok else "fail", wirt.reason
         ),
-    )
+    ), wirt.h1
 
 
 def check_presentation(
@@ -347,6 +368,7 @@ def check_assignment(
     target: OrderedTarget,
     assignment: TargetAssignment,
     mode: str = MIN,
+    outcomes: dict | None = None,
 ) -> CheckVerdict:
     """Check one assignment on a presentation whose own hypotheses
     ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
@@ -354,6 +376,16 @@ def check_assignment(
     Integer targets are normalized first: generators with negative weight
     are flipped (and their weights negated), so the profile rules apply in
     their nonnegative form.
+
+    Each relator's prefix profile is computed once and serves both steps:
+    its last value decides ``assignment-well-defined`` (the relator's
+    image), and the whole list gives the extremal multiset.
+
+    ``outcomes``, when given, maps the key of a multiset tuple (relator,
+    mode and sorted counts of each multiset) to its
+    :func:`weak_concatenability` outcome.  The outcome depends on nothing
+    else, so a caller that checks many assignments decides each distinct
+    tuple once by passing the same dict to every call.
     """
     hyps: list[HypothesisResult] = list(pres_hyps)
 
@@ -404,7 +436,9 @@ def check_assignment(
             )
         )
 
-    if not verify_assignment(target, work_assignment, work_pres):
+    profiles = [_profile(r, target, work_assignment) for r in work_pres.relators]
+    ident = target.identity()
+    if not all(target.equals(p[-1], ident) for p in profiles if p):
         hyps.append(
             HypothesisResult(
                 "assignment-well-defined", "fail", "a relator has a nontrivial image"
@@ -416,10 +450,15 @@ def check_assignment(
     )
 
     multisets = tuple(
-        _extremal_multiset(work_pres, i, target, work_assignment, mode)
-        for i in range(len(work_pres.relators))
+        _extremal_multiset(i, r, p, target, mode)
+        for i, (r, p) in enumerate(zip(work_pres.relators, profiles))
     )
-    outcome = weak_concatenability(multisets)
+    if outcomes is None:
+        outcomes = {}
+    key = tuple((m.relator, m.mode, tuple(sorted(m.counts.items()))) for m in multisets)
+    outcome = outcomes.get(key)
+    if outcome is None:
+        outcome = outcomes[key] = weak_concatenability(multisets)
     concatenable = isinstance(outcome, ConcatCertificate)
     return CheckVerdict(
         "concatenable" if concatenable else "not-concatenable",

@@ -14,7 +14,10 @@ runs the ``--scan`` on every input whose presentation passes
 
 The hypotheses that depend on the presentation alone (validity, then H1
 free of rank n - k) are computed once, in :func:`full_report`; both
-routes, the Adian section and the scan gate read that one result.
+routes, the Adian section and the scan gate read that one result, and
+the weight search reads its kernel basis from the Smith form of that H1
+check.  Within one report, each distinct tuple of multisets is decided
+once (see :func:`check_assignment`).
 
 Verdicts are three-valued; the tool never claims the absence of the
 non-positive immersion property, only that a sufficient condition holds
@@ -24,12 +27,12 @@ violated (hypothesis-failure).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from . import cover as cover_mod
 from .complexes import npi_scan
-from .homology import NoSurjection, _weight_stream, h1_structure
+from .homology import H1Structure, NoSurjection, _weight_stream
 from .logs import (
     AdianVerdict,
     Log,
@@ -47,9 +50,9 @@ from .minima import (
     CheckVerdict,
     ConcatCertificate,
     HypothesisResult,
+    _presentation_hypotheses,
     check_assignment,
     minima_multiset,
-    presentation_hypotheses,
     weak_concatenability,
 )
 from .orders import (
@@ -278,13 +281,13 @@ def full_report(
     that its cover checks pass, scan a valid presentation when ``--scan``
     asks for it, and write the verdict."""
     pres = log_to_presentation(source) if isinstance(source, Log) else source
-    pres_hyps = presentation_hypotheses(pres)
+    pres_hyps, h1 = _presentation_hypotheses(pres)
     if isinstance(source, Log):
         doc = _base_doc("log", pres, input_text)
         status, citation, detail = _log_route(doc, source, pres, pres_hyps, options)
     else:
         doc = _base_doc("presentation", pres, input_text)
-        status, citation, detail = _presentation_route(doc, pres, pres_hyps, options)
+        status, citation, detail = _presentation_route(doc, pres, pres_hyps, h1, options)
     if doc["cover"] is not None and not doc["cover"]["ok"]:
         raise AssertionError("cover verification failed for a valid certificate")
     if options.scan_bounds is not None and pres_hyps[0].status == "pass":
@@ -328,9 +331,9 @@ def _first_failure(entries: list[dict]) -> str:
     return next((h["detail"] for h in entries if h["status"] == "fail"), "")
 
 
-def _adian_section(doc: dict, pres: Presentation, pres_hyps) -> AdianVerdict:
+def _adian_section(doc: dict, pres: Presentation, pres_hyps, outcomes=None) -> AdianVerdict:
     """Run the equal-length Adian route and record it in ``adian``."""
-    verdict = adian_check(pres, pres_hyps)
+    verdict = adian_check(pres, pres_hyps, outcomes)
     doc["adian"] = {
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
         "graph_t_forest": verdict.t_forest.ok if verdict.t_forest else None,
@@ -340,10 +343,14 @@ def _adian_section(doc: dict, pres: Presentation, pres_hyps) -> AdianVerdict:
 
 
 def _presentation_route(
-    doc: dict, pres: Presentation, pres_hyps, options: ReportOptions
+    doc: dict, pres: Presentation, pres_hyps, h1: H1Structure | None, options: ReportOptions
 ) -> tuple[str, str, str]:
     """Validity, then the weight maps (Thm 3.4 over the integers, Thm 3.6
-    over an ordered target), then for the integers the Adian fallback."""
+    over an ordered target), then for the integers the Adian fallback.
+
+    ``h1`` is the H1 structure of the hypotheses, None when validity
+    fails; the weight search reads its kernel basis from the same Smith
+    form."""
     valid = pres_hyps[0]
     # A passing validity check carries no detail in the report.
     doc["hypotheses"] = _hypothesis_dicts(
@@ -356,17 +363,18 @@ def _presentation_route(
     integer = isinstance(target, IntTarget)
     # The map a named spec gives, or for ``auto`` every weight map in the
     # order find_weight_homomorphisms lists them.  Only the kernel basis is
-    # computed here, raising NoSurjection when it is empty.  The maps are
-    # read lazily: all-ones comes first when the coefficient box holds it,
-    # and the box is built only when a map after it is asked for, so a run
-    # that stops at a concatenable all-ones map never builds the box.
+    # read here, from the Smith form of the H1 check, raising NoSurjection
+    # when it is empty.  The maps are read lazily: all-ones comes first
+    # when the coefficient box holds it, and the box is built only when a
+    # map after it is asked for, so a run that stops at a concatenable
+    # all-ones map never builds the box.
     assignment = parse_phi_spec(options.phi_spec, pres, target)
     try:
         candidates = iter([assignment]) if assignment is not None else (
-            TargetAssignment.from_weights(pres, h.weights) for h in _weight_stream(pres)
+            TargetAssignment.from_weights(pres, h.weights)
+            for h in _weight_stream(pres, snf=h1.smith)
         )
     except NoSurjection as exc:
-        h1 = h1_structure(pres)
         doc["hypotheses"] += _hypothesis_dicts(
             [HypothesisResult("weights-surjective", "fail", str(exc))]
         )
@@ -381,10 +389,12 @@ def _presentation_route(
     # gives one map and every auto map is primitive, so a failed
     # hypothesis is the presentation's own, which every later map would
     # fail too: stop there as well.  Otherwise every attempt stays in the
-    # report as the witness of why none certifies.
+    # report as the witness of why none certifies.  Many maps give the same
+    # multisets, so each distinct tuple is decided once per report.
+    outcomes: dict = {}
     for cand in candidates:
         try:
-            verdict = check_assignment(pres, pres_hyps, target, cand, options.mode)
+            verdict = check_assignment(pres, pres_hyps, target, cand, options.mode, outcomes)
         except HandleReductionBudget as exc:
             # Only a braid target reduces handles, and it has one assignment:
             # no attempt finished, so the verdict names the stage that stopped.
@@ -428,7 +438,7 @@ def _presentation_route(
         return "hypothesis-failure", "", _first_failure(entry["hypotheses"])
     if not integer:
         return "not-decided", "", "not weakly concatenable for this assignment"
-    adian = _adian_section(doc, pres, pres_hyps)
+    adian = _adian_section(doc, pres, pres_hyps, outcomes)
     if adian.status == "npi":
         branch = "T-forest (min mode)" if adian.t_forest.ok else "I-forest (max mode)"
         return (
@@ -497,7 +507,61 @@ def _log_route(
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text: the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\n"``, with every non-ASCII character escaped.
+
+    It does not call ``json.dumps``: with ``indent`` set, the standard
+    library skips its C encoder and runs a pure-Python generator per
+    nesting level, which made serialization a large share of a report.
+    The writer below appends the same tokens to one list; strings go
+    through the C string quoter.  It raises TypeError on any value a
+    report does not hold (a float, a non-string key, any other object).
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; ``newline`` is a line break followed by
+    the indentation of the current level."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys are strings, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def render_text(doc: dict) -> str:

@@ -24,6 +24,24 @@ TORSION_TEXT = "gens: a\nrel: a^2\n"
 
 LOT_SINGLE_EDGE_TEXT = "vertices: a b c\nedge: a b c\n"
 
+# Two H1 rank 3 forests that no weight map in the box certifies: each
+# report keeps 145 attempts and ends with an Adian verdict (Thm 4.1).
+FOREST7R3_2_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5 v6\n"
+    "rel: v6^-1 v0^-1 v4 v0\n"
+    "rel: v3^-1 v4^-1 v0 v4\n"
+    "rel: v5^-1 v3^-1 v6 v3\n"
+    "rel: v3^-1 v6^-1 v5 v6\n"
+)
+
+FOREST7R3_8_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5 v6\n"
+    "rel: v2^-1 v1^-1 v3 v1\n"
+    "rel: v4^-1 v6^-1 v0 v6\n"
+    "rel: v0^-1 v6^-1 v1 v6\n"
+    "rel: v1^-1 v0^-1 v6 v0\n"
+)
+
 
 def sample_a():
     return parse_presentation(SAMPLE_A_TEXT)
