@@ -4,7 +4,7 @@ Subcommands: validate, h1, phi, minima, concat, lot, adian, cover,
 immerse, report.  ``minima``, ``concat`` and ``cover`` print parts of
 :func:`report.full_report` (its attempts, its cover section), so they
 try the report's maps in its order, stop where it stops and check its
-window.  Exit codes: 0 a verdict was computed (whatever it is), 2 parse
+cover.  Exit codes: 0 a verdict was computed (whatever it is), 2 parse
 or usage error, 3 any other failure (an internal check).
 """
 
@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .complexes import _check_bounds, npi_scan
-from .cover import WINDOW_MAX_HEIGHT, WindowTooSmall
 from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
 from .logs import adian_npi_check
 from .minima import MAX, MIN
@@ -45,17 +44,6 @@ def _int_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected LO,HI (two integers), got {text!r}"
         ) from None
-
-
-def _window(text: str) -> tuple[int, int]:
-    """``LO,HI`` with LO <= HI, at most ``WINDOW_MAX_HEIGHT`` apart
-    (argparse names the option)."""
-    lo, hi = _int_pair(text)
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"expected LO <= HI, got {text!r}")
-    if hi - lo > WINDOW_MAX_HEIGHT:
-        raise argparse.ArgumentTypeError(f"window height {hi - lo} above the cap {WINDOW_MAX_HEIGHT}")
-    return lo, hi
 
 
 def _scan_bounds(text: str) -> tuple[int, int]:
@@ -112,12 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
         )
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-        p.set_defaults(window=None, scan=None)
+        p.set_defaults(scan=None)
     add("lot", "labelled oriented graph pipeline")
     add("adian", "equal-length Adian pipeline")
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
-    p.add_argument("--window", type=_window, default=None, help="LO,HI window bounds")
     p.set_defaults(target=IntTarget(), mode=MIN, scan=None)
     p = add("immerse", "bounded immersion scan")
     p.add_argument("--bounds", type=_scan_bounds, default="4,2", help="E,F bounds")
@@ -126,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="auto")
     p.add_argument("--target", type=_target, default="z")
     p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    p.add_argument("--window", type=_window, default=None, help="LO,HI window bounds")
     p.add_argument("--scan", type=_scan_bounds, default=None, help="E,F immersion scan bounds")
     return parser
 
@@ -146,9 +132,6 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
-    except WindowTooSmall as exc:  # only a window given by --window is too small
-        print(f"error: argument --window: {exc}", file=sys.stderr)
-        return 2
     except (ParseError, BadPhiSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -212,9 +195,7 @@ def _dispatch(args) -> int:
     if command in ("report", "minima", "concat", "cover"):
         log = command == "report" and sniff_kind(text) == "log"
         source = parse_log(text) if log else parse_presentation(text)
-        options = ReportOptions(
-            args.target, phi_spec=args.phi, mode=args.mode, window=args.window, scan_bounds=args.scan
-        )
+        options = ReportOptions(args.target, phi_spec=args.phi, mode=args.mode, scan_bounds=args.scan)
         doc = full_report(source, options, input_text=text)
         if command == "report":
             sys.stdout.write(report_json(doc) if args.json else render_text(doc))

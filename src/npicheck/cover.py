@@ -9,6 +9,12 @@ generator position) ordered lexicographically with the second coordinate
 reversed; the reindexing puts the certificate's witness generators last,
 in certificate order, which makes the witness lift the strict minimum of
 every 2-cell boundary.
+
+The cover is regular: the deck translation t by +1 carries R_{j,i} onto
+R_{j+1,i}, adding 1 to the level of every boundary edge and to both
+levels of every key comparison.  Every cell is the translate t^j R_{0,i}
+of the level-0 lift of its relator, so the verifier decides each check
+on the R_{0,i}, one per relator, and a window only counts cells.
 """
 
 from __future__ import annotations
@@ -17,13 +23,6 @@ from dataclasses import dataclass
 
 from .minima import ConcatCertificate, replay_certificate
 from .words import Presentation, is_proper_power, letter_gen
-
-
-# Cap on the height hi - lo of a --window.  Each cover check gives the same
-# result after a deck translation, so a taller window checks nothing new,
-# while its cost grows with the height.  The cap holds a relator of one
-# maximal token (``textio.MAX_TOKEN_LETTERS``) at weight 1.
-WINDOW_MAX_HEIGHT = 10_000
 
 
 class WindowTooSmall(ValueError):
@@ -70,13 +69,6 @@ class CoverWindow:
     lo: int
     hi: int
     cells: tuple[CoverCell, ...]
-
-    def edges(self) -> list[CoverEdge]:
-        out = []
-        for g, w in enumerate(self.weights):
-            for j in range(self.lo, self.hi - w + 1):
-                out.append(CoverEdge(j, g))
-        return out
 
 
 def build_cover_window(pres: Presentation, weights, lo: int, hi: int) -> CoverWindow:
@@ -191,7 +183,7 @@ def verify_weak_slim_certificate(
     slim: SlimCertificate,
     window: CoverWindow,
 ) -> SlimReport:
-    """Check the slim structure induced by the certificate on a window.
+    """Check the slim structure induced by the certificate on the cover.
 
     (a) the minimal edge of every 2-cell is its witness lift at the cell's
     base level; (b) the signed traversal count of that edge equals the
@@ -200,12 +192,25 @@ def verify_weak_slim_certificate(
     survives abelianization relative to the subcomplex); (c) the minimal
     edge of one cell appears on another cell's boundary only with a larger
     key; (d) deck translation by +1 carries each cell's boundary and
-    minimal edge onto those of the shifted cell.  Translation keeps every
-    key comparison without a check: it adds 1 to the level in both
-    (level, -priority) keys and leaves the priorities alone.  A side check
-    records that no relator is a proper power as a cyclic word (the
-    syntactic necessary half of the simplicity condition; the remainder
-    rests on the conservativity of ordered targets, cited in reports).
+    minimal edge onto those of the shifted cell.  A side check records
+    that no relator is a proper power as a cyclic word (the syntactic
+    necessary half of the simplicity condition; the remainder rests on the
+    conservativity of ordered targets, cited in reports).
+
+    Each check is decided on the level-0 lift R_{0,i} of each relator i.
+    Translation by j adds j to the level in both (level, -priority) keys
+    of a comparison and leaves the priorities alone, so it keeps every key
+    comparison, and it carries the witness lift at level 0 onto the one at
+    level j.  Hence (a) and (b) hold on R_{j,i} exactly when they hold on
+    R_{0,i}.  (c) runs on the whole cover: the cells whose minimal edge is
+    (l, g) are the R_{l - m.level, j}, one for each relator j whose
+    level-0 minimal edge m has generator g.  Two cells R_{c,i} and R_{d,j}
+    that share an edge span at most span_i + span_j levels, so a window
+    of at least that height holds a translate of the pair: (c) on such a
+    window, as on the default one of height 2 (max span + 1), has the
+    answer of the whole cover.  (d) compares the level-1 lift of each
+    relator with the +1 shift of its level-0 lift.  The window gives only
+    the cell count of the passing detail of (a).
     """
     ok, why = replay_certificate(slim.concat, multisets)
     if not ok:
@@ -225,14 +230,15 @@ def verify_weak_slim_certificate(
         "conservativity of ordered targets",
     )
 
-    boundary = {cell: lifted_boundary(window, cell) for cell in window.cells}
-    min_by_cell = {
-        cell: min((e for e, _ in path), key=lambda e: edge_key(e, priority))
-        for cell, path in boundary.items()
-    }
+    def lowest(path) -> CoverEdge:
+        return min((e for e, _ in path), key=lambda e: edge_key(e, priority))
+
+    cells = [CoverCell(0, i) for i in range(len(pres.relators))]
+    boundary = {cell: lifted_boundary(window, cell) for cell in cells}
+    min_by_cell = {cell: lowest(path) for cell, path in boundary.items()}
 
     failures = []
-    for cell in window.cells:
+    for cell in cells:
         got = min_by_cell[cell]
         want = CoverEdge(cell.level, slim.witness_by_relator[cell.relator])
         if got != want:
@@ -240,7 +246,7 @@ def verify_weak_slim_certificate(
     record("min-edge-is-witness-lift", failures, f"{len(window.cells)} cells")
 
     failures = []
-    for cell in window.cells:
+    for cell in cells:
         witness = slim.witness_by_relator[cell.relator]
         target = CoverEdge(cell.level, witness)
         signed = sum(d for e, d in boundary[cell] if e == target)
@@ -249,26 +255,30 @@ def verify_weak_slim_certificate(
             failures.append(f"cell {cell}: signed count {signed}, expected {p - n} != 0")
     record("witness-signed-traversal", failures, "all counts match pos - neg")
 
-    owner = {edge: cell for cell, edge in min_by_cell.items()}
+    owners: dict[int, list[CoverCell]] = {}  # generator -> level-0 cells whose min lifts it
+    for cell, m in min_by_cell.items():
+        owners.setdefault(m.gen, []).append(cell)
     failures = []
-    for cell in window.cells:
+    for cell in cells:
         key_min = edge_key(min_by_cell[cell], priority)
-        for edge in {e for e, _ in boundary[cell]}:
-            other = owner.get(edge)
-            if other is not None and other != cell and not edge_key(edge, priority) > key_min:
-                failures.append(f"min edge of {other} appears on {cell} without larger key")
+        for edge in dict.fromkeys(e for e, _ in boundary[cell]):
+            if edge_key(edge, priority) > key_min:
+                continue
+            for base in owners.get(edge.gen, ()):
+                other = CoverCell(edge.level - min_by_cell[base].level, base.relator)
+                if other != cell:
+                    failures.append(f"min edge of {other} appears on {cell} without larger key")
     record("cross-boundary-minimality", failures, "all cross appearances larger")
 
     failures = []
-    for cell in window.cells:
+    for cell in cells:
         shifted = CoverCell(cell.level + 1, cell.relator)
-        if shifted not in boundary:
-            continue
+        path = lifted_boundary(window, shifted)
         moved = tuple((CoverEdge(e.level + 1, e.gen), d) for e, d in boundary[cell])
-        if moved != boundary[shifted]:
+        if moved != path:
             failures.append(f"boundary of {cell} does not shift onto {shifted}")
         a = min_by_cell[cell]
-        if CoverEdge(a.level + 1, a.gen) != min_by_cell[shifted]:
+        if CoverEdge(a.level + 1, a.gen) != lowest(path):
             failures.append(f"min edge of {cell} does not shift onto {shifted}")
     record("deck-translation-equivariance", failures, "shift by +1 commutes")
 

@@ -103,7 +103,6 @@ class ReportOptions:
     target: OrderedTarget
     phi_spec: str = "auto"
     mode: str = MIN
-    window: tuple[int, int] | None = None
     scan_bounds: tuple[int, int] | None = None
 
 
@@ -214,10 +213,12 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
     return entry
 
 
-def cover_section(verdict: CheckVerdict, window_bounds) -> dict:
-    """Verify the slim certificate of a concatenable integer verdict on a
-    cover window: ``window_bounds`` (lo, hi), or by default one level
-    beyond the largest relator span on each side.
+def cover_section(verdict: CheckVerdict) -> dict:
+    """Verify the slim certificate of a concatenable integer verdict on
+    the cover.  The section names the window that reaches one level beyond
+    the largest relator span on each side, and the cells it holds; the
+    checks themselves are decided once per relator (see
+    :func:`cover.verify_weak_slim_certificate`).
 
     The slim order of the cover is built for minima, so a max-mode
     verdict is verified on its mirror (see :func:`_mirror`).
@@ -230,14 +231,13 @@ def cover_section(verdict: CheckVerdict, window_bounds) -> dict:
         cover_mod.relator_span(pres, weights, i) for i in range(len(pres.relators))
     ]
     margin = (max(spans) if spans else 0) + 1
-    lo, hi = window_bounds if window_bounds else (-margin, margin)
-    window = cover_mod.build_cover_window(pres, weights, lo, hi)
+    window = cover_mod.build_cover_window(pres, weights, -margin, margin)
     slim = cover_mod.build_slim_certificate(pres, verdict.multisets, verdict.certificate)
     report = cover_mod.verify_weak_slim_certificate(
         pres, weights, verdict.multisets, slim, window
     )
     return {
-        "window": [lo, hi],
+        "window": [window.lo, window.hi],
         "cells": len(window.cells),
         "ok": report.ok,
         "checks": [
@@ -419,7 +419,7 @@ def _presentation_route(
         }
         _merge_hypotheses(doc, entry["hypotheses"])
     if certified and integer:
-        doc["cover"] = cover_section(verdict, options.window)
+        doc["cover"] = cover_section(verdict)
         return (
             "npi-certified",
             CITATIONS["concat-z"],
@@ -497,7 +497,7 @@ def _log_route(
     doc["attempts"].append(_verdict_to_entry(pres, verdict.min_check or verdict.max_check))
     doc["phi"] = {"target": "z", "weights": {name: 1 for name in pres.generators}, "flips": []}
     if verdict.min_check:
-        doc["cover"] = cover_section(verdict.min_check, options.window)
+        doc["cover"] = cover_section(verdict.min_check)
     branch = "T" if verdict.t_forest.ok else "I"
     return (
         "npi-certified",

@@ -174,9 +174,9 @@ def test_cli_minima_and_cover(files, capsys):
     assert run(["minima", files["a.pres"]]) == 0
     out = capsys.readouterr().out
     assert "b:(+0,-2)" in out and "c:(+2,-0)" in out
-    assert run(["cover", files["a.pres"], "--window=-4,4"]) == 0
+    assert run(["cover", files["a.pres"]]) == 0
     out = capsys.readouterr().out
-    assert "certificate verified" in out
+    assert out.startswith("window [-4, 4]: 14 cells\n") and "certificate verified" in out
 
 
 @pytest.mark.parametrize(
@@ -537,10 +537,22 @@ def test_views_agree_with_the_report(tmp_path, capsys):
     assert 0 < verified < len(texts)
 
 
-def test_window_height_cap_exits_2_at_once(files, capsys):
-    with budget("report with a window of height 2 * 10^9", 1.0):
-        assert run(["report", files["a.pres"], "--window=-1000000000,1000000000"]) == 2
-    assert "argument --window: window height 2000000000 above the cap" in capsys.readouterr().err
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_long_relator_cover_costs_linear_time(tmp_path, capsys, n):
+    # The cover checks run on one lift per relator, so a relator of 2n + 2
+    # letters costs O(n) although the report's window holds n + 4 cells.
+    path = tmp_path / "long.pres"
+    path.write_text(f"gens: a b c\nrel: a^-{n} b a^{n} c^-1\n")
+    window = f"window [{-n - 2}, {n + 2}]: {n + 4} cells"
+    for command, expected in (
+        ("report", f"cover {window}, checks ok\nverdict: NPI-certified(Thm 3.4)"),
+        ("minima", "phi: a=1, b=1, c=1\n  r0: {a:(+0,-1), b:(+1,-0)}\n"),
+        ("cover", f"{window}\n"),
+    ):
+        with budget(f"{command} at n = {n}", 2.0):
+            assert run([command, str(path)]) == 0
+            out = capsys.readouterr().out
+        assert expected in out
 
 
 def test_handle_reduction_budget_is_not_decided(files, monkeypatch, capsys):
@@ -559,7 +571,7 @@ def test_handle_reduction_budget_is_not_decided(files, monkeypatch, capsys):
 @pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])
 @pytest.mark.parametrize(
     "command, option",
-    [("cover", "--window"), ("report", "--window"), ("report", "--scan"), ("immerse", "--bounds")],
+    [("report", "--scan"), ("immerse", "--bounds")],
 )
 def test_malformed_int_pair_option(files, capsys, command, option, value):
     assert run([command, files["a.pres"], option, value]) == 2
@@ -629,19 +641,16 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["report", "a.pres", "--scan", "11,1"], "argument --scan: bounds capped at 10 edges"),
         (["immerse", "a.pres", "--bounds", "3,6"], "argument --bounds: bounds capped at 10 edges"),
         (["report", "a.pres", "--scan=-1,2"], "argument --scan: bounds (-1, 2) must be non-negative"),
-        (["report", "a.pres", "--window", "5,1"], "argument --window: expected LO <= HI, got '5,1'"),
-        (["report", "a.pres", "--window", "0,1"],
-         "argument --window: window height 1 below the maximum relator span 3"),
         (["report", "a.pres", "--target", "braid:3", "--phi", "named"],
          "--phi named: 3 generators need a braid target on at least 4 strands, got 3"),
-        (["cover", "a.pres", "--window=-5001,5000"],
-         "argument --window: window height 10001 above the cap 10000"),
         (["immerse", "invalid.pres"], "error: invalid presentation: "),
+        (["report", "a.pres", "--window=-4,4"], "unrecognized arguments: --window=-4,4"),
+        (["cover", "a.pres", "--window", "-4,4"], "unrecognized arguments: --window -4,4"),
     ],
     ids=[
         "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound",
-        "scan-cap", "bounds-cap", "scan-negative", "window-order", "window-small", "phi-named",
-        "window-cap", "immerse-invalid",
+        "scan-cap", "bounds-cap", "scan-negative", "phi-named", "immerse-invalid",
+        "report-window-gone", "cover-window-gone",
     ],
 )
 def test_usage_errors_name_the_option(files, capsys, argv, message):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -58,7 +59,6 @@ def test_window_without_relators_is_a_graph():
     free = make_presentation(["a", "b"], [])
     window = build_cover_window(free, (1, 1), 0, 2)
     assert window.cells == ()
-    assert len(window.edges()) == 4
 
 
 def test_lifted_boundary_two_letter_relator():
@@ -188,16 +188,38 @@ def test_certificates_verify_for_random_concatenable_presentations():
         assert report.ok, report.failures()
 
 
+CELL = re.compile(r"CoverCell\(level=(-?\d+), relator=(\d+)\)")
+
+
+def named_relators(detail: str) -> set[int]:
+    return {int(rel) for _, rel in CELL.findall(detail)}
+
+
+def named_pairs(detail: str) -> set[tuple[int, int]]:
+    """(owner relator, cell relator) of each cross-boundary failure."""
+    pairs = set()
+    for item in detail.split("; "):
+        (_, owner), (_, cell) = CELL.findall(item)
+        pairs.add((int(owner), int(cell)))
+    return pairs
+
+
 def test_verifier_matches_oracle_on_sound_and_tampered_certificates():
     # Seeded certified forests, each also with a shuffled generator priority
-    # and with two relators' witnesses swapped: the verifier must give the
-    # oracle's (check, ok, detail) entries, and checks (a), (b) and (c) must
-    # each fail somewhere.  Check (d) compares a boundary with its own
-    # translate, so it cannot fail.
+    # and with two relators' witnesses swapped, on a window of height 6, on
+    # the report's window and on the tightest one.  The verifier decides
+    # each check on the level-0 cell of each relator, the oracle on every
+    # cell of the window: every check must pass or fail alike.  A failure
+    # names level-0 cells only, so (a) and (b) must name the relators of
+    # the oracle's cells, and (c) its (owner, cell) relator pairs: all of
+    # them when (a) passes, and a superset of them otherwise, since the
+    # oracle keeps one owner per edge.  On sound certificates the details
+    # agree too.  Checks (a), (b) and (c) must each fail somewhere; (d)
+    # compares a boundary with its own translate, so it cannot fail.
     rng = random.Random(61)
     failing = Counter()
     compared = 0
-    while compared < 240:
+    while compared < 720:
         n = rng.randrange(3, 8)
         pres = log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
         verdict = check_presentation(pres, Z, TargetAssignment.all_ones(pres), MIN)
@@ -205,27 +227,34 @@ def test_verifier_matches_oracle_on_sound_and_tampered_certificates():
             continue
         weights = tuple([1] * n)
         slim = build_slim_certificate(pres, verdict.multisets, verdict.certificate)
-        window = build_cover_window(pres, weights, -3, 3)
+        span = max(relator_span(pres, weights, i) for i in range(len(pres.relators)))
         priority = list(slim.gen_priority)
         rng.shuffle(priority)
         witnesses = dict(slim.witness_by_relator)
         if len(witnesses) >= 2:
             i, j = rng.sample(sorted(witnesses), 2)
             witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
-        for variant in (
-            slim,
-            replace(slim, gen_priority=tuple(priority)),
-            replace(slim, witness_by_relator=witnesses),
-        ):
-            args = (pres, weights, verdict.multisets, variant, window)
-            got = verify_weak_slim_certificate(*args)
-            want = oracle_verify_weak_slim_certificate(*args)
-            assert [(c.check, c.ok, c.detail) for c in got.checks] == [
-                (c.check, c.ok, c.detail) for c in want.checks
-            ]
-            assert got.ok == want.ok
-            failing.update(c.check for c in got.failures())
-            compared += 1
+        for lo, hi in ((-3, 3), (-span - 1, span + 1), (0, span)):
+            window = build_cover_window(pres, weights, lo, hi)
+            for variant in (
+                slim,
+                replace(slim, gen_priority=tuple(priority)),
+                replace(slim, witness_by_relator=witnesses),
+            ):
+                args = (pres, weights, verdict.multisets, variant, window)
+                got = verify_weak_slim_certificate(*args).checks
+                want = oracle_verify_weak_slim_certificate(*args).checks
+                assert [(c.check, c.ok) for c in got] == [(c.check, c.ok) for c in want]
+                if variant is slim:
+                    assert got == want
+                a, b, c = got[1:4]
+                for g, w in ((a, want[1]), (b, want[2])):
+                    assert named_relators(g.detail) == named_relators(w.detail)
+                if not c.ok:
+                    pairs, oracle_pairs = named_pairs(c.detail), named_pairs(want[3].detail)
+                    assert pairs == oracle_pairs if a.ok else pairs >= oracle_pairs
+                failing.update(entry.check for entry in got if not entry.ok)
+                compared += 1
     assert failing["min-edge-is-witness-lift"] > 0
     assert failing["witness-signed-traversal"] > 0
     assert failing["cross-boundary-minimality"] > 0
