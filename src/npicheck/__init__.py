@@ -2,12 +2,16 @@
 property of presentation 2-complexes: weight homomorphisms, multisets of
 minima, weak concatenability certificates, cyclic-cover verification,
 labelled-oriented-graph criteria, and a bounded immersion oracle.
+
+The result types are immutable ``typing.NamedTuple`` records.  Being
+tuples, records of different types with equal fields compare equal, so
+code compares records of one type only (``cover`` compares edges with
+edges and cells with cells).
 """
 
 from .words import (
     Diagnostic,
     Presentation,
-    cyclically_reduce,
     exponent_sum,
     flip_generator,
     freely_reduce,
@@ -22,7 +26,6 @@ from .homology import (
     exponent_matrix,
     find_weight_homomorphisms,
     h1_structure,
-    integer_kernel_basis,
     is_generalized_wirtinger,
     smith_normal_form,
 )
@@ -36,7 +39,6 @@ from .orders import (
     evaluate_word,
     handle_reduce,
     parse_target_spec,
-    verify_assignment,
 )
 from .minima import (
     ConcatCertificate,
@@ -44,7 +46,6 @@ from .minima import (
     MinimaMultiset,
     check_assignment,
     check_presentation,
-    maxima_multiset,
     minima_multiset,
     prefix_profile,
     presentation_hypotheses,
@@ -88,13 +89,10 @@ from .complexes import (
     is_folded,
     link_injective,
     npi_scan,
-    presentation_complex,
 )
 from .textio import (
     ParseError,
     UnknownVertex,
-    format_log,
-    format_presentation,
     parse_log,
     parse_presentation,
 )

@@ -85,7 +85,7 @@ expanded once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Presentation, letter_gen, validate
 
@@ -93,8 +93,7 @@ SCAN_MAX_EDGES = 10
 SCAN_MAX_FACES = 5
 
 
-@dataclass(frozen=True)
-class TwoComplex:
+class TwoComplex(NamedTuple):
     """Vertices 0..V-1, directed labeled edges, relator-spelling faces."""
 
     vertex_count: int
@@ -110,16 +109,6 @@ class TwoComplex:
                 for rel, path in self.faces
             ],
         }
-
-
-def presentation_complex(pres: Presentation) -> TwoComplex:
-    """The standard complex: one vertex, a loop per generator, a face per relator."""
-    edges = tuple((0, 0, g) for g in range(len(pres.generators)))
-    faces = []
-    for i, rel in enumerate(pres.relators):
-        path = tuple((letter_gen(x), 1 if x > 0 else -1) for x in rel)
-        faces.append((i, path))
-    return TwoComplex(1, edges, tuple(faces))
 
 
 def check_faces(pres: Presentation, complex_: TwoComplex) -> None:
@@ -338,8 +327,7 @@ def _check_bounds(max_edges: int, max_faces: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ImmersionReport:
+class ImmersionReport(NamedTuple):
     complex: TwoComplex
     chi: int
 

@@ -19,7 +19,7 @@ on the R_{0,i}, one per relator, and a window only counts cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .minima import ConcatCertificate, replay_certificate
 from .words import Presentation, is_proper_power, letter_gen
@@ -30,17 +30,16 @@ class WindowTooSmall(ValueError):
 
 
 class CertificateMismatch(ValueError):
-    """The supplied certificate does not replay against the multisets."""
+    """The supplied certificate does not replay against the multisets, or
+    the weights given to the verifier are not the window's."""
 
 
-@dataclass(frozen=True)
-class CoverEdge:
+class CoverEdge(NamedTuple):
     level: int
     gen: int  # 0-based generator index
 
 
-@dataclass(frozen=True)
-class CoverCell:
+class CoverCell(NamedTuple):
     level: int  # minimum visited level of the lifted boundary
     relator: int
 
@@ -60,8 +59,7 @@ def relator_span(pres: Presentation, weights, rel: int) -> int:
     return max(prof + [0]) - min(prof + [0])
 
 
-@dataclass(frozen=True)
-class CoverWindow:
+class CoverWindow(NamedTuple):
     """All cells of the cyclic cover whose closure fits in [lo, hi]."""
 
     presentation: Presentation
@@ -129,8 +127,7 @@ def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
     return min(edges, key=lambda e: edge_key(e, gen_priority))
 
 
-@dataclass(frozen=True)
-class SlimCertificate:
+class SlimCertificate(NamedTuple):
     """Concatenability certificate plus the induced reindexing data."""
 
     concat: ConcatCertificate
@@ -160,15 +157,13 @@ def build_slim_certificate(
     return SlimCertificate(cert, witness_by_relator, tuple(priority))
 
 
-@dataclass(frozen=True)
-class SlimCheckEntry:
+class SlimCheckEntry(NamedTuple):
     check: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class SlimReport:
+class SlimReport(NamedTuple):
     ok: bool
     checks: tuple[SlimCheckEntry, ...]
 
@@ -211,7 +206,14 @@ def verify_weak_slim_certificate(
     answer of the whole cover.  (d) compares the level-1 lift of each
     relator with the +1 shift of its level-0 lift.  The window gives only
     the cell count of the passing detail of (a).
+
+    The lifts are read at the window's weights, so ``weights`` must equal
+    them: CertificateMismatch is raised otherwise.
     """
+    if tuple(weights) != window.weights:
+        raise CertificateMismatch(
+            f"weights {tuple(weights)} are not the window's {window.weights}"
+        )
     ok, why = replay_certificate(slim.concat, multisets)
     if not ok:
         raise CertificateMismatch(why)

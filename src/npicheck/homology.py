@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import Presentation, exponent_sum
 
@@ -51,8 +51,7 @@ def _min_abs_nonzero(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return best
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ M @ V = D with U, V unimodular and D a nonneg divisibility chain."""
 
     matrix: list[list[int]]
@@ -197,18 +196,26 @@ def integer_det(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class H1Structure:
+class H1Structure(NamedTuple):
     """Free rank and invariant factors of the abelianized group.
 
     ``smith`` is the Smith form of the exponent matrix they were read
     from, kept so that the weight search reads its kernel basis from the
-    same form; it takes no part in comparisons.
+    same form; it takes no part in comparisons or hashing.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    smith: SmithForm | None = field(default=None, compare=False, repr=False)
+    smith: SmithForm
+
+    def __eq__(self, other):
+        return isinstance(other, H1Structure) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
@@ -218,8 +225,7 @@ def h1_structure(pres: Presentation) -> H1Structure:
     return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf)
 
 
-@dataclass(frozen=True)
-class WirtingerCheck:
+class WirtingerCheck(NamedTuple):
     ok: bool
     reason: str
     h1: H1Structure
@@ -240,14 +246,6 @@ def is_generalized_wirtinger(pres: Presentation) -> WirtingerCheck:
     return WirtingerCheck(True, f"H1 free abelian of rank {h1.free_rank}", h1)
 
 
-def integer_kernel_basis(matrix: list[list[int]], ncols: int = 0) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {w : M w = 0}, from Smith-form V columns.
-
-    ``ncols`` is the column count of a matrix with no rows.
-    """
-    return _kernel_basis(smith_normal_form(matrix, ncols))
-
-
 def _kernel_basis(snf: SmithForm) -> list[tuple[int, ...]]:
     """The columns of V whose diagonal entry in D is zero."""
     k, n = len(snf.left), len(snf.right)
@@ -259,8 +257,7 @@ def _kernel_basis(snf: SmithForm) -> list[tuple[int, ...]]:
     return basis
 
 
-@dataclass(frozen=True)
-class WeightHom:
+class WeightHom(NamedTuple):
     """Primitive integer weight vector plus the generators to flip."""
 
     weights: tuple[int, ...]

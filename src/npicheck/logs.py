@@ -13,7 +13,7 @@ an I-forest Max-mode concatenability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .minima import (
     MAX,
@@ -35,8 +35,7 @@ class Unsatisfiable(ValueError):
     """No reduced labelled oriented forest exists for these parameters."""
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(NamedTuple):
     """Labelled oriented graph: edges are (initial, label, terminal) vertex indices."""
 
     vertices: tuple[str, ...]
@@ -71,15 +70,13 @@ def underlying_forest(log: Log) -> bool:
     return is_forest(graph).ok
 
 
-@dataclass(frozen=True)
-class AdianPair:
+class AdianPair(NamedTuple):
     u: Word  # positive block
     v: Word  # positive block; the relator is cyclically u v^-1
     rotation: int  # rotation of the stored relator realizing u v^-1
 
 
-@dataclass(frozen=True)
-class AdianForm:
+class AdianForm(NamedTuple):
     generators: tuple[str, ...]
     pairs: tuple[AdianPair, ...]
 
@@ -115,8 +112,7 @@ def adian_normalize(pres: Presentation) -> AdianForm:
     return AdianForm(pres.generators, pairs)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Undirected multigraph: loops and parallel edges allowed."""
 
     vertex_count: int
@@ -142,8 +138,7 @@ def graph_T(source: AdianForm | Log) -> Multigraph:
     return _letter_graph(source, 0)
 
 
-@dataclass(frozen=True)
-class ForestCheck:
+class ForestCheck(NamedTuple):
     ok: bool
     cycle: tuple[tuple[int, int], ...] | None  # witness edges when not a forest
 
@@ -194,8 +189,7 @@ def _forest_path(adjacency, start: int, goal: int) -> list[tuple[int, int]]:
     return path
 
 
-@dataclass(frozen=True)
-class AdianVerdict:
+class AdianVerdict(NamedTuple):
     status: str  # "npi" | "not-decided" | "hypothesis-failure"
     hypotheses: tuple[HypothesisResult, ...]
     t_forest: ForestCheck | None

@@ -15,7 +15,7 @@ of weight m + phi(a).  Max mode replaces the minimum by the maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .homology import H1Structure, is_generalized_wirtinger
 from .orders import (
@@ -66,8 +66,7 @@ def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignme
     return out
 
 
-@dataclass(frozen=True)
-class MinimaMultiset:
+class MinimaMultiset(NamedTuple):
     """Per-relator copies of generators at the extremal prefix level."""
 
     relator: int
@@ -127,29 +126,20 @@ def minima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
     return _extremal_multiset(rel, pres.relators[rel], profile, target, MIN)
 
 
-def maxima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
-    """Mirror image of :func:`minima_multiset` at the profile maximum."""
-    profile = prefix_profile(pres, rel, target, assignment)
-    return _extremal_multiset(rel, pres.relators[rel], profile, target, MAX)
-
-
-@dataclass(frozen=True)
-class WitnessStep:
+class WitnessStep(NamedTuple):
     gen: int
     positive: int
     negative: int
 
 
-@dataclass(frozen=True)
-class ConcatCertificate:
+class ConcatCertificate(NamedTuple):
     """Replayable ordering of relators with a fresh unbalanced witness each."""
 
     ordering: tuple[int, ...]
     witnesses: tuple[WitnessStep, ...]
 
 
-@dataclass(frozen=True)
-class ConcatFailure:
+class ConcatFailure(NamedTuple):
     """The stuck core: the unique maximal set of relators none of which can
     be placed after all the others (sorted relator ids, never empty)."""
 
@@ -301,15 +291,13 @@ def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
     return cert
 
 
-@dataclass(frozen=True)
-class HypothesisResult:
+class HypothesisResult(NamedTuple):
     key: str
     status: str  # "pass" | "fail" | "assumed"
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     """Outcome of the full concatenability pipeline for one assignment."""
 
     status: str  # "concatenable" | "not-concatenable" | "hypothesis-failure"

@@ -9,7 +9,7 @@ generator occurs only with positive exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import Presentation, Word, freely_reduce, inverse_word, letter_gen
 
@@ -209,12 +209,11 @@ class BraidTarget(OrderedTarget):
         return " ".join(f"s{abs(x)}" + ("" if x > 0 else "^-1") for x in g)
 
 
-@dataclass(frozen=True)
-class TargetAssignment:
+class TargetAssignment(NamedTuple):
     """Images of the presentation generators in an ordered target."""
 
     target: OrderedTarget
-    images: dict = field(default_factory=dict)  # 0-based gen index -> element
+    images: dict  # 0-based gen index -> element
 
     def image(self, gen: int):
         try:
@@ -247,14 +246,6 @@ def evaluate_word(target: OrderedTarget, assignment: TargetAssignment, word):
         img = assignment.image(letter_gen(x))
         acc = target.multiply(acc, img if x > 0 else target.inverse(img))
     return acc
-
-
-def verify_assignment(target: OrderedTarget, assignment: TargetAssignment, pres: Presentation) -> bool:
-    """True iff every relator maps to the identity (phi is well defined)."""
-    ident = target.identity()
-    return all(
-        target.equals(evaluate_word(target, assignment, r), ident) for r in pres.relators
-    )
 
 
 def parse_target_spec(spec: str) -> OrderedTarget:

@@ -27,8 +27,8 @@ violated (hypothesis-failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import cover as cover_mod
 from .complexes import npi_scan
@@ -98,8 +98,7 @@ class BadPhiSpec(ValueError):
     """Malformed --phi specification."""
 
 
-@dataclass
-class ReportOptions:
+class ReportOptions(NamedTuple):
     target: OrderedTarget
     phi_spec: str = "auto"
     mode: str = MIN
@@ -269,7 +268,7 @@ def _mirror(verdict: CheckVerdict) -> CheckVerdict:
 
     if not isinstance(cert, ConcatCertificate) or shape(cert) != shape(verdict.certificate):
         raise AssertionError("the mirror of a max-mode verdict has another certificate")
-    return replace(verdict, presentation=pres, mode=MIN, multisets=multisets, certificate=cert)
+    return verdict._replace(presentation=pres, mode=MIN, multisets=multisets, certificate=cert)
 
 
 def full_report(
@@ -354,7 +353,7 @@ def _presentation_route(
     valid = pres_hyps[0]
     # A passing validity check carries no detail in the report.
     doc["hypotheses"] = _hypothesis_dicts(
-        [valid if valid.status == "fail" else replace(valid, detail="")]
+        [valid if valid.status == "fail" else valid._replace(detail="")]
     )
     if valid.status == "fail":
         return "hypothesis-failure", "", "invalid presentation"
@@ -536,7 +535,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list or type(value) is tuple:
         if not value:
             out.append("[]")
             return

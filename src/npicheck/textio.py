@@ -117,23 +117,6 @@ def parse_presentation(text: str) -> Presentation:
     )
 
 
-def format_presentation(pres: Presentation) -> str:
-    lines = ["gens: " + " ".join(pres.generators)]
-    for rel in pres.relators:
-        parts = []
-        i = 0
-        while i < len(rel):
-            j = i
-            while j < len(rel) and rel[j] == rel[i]:
-                j += 1
-            name = pres.generators[abs(rel[i]) - 1]
-            count = (j - i) * (1 if rel[i] > 0 else -1)
-            parts.append(name if count == 1 else f"{name}^{count}")
-            i = j
-        lines.append("rel: " + " ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def _parse_log_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int, int]:
     if len(tokens) != 4:
         raise ParseError(lineno, col0, "edge: <initial> <label> <terminal>")
@@ -147,13 +130,6 @@ def _parse_log_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int,
 
 def parse_log(text: str) -> Log:
     return Log(*_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_log_edge))
-
-
-def format_log(log: Log) -> str:
-    lines = ["vertices: " + " ".join(log.vertices)]
-    for i, lam, t in log.edges:
-        lines.append(f"edge: {log.vertices[i]} {log.vertices[lam]} {log.vertices[t]}")
-    return "\n".join(lines) + "\n"
 
 
 def sniff_kind(text: str) -> str:

@@ -9,7 +9,7 @@ letter encoding keeps sign arithmetic trivial (inverse = negation).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -40,33 +40,6 @@ def is_freely_reduced(word) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
 
-def is_cyclically_reduced(word) -> bool:
-    if not is_freely_reduced(word):
-        return False
-    return len(word) < 2 or word[0] != -word[-1]
-
-
-def cyclically_reduce(word) -> tuple[Word, Word]:
-    """Cyclically reduced core of ``word`` plus a conjugator.
-
-    Returns ``(core, u)`` with ``word = u core u^-1`` in the free group.
-    Each pass strips one cancelling end pair and freely reduces what is
-    left before looking at the ends again.
-    """
-    conj: list[int] = []
-    cur = tuple(word)
-    while True:
-        if len(cur) >= 2 and cur[0] == -cur[-1]:
-            conj.append(cur[0])
-            cur = freely_reduce(cur[1:-1])
-        else:
-            red = freely_reduce(cur)
-            if red == cur:
-                break
-            cur = red
-    return cur, freely_reduce(conj)
-
-
 def exponent_sum(word, gen: int) -> int:
     """Signed number of occurrences of 0-based generator ``gen``."""
     target = gen + 1
@@ -91,15 +64,11 @@ def is_proper_power(word) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A finite presentation: named generators and relator words."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-
-    def gen_index(self, name: str) -> int:
-        return self.generators.index(name)
 
     def letter_name(self, x: int) -> str:
         name = self.generators[letter_gen(x)]
@@ -132,8 +101,7 @@ def flip_generator(pres: Presentation, gen: int) -> Presentation:
     return Presentation(pres.generators, new_rels)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One violated presentation invariant (data, not a failure)."""
 
     code: str

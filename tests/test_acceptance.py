@@ -10,12 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from npicheck.complexes import (
-    canonical_complex,
-    collapsible,
-    npi_scan,
-    presentation_complex,
-)
+from helpers import presentation_complex
+from npicheck.complexes import canonical_complex, collapsible, npi_scan
 from npicheck.cover import (
     CertificateMismatch,
     CoverEdge,

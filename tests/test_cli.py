@@ -17,12 +17,11 @@ from npicheck.report import ReportOptions, full_report, report_json
 from npicheck.textio import (
     ParseError,
     UnknownVertex,
-    format_log,
-    format_presentation,
     parse_log,
     parse_presentation,
     sniff_kind,
 )
+from helpers import format_log, format_presentation
 from samples import (
     LOT_SINGLE_EDGE_TEXT,
     SAMPLE_A_TEXT,
@@ -673,3 +672,25 @@ def test_traced_benchmark_finds_the_names_it_reads():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_up_imports():
+    # What every CLI process pays at start-up: no dataclass code generation,
+    # and every layer loaded at import, since the traced benchmark reads
+    # them from sys.modules once npicheck.cli is imported.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "import npicheck.cli\n"
+        "loaded = set(sys.modules)\n"
+        f"sys.path.append({str(root / 'perfbench')!r})\n"
+        "import tracer\n"
+        "print(json.dumps({'dataclasses': 'dataclasses' in loaded, 'missing': "
+        "[layer for layer in tracer.LAYERS if 'npicheck.' + layer not in loaded]}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"dataclasses": False, "missing": []}

@@ -19,10 +19,10 @@ from npicheck.complexes import (
     is_folded,
     link_injective,
     npi_scan,
-    presentation_complex,
 )
 from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, letter_gen, make_presentation, rotate_word, validate
+from helpers import presentation_complex
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 from scan_oracle import enumerate_immersions, oracle_scan
 

@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -161,6 +160,18 @@ def test_tampered_certificates_rejected():
         verify_weak_slim_certificate(pa, ONES, verdict.multisets, tampered, window)
 
 
+def test_weights_other_than_the_windows_rejected():
+    # Demo 04's presentation and window, with weights (5, 0, 7) passed to
+    # the verifier: the lifts are the window's, so the call must refuse.
+    pa = sample_a()
+    verdict = certified(pa)
+    slim = build_slim_certificate(pa, verdict.multisets, verdict.certificate)
+    window = build_cover_window(pa, ONES, -4, 4)
+    assert verify_weak_slim_certificate(pa, ONES, verdict.multisets, slim, window).ok
+    with pytest.raises(CertificateMismatch, match=r"weights \(5, 0, 7\)"):
+        verify_weak_slim_certificate(pa, (5, 0, 7), verdict.multisets, slim, window)
+
+
 def test_key_order_reverses_generator_priority():
     prio = (2, 1, 3)
     assert edge_key(CoverEdge(0, 2), prio) < edge_key(CoverEdge(0, 0), prio)
@@ -238,8 +249,8 @@ def test_verifier_matches_oracle_on_sound_and_tampered_certificates():
             window = build_cover_window(pres, weights, lo, hi)
             for variant in (
                 slim,
-                replace(slim, gen_priority=tuple(priority)),
-                replace(slim, witness_by_relator=witnesses),
+                slim._replace(gen_priority=tuple(priority)),
+                slim._replace(witness_by_relator=witnesses),
             ):
                 args = (pres, weights, verdict.multisets, variant, window)
                 got = verify_weak_slim_certificate(*args).checks

@@ -15,13 +15,13 @@ from npicheck.homology import (
     find_weight_homomorphisms,
     h1_structure,
     integer_det,
-    integer_kernel_basis,
     is_generalized_wirtinger,
     mat_mul,
     smith_normal_form,
 )
 from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, make_presentation
+from helpers import integer_kernel_basis
 from samples import sample_a, sample_braid, torsion_presentation
 from weight_search_oracle import full_box_weight_homomorphisms
 

@@ -13,7 +13,6 @@ from npicheck.minima import (
     NegativeWeight,
     WitnessStep,
     check_presentation,
-    maxima_multiset,
     minima_multiset,
     prefix_profile,
     replay_certificate,
@@ -23,6 +22,7 @@ from npicheck.minima import (
 from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
 from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
 from concat_dp_oracle import dp_weak_concatenability
+from helpers import maxima_multiset
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 
 Z = IntTarget()

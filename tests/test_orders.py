@@ -20,8 +20,8 @@ from npicheck.orders import (
     evaluate_word,
     handle_reduce,
     parse_target_spec,
-    verify_assignment,
 )
+from helpers import verify_assignment
 from samples import B4_RELATORS, sample_a, sample_braid
 
 

@@ -9,17 +9,20 @@ from pathlib import Path
 import pytest
 
 from conftest import oracle_json
+from helpers import verify_assignment
 from npicheck import homology, minima
 from npicheck.logs import log_to_presentation, lof_random
 from npicheck.minima import (
     ConcatCertificate,
+    HypothesisResult,
     MinimaMultiset,
     check_presentation,
     weak_concatenability,
 )
-from npicheck.orders import IntTarget, TargetAssignment, verify_assignment
+from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.report import ReportOptions, full_report, report_json
 from npicheck.textio import parse_presentation
+from npicheck.words import Diagnostic
 from samples import (
     FOREST7R3_2_TEXT,
     FOREST7R3_8_TEXT,
@@ -111,9 +114,12 @@ def test_writer_matches_on_seeded_documents():
         {1: "a"},
         {"a": {None: 1}},
         {"a": [{"b": ("c", frozenset())}]},
+        # Result records are tuples; the writer refuses them all the same.
+        {"x": HypothesisResult("k", "pass", "")},
+        {"x": Diagnostic("c", None, "d")},
     ],
     ids=["float", "nested-float", "nan", "set", "bytes", "object", "int-key",
-         "none-key", "frozenset"],
+         "none-key", "frozenset", "hypothesis-record", "diagnostic-record"],
 )
 def test_writer_rejects_what_a_report_does_not_hold(doc):
     with pytest.raises(TypeError):

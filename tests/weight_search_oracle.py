@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from npicheck.homology import NoSurjection, WeightHom, exponent_matrix, integer_kernel_basis
+from helpers import integer_kernel_basis
+from npicheck.homology import NoSurjection, WeightHom, exponent_matrix
 from npicheck.words import Presentation
 
 
