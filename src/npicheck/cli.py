@@ -1,23 +1,25 @@
 """Command line driver.
 
 Subcommands: validate, h1, phi, minima, concat, lot, adian, cover,
-immerse, report.  ``minima``, ``concat`` and ``cover`` print parts of
-:func:`report.full_report` (its attempts, its cover section), so they
-try the report's maps in its order, stop where it stops and check its
-cover.  Exit codes: 0 a verdict was computed (whatever it is), 2 parse
-or usage error, 3 any other failure (an internal check).
+immerse, report.  Each prints part of one :func:`report.full_report`
+document, or of its first stage, the presentation hypotheses
+(:func:`minima._presentation_hypotheses`): ``validate``, ``h1`` and
+``adian`` print those rows; ``phi``, ``minima`` and ``concat`` the
+report's attempts; ``cover`` its cover section; ``immerse`` its oracle
+scan; ``report`` and ``lot`` the whole document.  So every view tries the
+report's maps in its order, stops where it stops and shares its checks.
+Exit codes: 0 a verdict was computed (whatever it is), 2 parse or usage
+error, 3 any other failure (an internal check).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .complexes import _check_bounds, npi_scan
-from .homology import NoSurjection, find_weight_homomorphisms, is_generalized_wirtinger
-from .logs import adian_npi_check
-from .minima import MAX, MIN
+from .complexes import _check_bounds
+from .logs import adian_check
+from .minima import MAX, MIN, _presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
     VERDICT_LABELS,
@@ -28,11 +30,13 @@ from .report import (
     report_json,
 )
 from .textio import ParseError, parse_log, parse_presentation, sniff_kind
-from .words import validate as validate_presentation
 
 # How minima and concat name the status of one attempt.
 ATTEMPT_LABELS = {"concatenable": "Concatenable", "not-concatenable": "NotConcatenable",
                   "hypothesis-failure": "HypothesisFailure"}
+
+# The subcommands that print part of a full report; the rest print its first stage.
+REPORT_VIEWS = ("report", "lot", "phi", "minima", "concat", "cover", "immerse")
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -56,13 +60,6 @@ def _scan_bounds(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _positive_int(text: str) -> int:
-    """An integer >= 1 (argparse names the option)."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def _target(text: str):
     """A target spec, parsed (argparse names the option)."""
     try:
@@ -83,16 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("file", type=Path, help="input file")
+        p.add_argument("file", help="input file")
+        if name in REPORT_VIEWS:  # the options a view lacks take the report's defaults
+            p.set_defaults(json=False, phi="auto", target=IntTarget(), mode=MIN, scan=None)
         return p
 
     add("validate", "report presentation diagnostics")
     add("h1", "first homology and the free-abelian rank check")
-    p = add("phi", "list primitive weight maps to the integers")
-    p.add_argument(
-        "--bound", type=_positive_int, default=3, help="kernel coefficient bound (>= 1)"
-    )
-    # minima, concat and cover are views of the report: options they lack take defaults.
+    add("phi", "list the weight maps the report tries")
     for name in ("minima", "concat"):
         p = add(name, "multisets of minima" if name == "minima" else "weak concatenability verdict")
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
@@ -100,14 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
         )
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-        p.set_defaults(scan=None)
     add("lot", "labelled oriented graph pipeline")
     add("adian", "equal-length Adian pipeline")
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
-    p.set_defaults(target=IntTarget(), mode=MIN, scan=None)
     p = add("immerse", "bounded immersion scan")
-    p.add_argument("--bounds", type=_scan_bounds, default="4,2", help="E,F bounds")
+    p.add_argument("--bounds", dest="scan", type=_scan_bounds, default="4,2", help="E,F bounds")
     p = add("report", "full pipeline with verdict")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--phi", default="auto")
@@ -117,9 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     try:
-        return path.read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise ParseError(0, 0, f"readable file ({exc})")
 
@@ -144,11 +138,18 @@ def run(argv) -> int:
 
 
 def _print_attempts(doc: dict, command: str, name_maps: bool) -> None:
-    """``minima`` / ``concat``: one block per attempt of the report."""
+    """``phi`` / ``minima`` / ``concat``: one block per attempt of the report."""
     if not doc["attempts"]:
         verdict = doc["verdict"]
         print(f"{VERDICT_LABELS[verdict['status']]}: {verdict['detail']}")
     for attempt in doc["attempts"]:
+        if command == "phi":
+            # The generators of negative weight, which the check flips;
+            # an attempt stopped by a hypothesis records no flips.
+            weights = ", ".join(f"{n}={w}" for n, w in attempt["weights"].items())
+            flips = sorted(n for n, w in attempt["weights"].items() if w < 0)
+            print(f"weights: {weights}  (flips: {', '.join(flips) or 'none'})")
+            continue
         label = ATTEMPT_LABELS[attempt["status"]]
         if name_maps:
             print("phi: " + ", ".join(f"{n}={w}" for n, w in attempt["weights"].items()))
@@ -182,86 +183,65 @@ def _print_cover(doc: dict) -> None:
     print("certificate verified" if section["ok"] else "certificate REJECTED")
 
 
+def _print_scan(doc: dict) -> int:
+    """``immerse``: the report's oracle scan, which it runs on valid
+    presentations only; an invalid one is a usage error."""
+    scan = doc["oracle_scan"]
+    if scan is None:
+        print("error: invalid presentation: " + doc["hypotheses"][0]["detail"], file=sys.stderr)
+        return 2
+    max_e, max_f = scan["bounds"]
+    print(f"candidates within bounds ({max_e}, {max_f}): {scan['count']}")
+    for c in scan["candidates"]:
+        print(f"  chi={c['chi']} {c['complex']}")
+    return 0
+
+
+def _print_rows(hyps) -> None:
+    """Hypothesis rows, as ``validate``, ``h1`` and ``adian`` print them."""
+    for h in hyps:
+        print(f"{h.status:>7}  {h.key}: {h.detail}")
+
+
 def _dispatch(args) -> int:
     text = _read(args.file)
     command = args.command
 
-    if command == "lot":
-        log = parse_log(text)
-        doc = full_report(log, ReportOptions(target=IntTarget()), input_text=text)
-        sys.stdout.write(render_text(doc))
-        return 0
-
-    if command in ("report", "minima", "concat", "cover"):
-        log = command == "report" and sniff_kind(text) == "log"
+    if command in REPORT_VIEWS:
+        log = command == "lot" or (command == "report" and sniff_kind(text) == "log")
         source = parse_log(text) if log else parse_presentation(text)
         options = ReportOptions(args.target, phi_spec=args.phi, mode=args.mode, scan_bounds=args.scan)
         doc = full_report(source, options, input_text=text)
-        if command == "report":
+        if command in ("report", "lot"):
             sys.stdout.write(report_json(doc) if args.json else render_text(doc))
         elif command == "cover":
             _print_cover(doc)
+        elif command == "immerse":
+            return _print_scan(doc)
         else:
             _print_attempts(doc, command, name_maps=args.phi == "auto")
         return 0
 
+    # The first stage of every report: validity, then H1 free of rank n - k.
     pres = parse_presentation(text)
-
+    hyps, h1 = _presentation_hypotheses(pres)
     if command == "validate":
-        diags = validate_presentation(pres)
-        if not diags:
-            print("ok: presentation satisfies all invariants")
-        for d in diags:
-            print(str(d))
-        return 0
-
-    if command == "h1":
-        wirt = is_generalized_wirtinger(pres)
-        print(f"H1: free rank {wirt.h1.free_rank}, torsion {list(wirt.h1.torsion)}")
-        if wirt.ok:
-            print(f"ok: {wirt.reason}")
-        else:
-            print(f"HypothesisFailure: {wirt.reason}")
-        return 0
-
-    if command == "phi":
-        try:
-            homs = find_weight_homomorphisms(pres, args.bound)
-        except NoSurjection as exc:
-            print(f"NoSurjection: {exc}")
-            return 0
-        for hom in homs:
-            weights = ", ".join(
-                f"{name}={w}" for name, w in zip(pres.generators, hom.weights)
-            )
-            flips = ", ".join(sorted(pres.generators[j] for j in hom.flips)) or "none"
-            print(f"weights: {weights}  (flips: {flips})")
-        return 0
-
-    if command == "adian":
-        verdict = adian_npi_check(pres)
-        for h in verdict.hypotheses:
-            print(f"{h.status:>7}  {h.key}: {h.detail}")
+        _print_rows(hyps[:1])
+    elif command == "h1":
+        if h1 is not None:
+            print(f"H1: free rank {h1.free_rank}, torsion {list(h1.torsion)}")
+        _print_rows(hyps)
+    elif command == "adian":
+        verdict = adian_check(pres, hyps)
+        _print_rows(verdict.hypotheses)
         if verdict.t_forest is not None:
             print(f"graph T forest: {verdict.t_forest.ok}")
             print(f"graph I forest: {verdict.i_forest.ok}")
         label = {"npi": "NPI", "not-decided": "NotDecided", "hypothesis-failure": "HypothesisFailure"}
         print(f"verdict: {label[verdict.status]}")
-        return 0
-
-    if command == "immerse":
-        diags = validate_presentation(pres)
-        if diags:  # the scan is defined for valid presentations only
-            print("error: invalid presentation: " + "; ".join(map(str, diags)), file=sys.stderr)
-            return 2
-        max_e, max_f = args.bounds
-        reports = npi_scan(pres, max_e, max_f)
-        print(f"candidates within bounds ({max_e}, {max_f}): {len(reports)}")
-        for r in reports:
-            print(f"  chi={r.chi} {r.complex.to_dict(pres)}")
-        return 0
-
-    raise AssertionError(f"unhandled command {command}")
+    else:
+        raise AssertionError(f"unhandled command {command}")
+    return 0
 
 
 def main(argv=None) -> int:

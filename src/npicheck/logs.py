@@ -12,7 +12,6 @@ an I-forest Max-mode concatenability.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .minima import (
@@ -264,8 +263,9 @@ def adian_check(
     return AdianVerdict(status, tuple(hyps), t_check, i_check, min_verdict, max_verdict)
 
 
-def lof_random(n_vertices: int, n_edges: int, rng: random.Random) -> Log:
-    """Uniform reduced labelled oriented forest by rejection sampling.
+def lof_random(n_vertices: int, n_edges: int, rng) -> Log:
+    """Uniform reduced labelled oriented forest by rejection sampling,
+    drawing from ``rng``, a :class:`random.Random`.
 
     Uniform over forests with the requested vertex and edge counts, then
     uniform orientations and labels, rejecting until every edge satisfies

@@ -10,6 +10,8 @@ import pytest
 
 from npicheck import minima, orders, words
 from npicheck.cli import run
+from npicheck.complexes import npi_scan
+from npicheck.homology import find_weight_homomorphisms
 from npicheck.logs import Log, log_to_presentation, lof_random
 from npicheck.minima import check_presentation
 from npicheck.orders import IntTarget, TargetAssignment, parse_target_spec
@@ -112,6 +114,7 @@ def files(tmp_path):
     for name, text in [
         ("a.pres", SAMPLE_A_TEXT),
         ("braid.pres", SAMPLE_BRAID_TEXT),
+        ("b.pres", SAMPLE_B_TEXT),
         ("torsion.pres", TORSION_TEXT),
         ("lot.log", LOT_SINGLE_EDGE_TEXT),
         # Two parallel edges: the underlying graph is not a forest.
@@ -157,16 +160,16 @@ def test_cli_concat_auto_braid_z(files, capsys):
 def test_cli_h1_torsion(files, capsys):
     assert run(["h1", files["torsion.pres"]]) == 0
     out = capsys.readouterr().out
-    assert "torsion [2]" in out and "HypothesisFailure" in out
+    assert "torsion [2]" in out and "   fail  h1-free-abelian-rank-n-k: " in out
 
 
 def test_cli_validate_and_phi(files, capsys):
     assert run(["validate", files["a.pres"]]) == 0
-    assert "ok" in capsys.readouterr().out
+    assert "   pass  presentation-valid" in capsys.readouterr().out
     assert run(["phi", files["a.pres"]]) == 0
     assert "a=1, b=1, c=1" in capsys.readouterr().out
     assert run(["phi", files["torsion.pres"]]) == 0
-    assert "NoSurjection" in capsys.readouterr().out
+    assert "no surjection" in capsys.readouterr().out
 
 
 def test_cli_minima_and_cover(files, capsys):
@@ -198,7 +201,11 @@ def test_cli_minima_and_cover(files, capsys):
             "  Concatenable: ordering (r0, r1); witnesses (a, c)",
         ]),
         (["cover", "braid.pres"], ["no cover: not-decided"]),
-        (["h1", "a.pres"], ["H1: free rank 1, torsion []", "ok: H1 free abelian of rank 1"]),
+        (["h1", "a.pres"], [
+            "H1: free rank 1, torsion []",
+            "   pass  presentation-valid: relators cyclically reduced",
+            "   pass  h1-free-abelian-rank-n-k: H1 free abelian of rank 1",
+        ]),
     ],
     ids=["adian-npi", "adian-not-adian", "concat", "cover-no-certificate", "h1"],
 )
@@ -536,6 +543,76 @@ def test_views_agree_with_the_report(tmp_path, capsys):
     assert 0 < verified < len(texts)
 
 
+def test_rank7_forest_phi_prints_one_map(tmp_path, capsys):
+    # phi lists the report's maps, so it stops at the certifying all-ones
+    # map; the whole coefficient box holds 409,585 of them.
+    path = tmp_path / "rank7.pres"
+    path.write_text(RANK7_TEXT)
+    with budget("rank-7 forest phi", 1.0):
+        assert run(["phi", str(path)]) == 0
+        out = capsys.readouterr().out
+    assert out == "weights: " + ", ".join(f"v{i}=1" for i in range(9)) + "  (flips: none)\n"
+
+
+def _phi_line(pres, hom) -> str:
+    """A weight map as ``phi`` printed it when it walked the whole box."""
+    weights = ", ".join(f"{name}={w}" for name, w in zip(pres.generators, hom.weights))
+    flips = ", ".join(sorted(pres.generators[j] for j in hom.flips)) or "none"
+    return f"weights: {weights}  (flips: {flips})"
+
+
+def test_phi_lists_the_reports_maps(tmp_path, capsys):
+    # phi prints one line per attempt of the report: the first maps of
+    # find_weight_homomorphisms, up to where the report stops, and all of
+    # them when no map certifies.  The last input fails H1 on a map with a
+    # negative weight, which phi still names as a flip.
+    rng = random.Random(17)
+    texts = [SECOND_MAP_TEXT, NOT_DECIDED_TEXT, SAMPLE_A_TEXT, SAMPLE_B_TEXT] + [
+        format_presentation(log_to_presentation(lof_random(n, n - rank, rng)))
+        for rank, sizes in ((2, range(3, 9)), (3, range(4, 9)), (4, range(5, 8)))
+        for n in sizes
+        for _ in range(3)
+    ] + ["gens: a b\nrel: a b\nrel: a b\n"]
+    not_decided = 0
+    for i, text in enumerate(texts):
+        path = tmp_path / f"f{i}.pres"
+        path.write_text(text)
+        pres = parse_presentation(text)
+        doc = full_report(pres, ReportOptions(target=IntTarget()))
+        assert run(["phi", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        homs = find_weight_homomorphisms(pres)
+        assert [list(h.weights) for h in homs[: len(lines)]] == [
+            list(a["weights"].values()) for a in doc["attempts"]
+        ], text
+        assert lines == [_phi_line(pres, h) for h in homs[: len(lines)]], text
+        if doc["verdict"]["status"] == "not-decided":
+            assert len(lines) == len(homs), text
+            not_decided += 1
+    assert doc["verdict"]["status"] == "hypothesis-failure" and lines[0].endswith("(flips: b)")
+    assert not_decided >= 3
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (4, 2), (5, 2)], ids=str)
+def test_immerse_prints_the_reports_scan(files, capsys, bounds):
+    # immerse prints the report's oracle scan as it printed npi_scan's, and
+    # rejects an invalid presentation through the report's validity check.
+    arg = f"{bounds[0]},{bounds[1]}"
+    for name in ("a.pres", "b.pres", "braid.pres", "torsion.pres", "invalid.pres"):
+        pres = parse_presentation(Path(files[name]).read_text())
+        diags = words.validate(pres)
+        if diags:
+            expected = ("", "error: invalid presentation: " + "; ".join(map(str, diags)) + "\n", 2)
+        else:
+            reports = npi_scan(pres, *bounds)
+            lines = [f"candidates within bounds ({bounds[0]}, {bounds[1]}): {len(reports)}"]
+            lines += [f"  chi={r.chi} {r.complex.to_dict(pres)}" for r in reports]
+            expected = ("".join(line + "\n" for line in lines), "", 0)
+        code = run(["immerse", files[name], "--bounds", arg])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected, name
+
+
 @pytest.mark.parametrize("n", [2000, 10_000])
 def test_long_relator_cover_costs_linear_time(tmp_path, capsys, n):
     # The cover checks run on one lift per relator, so a relator of 2n + 2
@@ -636,7 +713,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["report", "a.pres", "--phi", "a=1,b=1"], "--phi: missing images for generators c"),
         (["report", "a.pres", "--target", "braid:1"], "argument --target: expected z |"),
         (["minima", "a.pres", "--target", "q"], "argument --target: expected z |"),
-        (["phi", "a.pres", "--bound", "0"], "argument --bound: expected an integer >= 1"),
+        (["phi", "a.pres", "--bound", "0"], "unrecognized arguments: --bound 0"),
         (["report", "a.pres", "--scan", "11,1"], "argument --scan: bounds capped at 10 edges"),
         (["immerse", "a.pres", "--bounds", "3,6"], "argument --bounds: bounds capped at 10 edges"),
         (["report", "a.pres", "--scan=-1,2"], "argument --scan: bounds (-1, 2) must be non-negative"),
@@ -647,7 +724,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["cover", "a.pres", "--window", "-4,4"], "unrecognized arguments: --window -4,4"),
     ],
     ids=[
-        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound",
+        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound-gone",
         "scan-cap", "bounds-cap", "scan-negative", "phi-named", "immerse-invalid",
         "report-window-gone", "cover-window-gone",
     ],
@@ -676,8 +753,10 @@ def test_traced_benchmark_finds_the_names_it_reads():
 
 def test_cli_start_up_imports():
     # What every CLI process pays at start-up: no dataclass code generation,
-    # and every layer loaded at import, since the traced benchmark reads
-    # them from sys.modules once npicheck.cli is imported.
+    # no pathlib (the CLI reads its file with open) and no random (only
+    # lof_random draws from one, which its caller passes in), and every
+    # layer loaded at import, since the traced benchmark reads them from
+    # sys.modules once npicheck.cli is imported.
     root = Path(__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
@@ -685,12 +764,12 @@ def test_cli_start_up_imports():
         "loaded = set(sys.modules)\n"
         f"sys.path.append({str(root / 'perfbench')!r})\n"
         "import tracer\n"
-        "print(json.dumps({'dataclasses': 'dataclasses' in loaded, 'missing': "
-        "[layer for layer in tracer.LAYERS if 'npicheck.' + layer not in loaded]}))\n"
+        "print(json.dumps({'unwanted': sorted({'dataclasses', 'pathlib', 'random'} & loaded), "
+        "'missing': [layer for layer in tracer.LAYERS if 'npicheck.' + layer not in loaded]}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"dataclasses": False, "missing": []}
+    assert json.loads(proc.stdout) == {"unwanted": [], "missing": []}
