@@ -4,10 +4,12 @@ Subcommands: validate, h1, phi, minima, concat, lot, adian, cover,
 immerse, report.  Each prints part of one :func:`report.full_report`
 document, or of its first stage, the presentation hypotheses
 (:func:`minima._presentation_hypotheses`): ``validate``, ``h1`` and
-``adian`` print those rows; ``phi``, ``minima`` and ``concat`` the
-report's attempts; ``cover`` its cover section; ``immerse`` its oracle
-scan; ``report`` and ``lot`` the whole document.  So every view tries the
-report's maps in its order, stops where it stops and shares its checks.
+``adian`` print those rows, and ``immerse`` the report's oracle scan
+section (:func:`report._scan_section`) of a presentation that passes
+validity, without running the routes; ``phi``, ``minima`` and ``concat``
+print the report's attempts; ``cover`` its cover section; ``report`` and
+``lot`` the whole document.  So every view tries the report's maps in its
+order, stops where it stops and shares its checks.
 Exit codes: 0 a verdict was computed (whatever it is), 2 parse or usage
 error, 3 any other failure (an internal check).
 """
@@ -25,6 +27,7 @@ from .report import (
     VERDICT_LABELS,
     BadPhiSpec,
     ReportOptions,
+    _scan_section,
     full_report,
     render_text,
     report_json,
@@ -36,7 +39,7 @@ ATTEMPT_LABELS = {"concatenable": "Concatenable", "not-concatenable": "NotConcat
                   "hypothesis-failure": "HypothesisFailure"}
 
 # The subcommands that print part of a full report; the rest print its first stage.
-REPORT_VIEWS = ("report", "lot", "phi", "minima", "concat", "cover", "immerse")
+REPORT_VIEWS = ("report", "lot", "phi", "minima", "concat", "cover")
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -183,18 +186,12 @@ def _print_cover(doc: dict) -> None:
     print("certificate verified" if section["ok"] else "certificate REJECTED")
 
 
-def _print_scan(doc: dict) -> int:
-    """``immerse``: the report's oracle scan, which it runs on valid
-    presentations only; an invalid one is a usage error."""
-    scan = doc["oracle_scan"]
-    if scan is None:
-        print("error: invalid presentation: " + doc["hypotheses"][0]["detail"], file=sys.stderr)
-        return 2
+def _print_scan(scan: dict) -> None:
+    """``immerse``: the report's oracle scan section."""
     max_e, max_f = scan["bounds"]
     print(f"candidates within bounds ({max_e}, {max_f}): {scan['count']}")
     for c in scan["candidates"]:
         print(f"  chi={c['chi']} {c['complex']}")
-    return 0
 
 
 def _print_rows(hyps) -> None:
@@ -216,8 +213,6 @@ def _dispatch(args) -> int:
             sys.stdout.write(report_json(doc) if args.json else render_text(doc))
         elif command == "cover":
             _print_cover(doc)
-        elif command == "immerse":
-            return _print_scan(doc)
         else:
             _print_attempts(doc, command, name_maps=args.phi == "auto")
         return 0
@@ -231,6 +226,12 @@ def _dispatch(args) -> int:
         if h1 is not None:
             print(f"H1: free rank {h1.free_rank}, torsion {list(h1.torsion)}")
         _print_rows(hyps)
+    elif command == "immerse":
+        # The report scans valid presentations only; an invalid one is a usage error.
+        if hyps[0].status == "fail":
+            print(f"error: invalid presentation: {hyps[0].detail}", file=sys.stderr)
+            return 2
+        _print_scan(_scan_section(pres, args.scan))
     elif command == "adian":
         verdict = adian_check(pres, hyps)
         _print_rows(verdict.hypotheses)

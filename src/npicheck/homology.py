@@ -9,13 +9,12 @@ one take the count as an argument.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .words import Presentation, exponent_sum
+from .words import Presentation
 
 
 class NoSurjection(ValueError):
@@ -23,9 +22,22 @@ class NoSurjection(ValueError):
 
 
 def exponent_matrix(pres: Presentation) -> list[list[int]]:
-    """k x n matrix with entry[i][j] = exponent sum of generator j in relator i."""
+    """k x n matrix with entry[i][j] = exponent sum of generator j in relator i.
+
+    Each relator is read once.  A letter outside the generator list counts
+    for no generator, as in :func:`words.exponent_sum`.
+    """
     n = len(pres.generators)
-    return [[exponent_sum(r, j) for j in range(n)] for r in pres.relators]
+    rows = []
+    for rel in pres.relators:
+        row = [0] * n
+        for x in rel:
+            if 0 < x <= n:
+                row[x - 1] += 1
+            elif 0 < -x <= n:
+                row[-x - 1] -= 1
+        rows.append(row)
+    return rows
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -37,17 +49,26 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _min_abs_nonzero(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry of least nonzero absolute value in the block
+    d[t:, t:], row by row, or None when the block is zero.  No entry is
+    less than a unit, so the search stops at the first one."""
     best = None
-    best_val = None
+    best_val = 0
     for i in range(t, len(d)):
-        for j in range(t, len(d[0])):
-            v = abs(d[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
+        for j, v in enumerate(d[i][t:], t):
+            if v:
+                v = abs(v)
+                if v == 1:
+                    return i, j
+                if not best_val or v < best_val:
+                    best, best_val = (i, j), v
     return best
 
 
@@ -91,6 +112,10 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
     V; the invariant ``U @ M @ V == current`` holds throughout, so the
     result satisfies U @ M @ V = D with |det U| = |det V| = 1.  ``ncols``
     is the column count of a matrix with no rows and is otherwise ignored.
+
+    Each step takes as pivot the first entry of least absolute value.  A
+    unit pivot divides everything: it clears its row and column in one
+    sweep, and no divisibility scan is needed after it.
     """
     k = len(matrix)
     n = len(matrix[0]) if matrix else ncols
@@ -101,20 +126,6 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
     u = _identity(k)
     v = _identity(n)
 
-    def swap_rows(a, i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(a, i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def row_axpy(a, i, src, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[src])]
-
-    def col_axpy(a, j, src, c):
-        for row in a:
-            row[j] = row[j] + c * row[src]
-
     t = 0
     while t < min(k, n):
         piv = _min_abs_nonzero(d, t)
@@ -123,48 +134,50 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
         while True:
             i0, j0 = piv
             if i0 != t:
-                swap_rows(d, t, i0)
-                swap_rows(u, t, i0)
+                d[t], d[i0] = d[i0], d[t]
+                u[t], u[i0] = u[i0], u[t]
             if j0 != t:
-                swap_cols(d, t, j0)
-                swap_cols(v, t, j0)
+                for row in d:
+                    row[t], row[j0] = row[j0], row[t]
+                for row in v:
+                    row[t], row[j0] = row[j0], row[t]
             if d[t][t] < 0:
                 d[t] = [-x for x in d[t]]
                 u[t] = [-x for x in u[t]]
             pivot = d[t][t]
+            dt, ut = d[t], u[t]
             dirty = False
             for i in range(t + 1, k):
                 if d[i][t]:
                     q = d[i][t] // pivot
                     if q:
-                        row_axpy(d, i, t, -q)
-                        row_axpy(u, i, t, -q)
+                        d[i] = [x - q * y for x, y in zip(d[i], dt)]
+                        u[i] = [x - q * y for x, y in zip(u[i], ut)]
                     if d[i][t]:
                         dirty = True
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // pivot
+                if dt[j]:
+                    q = dt[j] // pivot
                     if q:
-                        col_axpy(d, j, t, -q)
-                        col_axpy(v, j, t, -q)
-                    if d[t][j]:
+                        for row in d:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if dt[j]:
                         dirty = True
             if dirty:
                 piv = _min_abs_nonzero(d, t)
                 continue
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if d[i][j] % pivot:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            if pivot == 1:
+                break
+            bad = next(
+                (i for i in range(t + 1, k) if any(x % pivot for x in d[i][t + 1:])), None
+            )
             if bad is None:
                 break
             # Pull a non-divisible row into the pivot row and restart the step.
-            row_axpy(d, t, bad, 1)
-            row_axpy(u, t, bad, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
             piv = _min_abs_nonzero(d, t)
         t += 1
 
@@ -356,8 +369,15 @@ def _weight_maps(
     for one of them, and -c' gives the negated vector, which has the same
     gcd and so the same vector once the sign is made canonical; nothing is
     lost.  The basis vectors are columns of a unimodular matrix, hence
-    linearly independent, so no nonzero c gives the zero vector.  Each
-    combination is summed from precomputed rows c * basis[i].
+    linearly independent, so no nonzero c gives the zero vector.
+
+    The sums are taken like an odometer of partial sums, last basis
+    vector first: each vector with leading index ``lead`` is one multiple
+    of ``basis[lead]`` plus one sum over the basis vectors after it, and
+    those sums are built the same way, one level at a time.  So each
+    vector costs one addition of two rows, the partial sums add about
+    1/coeff_bound as many, and what is held besides the found vectors is
+    one level of partial sums, never the whole box.
 
     Kept private: ``perfbench --trace 1`` wraps every public function, and
     its self-check counts each resume of a generator as one more call.
@@ -372,15 +392,18 @@ def _weight_maps(
         [tuple(c * x for x in b) for c in range(-coeff_bound, coeff_bound + 1)]
         for b in basis
     ]
+    add = operator.add
     found: set[tuple[int, ...]] = set()
-    for lead in range(len(basis)):
+    # The sums of c_i * basis[i] over the indices after ``lead``.
+    tails = [(0,) * len(all_ones)]
+    for lead in range(len(basis) - 1, -1, -1):
         # Coefficients zero before ``lead``, positive at it, free after it.
-        rest = scaled[lead + 1:]
         for head in scaled[lead][coeff_bound + 1:]:
-            for tail in itertools.product(*rest):
-                vec = tuple(map(sum, zip(head, *tail)))
+            for vec in [tuple(map(add, head, tail)) for tail in tails]:
                 g = math.gcd(*vec)
                 found.add(vec if g == 1 else tuple(x // g for x in vec))
+        if lead:
+            tails = [tuple(map(add, head, tail)) for head in scaled[lead] for tail in tails]
     found = {_canonical_sign(vec) for vec in found}
     assert (all_ones in found) == first, "all-ones coordinate test disagrees with the box"
     found.discard(all_ones)

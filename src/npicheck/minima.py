@@ -15,6 +15,7 @@ of weight m + phi(a).  Max mode replaces the minimum by the maximum.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 from .homology import H1Structure, is_generalized_wirtinger
@@ -25,7 +26,7 @@ from .orders import (
     OrderedTarget,
     TargetAssignment,
 )
-from .words import Presentation, flip_generator, letter_gen, validate
+from .words import Presentation, letter_gen, validate
 
 MIN = "min"
 MAX = "max"
@@ -361,13 +362,17 @@ def check_assignment(
     """Check one assignment on a presentation whose own hypotheses
     ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
 
-    Integer targets are normalized first: generators with negative weight
-    are flipped (and their weights negated), so the profile rules apply in
-    their nonnegative form.
+    Integer targets are normalized first: every generator of negative
+    weight is flipped and its weight negated, so the profile rules apply
+    in their nonnegative form.  All flips are applied in one pass over
+    the relators, and each relator's profile, image and extremal multiset
+    are then read in one pass over its signed letters
+    (:func:`_integer_multisets`).
 
-    Each relator's prefix profile is computed once and serves both steps:
-    its last value decides ``assignment-well-defined`` (the relator's
-    image), and the whole list gives the extremal multiset.
+    For other targets each relator's prefix profile is computed once
+    through the target's operations and serves both steps: its last value
+    decides ``assignment-well-defined`` (the relator's image), and the
+    whole list gives the extremal multiset.
 
     ``outcomes``, when given, maps the key of a multiset tuple (relator,
     mode and sorted counts of each multiset) to its
@@ -385,12 +390,9 @@ def check_assignment(
     if hyps[-1].status == "fail":
         return failed()
 
-    flips: frozenset[int] = frozenset()
-    work_pres = pres
-    work_assignment = assignment
     if isinstance(target, IntTarget):
         weights = [assignment.image(j) for j in range(len(pres.generators))]
-        gcd = math.gcd(*[abs(w) for w in weights]) if any(weights) else 0
+        gcd = math.gcd(*weights) if any(weights) else 0
         if gcd != 1:
             hyps.append(
                 HypothesisResult(
@@ -400,9 +402,9 @@ def check_assignment(
             return failed()
         hyps.append(HypothesisResult("weights-surjective", "pass", "gcd of weights is 1"))
         flips = frozenset(j for j, w in enumerate(weights) if w < 0)
-        for j in flips:
-            work_pres = flip_generator(work_pres, j)
-        work_assignment = TargetAssignment.from_weights(work_pres, [abs(w) for w in weights])
+        work_pres = _flip_all(pres, flips)
+        work_weights = [abs(w) for w in weights]
+        work_assignment = TargetAssignment.from_weights(work_pres, work_weights)
         if flips:
             names = ", ".join(pres.generators[j] for j in sorted(flips))
             hyps.append(
@@ -410,7 +412,11 @@ def check_assignment(
             )
         else:
             hyps.append(HypothesisResult("weights-nonnegative", "pass", "no flips needed"))
+        multisets = _integer_multisets(work_pres.relators, work_weights, mode)
     else:
+        flips = frozenset()
+        work_pres = pres
+        work_assignment = assignment
         hyps.append(
             HypothesisResult(
                 "map-surjective", "assumed", "not checked for non-integer targets"
@@ -423,10 +429,9 @@ def check_assignment(
                 target.name,
             )
         )
+        multisets = _ordered_multisets(pres.relators, target, assignment, mode)
 
-    profiles = [_profile(r, target, work_assignment) for r in work_pres.relators]
-    ident = target.identity()
-    if not all(target.equals(p[-1], ident) for p in profiles if p):
+    if multisets is None:
         hyps.append(
             HypothesisResult(
                 "assignment-well-defined", "fail", "a relator has a nontrivial image"
@@ -437,10 +442,6 @@ def check_assignment(
         HypothesisResult("assignment-well-defined", "pass", "all relators map to identity")
     )
 
-    multisets = tuple(
-        _extremal_multiset(i, r, p, target, mode)
-        for i, (r, p) in enumerate(zip(work_pres.relators, profiles))
-    )
     if outcomes is None:
         outcomes = {}
     key = tuple((m.relator, m.mode, tuple(sorted(m.counts.items()))) for m in multisets)
@@ -459,3 +460,61 @@ def check_assignment(
         outcome if concatenable else None,
         None if concatenable else outcome,
     )
+
+
+def _flip_all(pres: Presentation, flips: frozenset[int]) -> Presentation:
+    """``pres`` with every generator in ``flips`` replaced by its inverse,
+    in one pass over the relators: what :func:`words.flip_generator` gives
+    applied once per flipped generator."""
+    if not flips:
+        return pres
+    letters = {j + 1 for j in flips} | {-j - 1 for j in flips}
+    return Presentation(
+        pres.generators,
+        tuple(tuple(-x if x in letters else x for x in r) for r in pres.relators),
+    )
+
+
+def _ordered_multisets(relators, target: OrderedTarget, assignment, mode: str):
+    """The extremal multiset of every relator through the target's
+    operations, or None when a relator has a nontrivial image."""
+    profiles = [_profile(r, target, assignment) for r in relators]
+    ident = target.identity()
+    if not all(target.equals(p[-1], ident) for p in profiles if p):
+        return None
+    return tuple(
+        _extremal_multiset(i, r, p, target, mode)
+        for i, (r, p) in enumerate(zip(relators, profiles))
+    )
+
+
+def _integer_multisets(relators, weights, mode: str):
+    """The extremal multisets of :func:`_ordered_multisets` over the
+    integers, or None when a relator's weight is not zero.
+
+    The profile of a relator is the running sum of its signed letter
+    weights, and each relator takes one pass over its letters: v_0, the
+    identity, takes the place of v_l, which is 0 too.
+    """
+    step = {}
+    for j, w in enumerate(weights, 1):
+        step[j] = w
+        step[-j] = -w
+    extreme = min if mode == MIN else max
+    out = []
+    for i, word in enumerate(relators):
+        profile = list(accumulate(map(step.__getitem__, word)))
+        if not profile:
+            raise ValueError("empty relator has no extremal multiset")
+        if profile[-1]:
+            return None
+        m = extreme(profile)
+        counts: dict[int, list[int]] = {}
+        prev = profile[-1] == m
+        for x, v in zip(word, profile):
+            here = v == m
+            if prev or here:
+                counts.setdefault(abs(x) - 1, [0, 0])[x < 0] += 1
+            prev = here
+        out.append(MinimaMultiset(i, mode, m, {g: (p, n) for g, (p, n) in counts.items()}))
+    return tuple(out)

@@ -50,6 +50,7 @@ from .minima import (
     CheckVerdict,
     ConcatCertificate,
     HypothesisResult,
+    _flip_all,
     _presentation_hypotheses,
     check_assignment,
     minima_multiset,
@@ -63,7 +64,7 @@ from .orders import (
     OrderedTarget,
     TargetAssignment,
 )
-from .words import Presentation, flip_generator
+from .words import Presentation
 
 REPORT_FORMAT = "npicheck-report-v2"
 
@@ -255,8 +256,7 @@ def _mirror(verdict: CheckVerdict) -> CheckVerdict:
     mirrored certificate must have the same ordering and witnesses.
     """
     pres = verdict.presentation
-    for j in range(len(pres.generators)):
-        pres = flip_generator(pres, j)
+    pres = _flip_all(pres, frozenset(range(len(pres.generators))))
     multisets = tuple(
         minima_multiset(pres, i, IntTarget(), verdict.assignment)
         for i in range(len(pres.relators))
@@ -290,19 +290,25 @@ def full_report(
     if doc["cover"] is not None and not doc["cover"]["ok"]:
         raise AssertionError("cover verification failed for a valid certificate")
     if options.scan_bounds is not None and pres_hyps[0].status == "pass":
-        max_e, max_f = options.scan_bounds
-        reports = npi_scan(pres, max_e, max_f)
-        doc["oracle_scan"] = {
-            "bounds": [max_e, max_f],
-            "count": len(reports),
-            # "note" is always empty; it stays until the next schema version.
-            "candidates": [
-                {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": ""}
-                for r in reports
-            ],
-        }
+        doc["oracle_scan"] = _scan_section(pres, options.scan_bounds)
     doc["verdict"] = {"status": status, "citation": citation, "detail": detail}
     return doc
+
+
+def _scan_section(pres: Presentation, bounds: tuple[int, int]) -> dict:
+    """The ``oracle_scan`` section: the bounded immersion scan of a valid
+    presentation.  The CLI's ``immerse`` prints this section alone."""
+    max_e, max_f = bounds
+    reports = npi_scan(pres, max_e, max_f)
+    return {
+        "bounds": [max_e, max_f],
+        "count": len(reports),
+        # "note" is always empty; it stays until the next schema version.
+        "candidates": [
+            {"chi": r.chi, "complex": r.complex.to_dict(pres), "note": ""}
+            for r in reports
+        ],
+    }
 
 
 def _base_doc(kind: str, pres: Presentation, input_text: str) -> dict:
@@ -524,7 +530,13 @@ def report_json(doc: dict) -> str:
 
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append ``value`` to ``out``; ``newline`` is a line break followed by
-    the indentation of the current level."""
+    the indentation of the current level.
+
+    Inside a list or a dict, an item whose type is exactly ``str`` or
+    ``int`` is written in place; every other item, subclasses of those
+    included, takes the recursive call, so both ways accept and refuse the
+    same values.
+    """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -539,24 +551,39 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
+        quote = encode_basestring_ascii
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(sep + quote(item))
+            elif kind is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
+        quote = encode_basestring_ascii
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"report keys are strings, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out)
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(f"{sep}{quote(key)}: {quote(item)}")
+            elif kind is int:
+                out.append(f"{sep}{quote(key)}: {int.__repr__(item)}")
+            else:
+                out.append(f"{sep}{quote(key)}: ")
+                _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     else:

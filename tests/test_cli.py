@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from npicheck import logs as logs_mod
 from npicheck import minima, orders, words
+from npicheck import report as report_mod
 from npicheck.cli import run
 from npicheck.complexes import npi_scan
 from npicheck.homology import find_weight_homomorphisms
@@ -25,6 +27,7 @@ from npicheck.textio import (
 )
 from helpers import format_log, format_presentation
 from samples import (
+    FOREST7R3_8_TEXT,
     LOT_SINGLE_EDGE_TEXT,
     SAMPLE_A_TEXT,
     SAMPLE_B_TEXT,
@@ -611,6 +614,48 @@ def test_immerse_prints_the_reports_scan(files, capsys, bounds):
         code = run(["immerse", files[name], "--bounds", arg])
         captured = capsys.readouterr()
         assert (captured.out, captured.err, code) == expected, name
+
+
+# What immerse printed when it was a view of the whole report, at (1, 1).
+IMMERSE_11 = {
+    "a.pres": ("candidates within bounds (1, 1): 0\n", "", 0),
+    "torsion.pres": (
+        "candidates within bounds (1, 1): 1\n"
+        "  chi=1 {'vertices': 1, 'edges': [[0, 0, 'a']], "
+        "'faces': [{'relator': 0, 'path': [[0, 1], [0, 1]]}]}\n",
+        "",
+        0,
+    ),
+    "forest.pres": ("candidates within bounds (1, 1): 0\n", "", 0),
+    "invalid.pres": (
+        "", "error: invalid presentation: not-cyclically-reduced (relator 0): a a^-1 b\n", 2
+    ),
+}
+
+
+def test_immerse_runs_no_weight_attempt(files, tmp_path, capsys, monkeypatch):
+    # immerse reads the report's first stage and its scan section: no
+    # route runs, although the forest's report tries 145 weight maps.
+    forest = tmp_path / "forest.pres"
+    forest.write_text(FOREST7R3_8_TEXT)
+    files = dict(files, **{"forest.pres": str(forest)})
+    calls = Counter()
+    for module in (report_mod, logs_mod):
+        def counted(*args, _check=module.check_assignment, **kwargs):
+            calls["check_assignment"] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_assignment", counted)
+    for name, expected in IMMERSE_11.items():
+        code = run(["immerse", files[name], "--bounds", "1,1"])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected, name
+    assert calls == Counter()
+    # The counter sees the report's 145 attempts and the Adian route's
+    # cross-check, so the zero above is real.
+    assert run(["report", files["forest.pres"], "--scan", "1,1"]) == 0
+    assert "oracle scan bounds [1, 1]: 0 candidate(s)" in capsys.readouterr().out
+    assert calls["check_assignment"] == 145 + 1
 
 
 @pytest.mark.parametrize("n", [2000, 10_000])

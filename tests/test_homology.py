@@ -19,10 +19,12 @@ from npicheck.homology import (
     mat_mul,
     smith_normal_form,
 )
+from npicheck.logs import log_to_presentation, lof_random
 from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, make_presentation
 from helpers import integer_kernel_basis
 from samples import sample_a, sample_braid, torsion_presentation
+from smith_oracle import exponent_matrix_oracle, smith_normal_form_oracle
 from weight_search_oracle import full_box_weight_homomorphisms
 
 
@@ -89,6 +91,64 @@ def test_snf_property_suite():
         for i, g in enumerate(oracle):
             prod *= diag[i]
             assert prod == g, f"minor gcd mismatch at size {i + 1} for {rows}"
+
+
+def _wlot(n: int, length: int, rng: random.Random):
+    """A word-labelled oriented tree on x_0 ... x_{n-1}: one relator
+    x_j^-1 w^-1 x_i w per tree edge i < j, w a freely reduced word of
+    ``length`` letters."""
+    rels = []
+    for j in range(1, n):
+        i = rng.randrange(j)
+        w: list[int] = []
+        while len(w) < length:
+            x = rng.choice([1, -1]) * rng.randrange(1, n + 1)
+            if not w or w[-1] != -x:
+                w.append(x)
+        rels.append((-(j + 1), *(-x for x in reversed(w)), i + 1, *w))
+    return make_presentation([f"x{g}" for g in range(n)], rels)
+
+
+def test_exponent_matrix_matches_the_per_generator_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        rels = [
+            # Letters outside the generator list (0 and beyond n) count for none.
+            tuple(rng.choice([1, -1]) * rng.randrange(0, n + 3) for _ in range(rng.randrange(0, 9)))
+            for _ in range(rng.randrange(0, 6))
+        ]
+        pres = make_presentation([f"g{i}" for i in range(n)], rels)
+        assert exponent_matrix(pres) == exponent_matrix_oracle(pres)
+        wlot = _wlot(n, rng.randrange(1, 4), rng)
+        assert exponent_matrix(wlot) == exponent_matrix_oracle(wlot)
+
+
+def test_smith_form_matches_the_full_search_oracle():
+    # The unit-pivot search and the skipped divisibility scan must leave
+    # U, D and V exactly as the whole-block search left them, on the
+    # exponent matrices the reports see and on matrices whose pivots are
+    # not units.
+    rng = random.Random(18)
+    cases = []
+    for _ in range(150):
+        n = rng.randrange(3, 10)
+        lof = log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
+        cases.append((exponent_matrix(lof), n))
+        cases.append((exponent_matrix(_wlot(n, rng.randrange(1, 4), rng)), n))
+    entries = [0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, 12, -15]
+    for _ in range(800):
+        k, n = rng.randrange(0, 6), rng.randrange(1, 6)
+        pool = entries + [1, -1] if rng.random() < 0.3 else entries
+        cases.append(([[rng.choice(pool) for _ in range(n)] for _ in range(k)], n))
+    seen = {"torsion": 0, "non-unit pivot": 0}
+    for rows, n in cases:
+        snf = smith_normal_form(rows, n)
+        assert snf == smith_normal_form_oracle(rows, n), rows
+        diag = snf.diagonal()
+        seen["torsion"] += any(d > 1 for d in diag)
+        seen["non-unit pivot"] += bool(diag) and diag[0] > 1
+    assert seen["torsion"] >= 300 and seen["non-unit pivot"] >= 100, seen
 
 
 def test_h1_examples():
@@ -178,6 +238,13 @@ def test_half_box_search_matches_full_box_oracle():
         outcomes["maps"] += 1
     assert bounds_seen == {1, 2, 3}
     assert outcomes["none"] >= 100 and outcomes["maps"] >= 500
+    # Forests of H1 rank 4, as the benchmark draws them, at the default
+    # bound: the odometer sums four levels of partial sums.
+    for _ in range(12):
+        n = rng.randrange(6, 9)
+        pres = log_to_presentation(lof_random(n, n - 4, rng))
+        assert len(integer_kernel_basis(exponent_matrix(pres), n)) == 4
+        assert find_weight_homomorphisms(pres) == full_box_weight_homomorphisms(pres)
 
 
 # All-ones is in ker M, but its kernel coordinates are (-2, -1, 1): outside

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,18 +13,33 @@ from npicheck.minima import (
     NonVanishingRelatorWeight,
     NegativeWeight,
     WitnessStep,
+    _integer_multisets,
+    _ordered_multisets,
+    check_assignment,
     check_presentation,
     minima_multiset,
     prefix_profile,
+    presentation_hypotheses,
     replay_certificate,
     replay_stuck_core,
     weak_concatenability,
 )
+from npicheck.homology import NoSurjection, find_weight_homomorphisms
+from npicheck.logs import log_to_presentation, lof_random
 from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
+from npicheck.textio import parse_presentation
 from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
+from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
 from helpers import maxima_multiset
-from samples import sample_a, sample_b, sample_braid, torsion_presentation
+from samples import (
+    FOREST7R3_2_TEXT,
+    FOREST7R3_8_TEXT,
+    sample_a,
+    sample_b,
+    sample_braid,
+    torsion_presentation,
+)
 
 Z = IntTarget()
 
@@ -355,3 +371,107 @@ def test_modes_must_match():
     b = MinimaMultiset(relator=1, mode=MAX, extremum=0, counts={1: (1, 0)})
     with pytest.raises(ValueError):
         weak_concatenability([a, b])
+
+
+# -- the integer path against the generic one -----------------------------
+
+
+def _counts_in_order(multisets):
+    return None if multisets is None else [list(m.counts.items()) for m in multisets]
+
+
+def _assert_same_verdict(got, want):
+    """Field by field: a target compares by identity, and a dict of counts
+    compares without its order, which the report's JSON would show."""
+    assert got._replace(assignment=None) == want._replace(assignment=None)
+    assert (got.assignment is None) == (want.assignment is None)
+    if want.assignment is not None:
+        assert list(got.assignment.images.items()) == list(want.assignment.images.items())
+    assert _counts_in_order(got.multisets) == _counts_in_order(want.multisets)
+
+
+def _weight_cases(pres, rng):
+    """Kernel maps as the search lists them, their negatives and multiples
+    (gcd 2 or 3), and random vectors, which are mostly not well defined."""
+    n = len(pres.generators)
+    try:
+        maps = [h.weights for h in find_weight_homomorphisms(pres, 1)]
+    except NoSurjection:
+        maps = []
+    out = list(maps)
+    out += [tuple(-w for w in vec) for vec in maps[:3]]
+    out += [tuple(rng.choice([2, 3]) * w for w in vec) for vec in maps[:3]]
+    out += [tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(4)]
+    return out
+
+
+def _oracle_presentations(rng):
+    yield sample_a()
+    yield sample_b()
+    for _ in range(40):
+        n = rng.randrange(3, 8)
+        yield log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
+    for _ in range(20):
+        n = rng.randrange(2, 5)
+        count = rng.randrange(1, n)
+        rels = []
+        while len(rels) < count:
+            word = freely_reduce([rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(6)])
+            if word:
+                rels.append(word)
+        yield make_presentation([f"g{i}" for i in range(n)], rels)
+
+
+def test_integer_multisets_match_the_target_operations():
+    # Any integer weights: negative ones, gcd != 1, and maps under which
+    # a relator has a nonzero image (None from both).
+    rng = random.Random(18)
+    seen = {"none": 0, "negative": 0, "gcd": 0}
+    for pres in _oracle_presentations(rng):
+        for weights in _weight_cases(pres, rng):
+            assignment = TargetAssignment.from_weights(pres, weights)
+            for mode in (MIN, MAX):
+                got = _integer_multisets(pres.relators, weights, mode)
+                want = _ordered_multisets(pres.relators, Z, assignment, mode)
+                assert got == want and _counts_in_order(got) == _counts_in_order(want)
+            seen["none"] += got is None
+            seen["negative"] += got is not None and min(weights) < 0
+            seen["gcd"] += got is not None and math.gcd(*weights) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_check_assignment_matches_the_generic_oracle():
+    # The one-pass flips and multisets against flip_generator once per
+    # flipped generator and the target's operations, in both modes.
+    rng = random.Random(19)
+    statuses = set()
+    for pres in _oracle_presentations(rng):
+        hyps = presentation_hypotheses(pres)
+        for weights in _weight_cases(pres, rng):
+            assignment = TargetAssignment.from_weights(pres, weights)
+            for mode in (MIN, MAX):
+                got = check_assignment(pres, hyps, Z, assignment, mode)
+                want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
+                _assert_same_verdict(got, want)
+                statuses.add((got.status, got.hypotheses[-1].key))
+    assert statuses >= {
+        ("concatenable", "assignment-well-defined"),
+        ("not-concatenable", "assignment-well-defined"),
+        ("hypothesis-failure", "assignment-well-defined"),
+        ("hypothesis-failure", "weights-surjective"),
+        ("hypothesis-failure", "h1-free-abelian-rank-n-k"),
+    }, statuses
+
+
+@pytest.mark.parametrize("text", [FOREST7R3_2_TEXT, FOREST7R3_8_TEXT], ids=["2", "8"])
+def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
+    pres = parse_presentation(text)
+    hyps = presentation_hypotheses(pres)
+    homs = find_weight_homomorphisms(pres)
+    assert len(homs) == 145
+    outcomes: dict = {}
+    for hom in homs:
+        assignment = TargetAssignment.from_weights(pres, hom.weights)
+        for mode in (MIN, MAX):
+            got = check_assignment(pres, hyps, Z, assignment, mode, outcomes)
+            _assert_same_verdict(got, check_assignment_oracle(pres, hyps, Z, assignment, mode))

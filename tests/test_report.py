@@ -92,6 +92,26 @@ def _scalar_key(rng: random.Random) -> str:
     return "".join(rng.choice(STRINGS) for _ in range(1 + rng.randrange(3)))
 
 
+class _Str(str):
+    """A str subclass: the writer quotes it as json.dumps does."""
+
+    def __str__(self):
+        return "not this"
+
+
+class _Int(int):
+    """An int subclass: both writers print int.__repr__ of it."""
+
+    def __repr__(self):
+        return "not this"
+
+    __str__ = __repr__
+
+
+class _List(list):
+    pass
+
+
 def test_writer_matches_on_seeded_documents():
     rng = random.Random(14)
     for _ in range(200):
@@ -100,6 +120,28 @@ def test_writer_matches_on_seeded_documents():
     for value in [True, 1, None, False, 0, "", "\ud800", 2**64 + 1, [], {}, ()]:
         assert report_json({"k": value}) == oracle_json({"k": value})
     assert report_json({}) == oracle_json({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _Str("é\n"),
+        _Int(7),
+        _Int(-2**70),
+        True,
+        False,
+        [_Str("a"), _Int(3), True, False, None, 1, "b"],
+        [("a", 1), (), [(True, [()]), (_Int(0), _Str(""))]],
+        {"k": (_Int(1), [_Str("x")]), "t": [(), ("a",)]},
+    ],
+    ids=["str-subclass", "int-subclass", "big-int-subclass", "true", "false",
+         "mixed-leaves", "tuples-in-lists", "nested-dict"],
+)
+def test_writer_matches_on_subclasses_bools_and_tuples(value):
+    # Scalar leaves are written in place only for exact str and int; the
+    # rest must come out as json.dumps writes them, in a dict and in a list.
+    for doc in ({"k": value}, {"k": [value]}, {_Str("key"): value}):
+        assert report_json(doc) == oracle_json(doc)
 
 
 @pytest.mark.parametrize(
@@ -117,9 +159,18 @@ def test_writer_matches_on_seeded_documents():
         # Result records are tuples; the writer refuses them all the same.
         {"x": HypothesisResult("k", "pass", "")},
         {"x": Diagnostic("c", None, "d")},
+        # json.dumps writes these; a report holds none of them.
+        {True: "a"},
+        {_Int(1): "a"},
+        {"a": _List([1])},
+        {"a": [_List()]},
+        {"a": [("b", 1.0)]},
+        {"a": [[True, Diagnostic("c", None, "d")]]},
     ],
     ids=["float", "nested-float", "nan", "set", "bytes", "object", "int-key",
-         "none-key", "frozenset", "hypothesis-record", "diagnostic-record"],
+         "none-key", "frozenset", "hypothesis-record", "diagnostic-record",
+         "bool-key", "int-subclass-key", "list-subclass", "nested-list-subclass",
+         "float-in-tuple-in-list", "record-in-list"],
 )
 def test_writer_rejects_what_a_report_does_not_hold(doc):
     with pytest.raises(TypeError):
