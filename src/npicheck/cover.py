@@ -1,14 +1,16 @@
 """Finite windows of the infinite cyclic cover and verification of the
 weakly-slim certificate extracted from a concatenability certificate.
 
-The cover determined by nonnegative integer weights has 0-cells at integer
-levels, 1-cells a_{j,g} (the lift of generator g starting at level j and
-ending at level j + w[g]) and 2-cells R_{j,i} (the lift of relator cell i
-whose minimum visited level is j).  Edges are keyed by (level, reindexed
-generator position) ordered lexicographically with the second coordinate
-reversed; the reindexing puts the certificate's witness generators last,
-in certificate order, which makes the witness lift the strict minimum of
-every 2-cell boundary.
+The cover determined by integer weights w has 0-cells at integer levels,
+1-cells a_{j,g} (the lift of generator g that joins levels j and
+j + |w[g]|, keyed by its lower endpoint j) and 2-cells R_{j,i} (the lift
+of relator cell i whose minimum visited level is j).  A letter touches the
+minimum level of a lift exactly when its edge's lower endpoint is that
+level, whatever the signs of the weights.  Edges are keyed by (lower
+endpoint, reindexed generator position) ordered lexicographically with
+the second coordinate reversed; the reindexing puts the certificate's
+witness generators last, in certificate order, which makes the witness
+lift the strict minimum of every 2-cell boundary.
 
 The cover is regular: the deck translation t by +1 carries R_{j,i} onto
 R_{j+1,i}, adding 1 to the level of every boundary edge and to both
@@ -35,7 +37,7 @@ class CertificateMismatch(ValueError):
 
 
 class CoverEdge(NamedTuple):
-    level: int
+    level: int  # lower endpoint
     gen: int  # 0-based generator index
 
 
@@ -72,8 +74,6 @@ class CoverWindow(NamedTuple):
 def build_cover_window(pres: Presentation, weights, lo: int, hi: int) -> CoverWindow:
     """Window [lo, hi]: exactly the R_{j,i} with all boundary levels inside."""
     weights = tuple(int(w) for w in weights)
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative; flip generators first")
     if lo > hi:
         raise ValueError("lo must be <= hi")
     spans = [relator_span(pres, weights, i) for i in range(len(pres.relators))]
@@ -98,16 +98,19 @@ def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEd
     pres, weights = window.presentation, window.weights
     prof = _profile(pres, weights, cell.relator)
     anchor = cell.level - min(prof + [0])
+    # The lift of g from level j ends at j + w[g]: its lower endpoint is
+    # j + min(w[g], 0).
+    drop = [min(w, 0) for w in weights]
     out = []
     level = anchor
     for x in pres.relators[cell.relator]:
         g = letter_gen(x)
         if x > 0:
-            out.append((CoverEdge(level, g), 1))
+            out.append((CoverEdge(level + drop[g], g), 1))
             level += weights[g]
         else:
             level -= weights[g]
-            out.append((CoverEdge(level, g), -1))
+            out.append((CoverEdge(level + drop[g], g), -1))
     return tuple(out)
 
 

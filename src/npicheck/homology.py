@@ -271,10 +271,9 @@ def _kernel_basis(snf: SmithForm) -> list[tuple[int, ...]]:
 
 
 class WeightHom(NamedTuple):
-    """Primitive integer weight vector plus the generators to flip."""
+    """Primitive integer weight vector."""
 
     weights: tuple[int, ...]
-    flips: frozenset[int]
 
 
 def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -352,7 +351,7 @@ def _weight_hom(mat: list[list[int]], vec: tuple[int, ...]) -> WeightHom:
     for row in mat:
         assert not sum(map(operator.mul, row, vec))
     assert math.gcd(*vec) == 1
-    return WeightHom(vec, frozenset(j for j, w in enumerate(vec) if w < 0))
+    return WeightHom(vec)
 
 
 def _weight_maps(

@@ -85,26 +85,20 @@ def adian_normalize(pres: Presentation) -> AdianForm:
 
     A cyclic word admits such a rotation iff it has exactly one positive
     and one negative run, which makes the decomposition canonical; the
-    returned rotation starts the positive run.
+    returned rotation starts the positive run.  One pass over each relator
+    finds its runs: a run starts at each letter whose sign differs from
+    that of the letter before it, cyclically.
     """
     pairs: list[AdianPair] = []
     for idx, rel in enumerate(pres.relators):
-        found = None
-        for k in range(len(rel)):
-            rot = rotate_word(rel, k)
-            split = None
-            for pos in range(1, len(rot)):
-                if rot[pos] < 0:
-                    split = pos
-                    break
-            if rot and rot[0] > 0 and split is not None and all(x < 0 for x in rot[split:]):
-                found = (rot, split, k)
-                break
-        if found is None:
+        starts = [k for k in range(len(rel)) if (rel[k] > 0) != (rel[k - 1] > 0)]
+        if len(starts) != 2:
             raise NotAdian(
                 f"relator {idx} is not cyclically (positive block)(negative block)"
             )
-        rot, split, k = found
+        k, j = starts if rel[starts[0]] > 0 else starts[::-1]
+        rot = rotate_word(rel, k)
+        split = (j - k) % len(rel)
         u = rot[:split]
         v = tuple(-x for x in reversed(rot[split:]))
         pairs.append(AdianPair(u, v, k))

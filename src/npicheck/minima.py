@@ -9,7 +9,8 @@ contributes a copy of its generator, tagged by the letter's sign (v_0 is
 the identity and enters only as the value before letter 1).  For integer
 targets with nonnegative weights this coincides with: a negative copy for
 every prefix w a^-1 of weight m and a positive copy for every prefix w a
-of weight m + phi(a).  Max mode replaces the minimum by the maximum.
+of weight m + phi(a).  Max mode replaces the minimum by the maximum, so
+the Max-mode multisets under phi are the Min-mode multisets under -phi.
 """
 
 from __future__ import annotations
@@ -185,22 +186,24 @@ def replay_stuck_core(core, multisets) -> tuple[bool, str]:
     core must peel, which makes the core the unique maximal such set.
     """
     by_rel = {m.relator: m for m in multisets}
+    support = {rel: m.support() for rel, m in by_rel.items()}
+    usable = {rel: _usable(m) for rel, m in by_rel.items()}
     core = list(core)
     if not core:
         return False, "an empty core witnesses nothing"
     if len(set(core)) != len(core) or not set(core) <= set(by_rel):
         return False, "core is not a set of relators"
     for rel in core:
-        others = set().union(*(by_rel[j].support() for j in core if j != rel))
-        free = [g for g in _usable(by_rel[rel]) if g not in others]
+        others = set().union(*(support[j] for j in core if j != rel))
+        free = [g for g in usable[rel] if g not in others]
         if free:
             return False, f"relator {rel} can go last in the core with witness {free[0]}"
     live = set(by_rel)
     outside = live - set(core)
     while outside:
         for rel in sorted(outside):
-            others = set().union(*(by_rel[j].support() for j in live if j != rel))
-            if any(g not in others for g in _usable(by_rel[rel])):
+            others = set().union(*(support[j] for j in live if j != rel))
+            if any(g not in others for g in usable[rel]):
                 live.remove(rel)
                 outside.remove(rel)
                 break
@@ -303,7 +306,7 @@ class CheckVerdict(NamedTuple):
 
     status: str  # "concatenable" | "not-concatenable" | "hypothesis-failure"
     hypotheses: tuple[HypothesisResult, ...]
-    flips: frozenset[int]
+    flips: frozenset[int]  # generators of negative integer weight
     presentation: Presentation
     assignment: TargetAssignment | None
     mode: str
@@ -362,12 +365,12 @@ def check_assignment(
     """Check one assignment on a presentation whose own hypotheses
     ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
 
-    Integer targets are normalized first: every generator of negative
-    weight is flipped and its weight negated, so the profile rules apply
-    in their nonnegative form.  All flips are applied in one pass over
-    the relators, and each relator's profile, image and extremal multiset
-    are then read in one pass over its signed letters
-    (:func:`_integer_multisets`).
+    For integer targets each relator's profile, image and extremal
+    multiset are read in one pass over its letters with the signed
+    weights (:func:`_integer_multisets`), in the frame of ``pres``.  The
+    generators of negative weight are only recorded, as ``flips``: the
+    report writes their copy counts inverted, as the counts of the
+    presentation with those generators inverted.
 
     For other targets each relator's prefix profile is computed once
     through the target's operations and serves both steps: its last value
@@ -402,21 +405,13 @@ def check_assignment(
             return failed()
         hyps.append(HypothesisResult("weights-surjective", "pass", "gcd of weights is 1"))
         flips = frozenset(j for j, w in enumerate(weights) if w < 0)
-        work_pres = _flip_all(pres, flips)
-        work_weights = [abs(w) for w in weights]
-        work_assignment = TargetAssignment.from_weights(work_pres, work_weights)
-        if flips:
-            names = ", ".join(pres.generators[j] for j in sorted(flips))
-            hyps.append(
-                HypothesisResult("weights-nonnegative", "pass", f"flipped: {names}")
-            )
-        else:
-            hyps.append(HypothesisResult("weights-nonnegative", "pass", "no flips needed"))
-        multisets = _integer_multisets(work_pres.relators, work_weights, mode)
+        names = ", ".join(pres.generators[j] for j in sorted(flips))
+        hyps.append(HypothesisResult(
+            "weights-nonnegative", "pass", f"flipped: {names}" if flips else "no flips needed"
+        ))
+        multisets = _integer_multisets(pres.relators, weights, mode)
     else:
         flips = frozenset()
-        work_pres = pres
-        work_assignment = assignment
         hyps.append(
             HypothesisResult(
                 "map-surjective", "assumed", "not checked for non-integer targets"
@@ -453,25 +448,12 @@ def check_assignment(
         "concatenable" if concatenable else "not-concatenable",
         tuple(hyps),
         flips,
-        work_pres,
-        work_assignment,
+        pres,
+        assignment,
         mode,
         multisets,
         outcome if concatenable else None,
         None if concatenable else outcome,
-    )
-
-
-def _flip_all(pres: Presentation, flips: frozenset[int]) -> Presentation:
-    """``pres`` with every generator in ``flips`` replaced by its inverse,
-    in one pass over the relators: what :func:`words.flip_generator` gives
-    applied once per flipped generator."""
-    if not flips:
-        return pres
-    letters = {j + 1 for j in flips} | {-j - 1 for j in flips}
-    return Presentation(
-        pres.generators,
-        tuple(tuple(-x if x in letters else x for x in r) for r in pres.relators),
     )
 
 

@@ -48,13 +48,9 @@ from .minima import (
     MAX,
     MIN,
     CheckVerdict,
-    ConcatCertificate,
     HypothesisResult,
-    _flip_all,
     _presentation_hypotheses,
     check_assignment,
-    minima_multiset,
-    weak_concatenability,
 )
 from .orders import (
     BraidTarget,
@@ -184,11 +180,24 @@ def _merge_hypotheses(doc: dict, entries) -> None:
 
 
 def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
-    names = pres.generators  # flipping keeps the generator names
+    """The attempt entry of a verdict.  The counts of each generator in
+    ``verdict.flips`` are written inverted, [negative, positive]: they are
+    the counts of the presentation with the generators of negative weight
+    inverted, under the weights |phi|."""
+    names = pres.generators
+    flips = verdict.flips
+
+    def copies(g: int, p: int, n: int) -> list[int]:
+        return [n, p] if g in flips else [p, n]
+
+    def witness(w) -> dict:
+        p, n = copies(w.gen, w.positive, w.negative)
+        return {"generator": names[w.gen], "positive": p, "negative": n}
+
     entry: dict = {
         "status": verdict.status,
         "mode": verdict.mode,
-        "flips": sorted(names[j] for j in verdict.flips),
+        "flips": sorted(names[j] for j in flips),
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
     }
     if verdict.multisets is not None:
@@ -196,17 +205,14 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
             {
                 "relator": m.relator,
                 "mode": m.mode,
-                "counts": {names[g]: [p, n] for g, (p, n) in sorted(m.counts.items())},
+                "counts": {names[g]: copies(g, p, n) for g, (p, n) in sorted(m.counts.items())},
             }
             for m in verdict.multisets
         ]
     if verdict.certificate is not None:
         entry["certificate"] = {
             "ordering": list(verdict.certificate.ordering),
-            "witnesses": [
-                {"generator": names[w.gen], "positive": w.positive, "negative": w.negative}
-                for w in verdict.certificate.witnesses
-            ],
+            "witnesses": [witness(w) for w in verdict.certificate.witnesses],
         }
     if verdict.failure is not None:
         entry["failure_witness"] = {"stuck_core": list(verdict.failure.stuck_core)}
@@ -220,13 +226,14 @@ def cover_section(verdict: CheckVerdict) -> dict:
     checks themselves are decided once per relator (see
     :func:`cover.verify_weak_slim_certificate`).
 
-    The slim order of the cover is built for minima, so a max-mode
-    verdict is verified on its mirror (see :func:`_mirror`).
+    The slim order of the cover is built for minima.  The maxima under
+    phi are the minima under -phi, at the same letters, and reversing a
+    left-invariant order gives another one; so a max-mode verdict is
+    verified with its own multisets and certificate on the weights -phi.
     """
-    if verdict.mode == MAX:
-        verdict = _mirror(verdict)
     pres = verdict.presentation
-    weights = tuple(verdict.assignment.image(j) for j in range(len(pres.generators)))
+    sign = -1 if verdict.mode == MAX else 1
+    weights = tuple(sign * verdict.assignment.image(j) for j in range(len(pres.generators)))
     spans = [
         cover_mod.relator_span(pres, weights, i) for i in range(len(pres.relators))
     ]
@@ -244,31 +251,6 @@ def cover_section(verdict: CheckVerdict) -> dict:
             {"check": c.check, "ok": c.ok, "detail": c.detail} for c in report.checks
         ],
     }
-
-
-def _mirror(verdict: CheckVerdict) -> CheckVerdict:
-    """The min-mode verdict on the mirror of a max-mode one.
-
-    Maxima under phi are minima under -phi.  Flipping every generator
-    negates each prefix profile under the same nonnegative weights, so the
-    maxima become the minima and every copy changes sign.  Weak
-    concatenability sees only supports and unequal copy counts, so the
-    mirrored certificate must have the same ordering and witnesses.
-    """
-    pres = verdict.presentation
-    pres = _flip_all(pres, frozenset(range(len(pres.generators))))
-    multisets = tuple(
-        minima_multiset(pres, i, IntTarget(), verdict.assignment)
-        for i in range(len(pres.relators))
-    )
-    cert = weak_concatenability(multisets)
-
-    def shape(c: ConcatCertificate):
-        return c.ordering, [w.gen for w in c.witnesses]
-
-    if not isinstance(cert, ConcatCertificate) or shape(cert) != shape(verdict.certificate):
-        raise AssertionError("the mirror of a max-mode verdict has another certificate")
-    return verdict._replace(presentation=pres, mode=MIN, multisets=multisets, certificate=cert)
 
 
 def full_report(

@@ -5,7 +5,9 @@ one pass, kept verbatim (but for its name) as a differential oracle for
 It flips one generator at a time with :func:`words.flip_generator` and
 computes every prefix profile and extremal multiset through the target's
 operations (:func:`minima._profile`, :func:`minima._extremal_multiset`),
-for every target.
+for every target.  It works in the flipped frame, which
+``check_assignment`` has left: compare through
+:func:`flip_frame_oracle.in_flipped_frame`.
 """
 
 from __future__ import annotations

@@ -18,17 +18,25 @@ from npicheck.cover import (
     verify_weak_slim_certificate,
 )
 from npicheck.logs import lof_random, log_to_presentation
+from npicheck.homology import NoSurjection, find_weight_homomorphisms
 from npicheck.minima import (
+    MAX,
     MIN,
     ConcatCertificate,
     WitnessStep,
+    check_assignment,
     check_presentation,
     minima_multiset,
+    presentation_hypotheses,
 )
 from npicheck.orders import IntTarget, TargetAssignment
-from npicheck.words import letter_gen, make_presentation
+from npicheck.report import _verdict_to_entry, cover_section
+from npicheck.words import flip_generator, letter_gen, make_presentation
+from check_oracle import check_assignment_oracle
+from flip_frame_oracle import cover_section_oracle, mirror, verdict_to_entry_oracle
 from samples import sample_a, sample_b
 from slim_verify_oracle import oracle_verify_weak_slim_certificate
+from test_homology import _wlot
 
 Z = IntTarget()
 ONES = (1, 1, 1)
@@ -51,7 +59,31 @@ def test_window_contents():
     with pytest.raises(WindowTooSmall):
         build_cover_window(pa, ONES, 0, 2)
     with pytest.raises(ValueError):
-        build_cover_window(pa, (1, -1, 1), -3, 3)
+        build_cover_window(pa, ONES, 3, -3)
+
+
+def test_negative_weights_lift_as_the_flipped_presentation():
+    # A negative weight builds the window of the presentation with that
+    # generator inverted under |w|: the same cells, the same edges keyed by
+    # their lower endpoints, and the inverted generator walked backwards.
+    rng = random.Random(62)
+    pa = sample_a()
+    cases = [(pa, (1, -1, 1)), (pa, (-1, -1, -1)), (pa, (0, -2, 1))]
+    for _ in range(30):
+        pres = log_to_presentation(lof_random(5, rng.randrange(1, 5), rng))
+        cases.append((pres, tuple(rng.randrange(-3, 4) for _ in range(5))))
+    for pres, weights in cases:
+        flips = [g for g, w in enumerate(weights) if w < 0]
+        flipped = pres
+        for g in flips:
+            flipped = flip_generator(flipped, g)
+        window = build_cover_window(pres, weights, -8, 8)
+        want = build_cover_window(flipped, tuple(map(abs, weights)), -8, 8)
+        assert window.cells == want.cells
+        for cell in window.cells:
+            assert lifted_boundary(window, cell) == tuple(
+                (e, -d if e.gen in flips else d) for e, d in lifted_boundary(want, cell)
+            )
 
 
 def test_window_without_relators_is_a_graph():
@@ -270,3 +302,83 @@ def test_verifier_matches_oracle_on_sound_and_tampered_certificates():
     assert failing["witness-signed-traversal"] > 0
     assert failing["cross-boundary-minimality"] > 0
     assert failing["deck-translation-equivariance"] == 0
+
+
+# -- the input frame against the flipped frame ----------------------------
+
+
+def _lofs_and_wlots(rng: random.Random):
+    yield sample_a()
+    yield sample_b()
+    for _ in range(15):
+        n = rng.randrange(3, 7)
+        yield log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
+        yield _wlot(n, rng.randrange(1, 4), rng)
+
+
+def _cover_checks(pres, weights, multisets, cert, tamper):
+    """(check, ok) of each cover check on the report's window, with the
+    slim certificate changed by ``tamper``."""
+    spans = [relator_span(pres, weights, i) for i in range(len(pres.relators))]
+    window = build_cover_window(pres, weights, -max(spans) - 1, max(spans) + 1)
+    slim = tamper(build_slim_certificate(pres, multisets, cert))
+    report = verify_weak_slim_certificate(pres, weights, multisets, slim, window)
+    return [(c.check, c.ok) for c in report.checks]
+
+
+def test_cover_section_matches_the_flipped_frame_route():
+    # Every map of the box (coefficients in [-1, 1]) and its negation, in
+    # both modes, on seeded LOFs and WLOTs.  The input frame verifies a
+    # max-mode verdict on -phi with its own multisets and certificate; the
+    # flipped frame inverts the generators of negative weight and verifies
+    # a max-mode verdict on its mirror.  The attempt entries and the cover
+    # sections must be equal, and so must the (check, ok) results of the
+    # certificates with a shuffled generator priority and with two
+    # relators' witnesses swapped.
+    rng = random.Random(63)
+    seen = Counter()
+    for pres in _lofs_and_wlots(rng):
+        hyps = presentation_hypotheses(pres)
+        try:
+            maps = [h.weights for h in find_weight_homomorphisms(pres, 1)]
+        except NoSurjection:
+            continue
+        for weights in maps + [tuple(-w for w in vec) for vec in maps]:
+            assignment = TargetAssignment.from_weights(pres, weights)
+            for mode in (MIN, MAX):
+                got = check_assignment(pres, hyps, Z, assignment, mode)
+                want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
+                assert _verdict_to_entry(pres, got) == verdict_to_entry_oracle(pres, want)
+                if got.status != "concatenable":
+                    continue
+                assert cover_section(got) == cover_section_oracle(want)
+                old = mirror(want) if mode == MAX else want
+                old_weights = tuple(old.assignment.image(j) for j in range(len(pres.generators)))
+                sign = -1 if mode == MAX else 1
+                priority = list(range(1, len(weights) + 1))
+                rng.shuffle(priority)
+                tampers = [lambda s: s, lambda s: s._replace(gen_priority=tuple(priority))]
+                if len(got.certificate.ordering) >= 2:
+                    i, j = rng.sample(got.certificate.ordering, 2)
+
+                    def swap(s, i=i, j=j):
+                        witnesses = dict(s.witness_by_relator)
+                        witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
+                        return s._replace(witness_by_relator=witnesses)
+
+                    tampers.append(swap)
+                for tamper in tampers:
+                    checks = _cover_checks(
+                        pres, tuple(sign * w for w in weights), got.multisets,
+                        got.certificate, tamper,
+                    )
+                    assert checks == _cover_checks(
+                        old.presentation, old_weights, old.multisets, old.certificate, tamper
+                    )
+                    seen["tampered-failing"] += tamper is not tampers[0] and not all(
+                        ok for _, ok in checks
+                    )
+                seen[mode] += 1
+                seen["flips"] += bool(got.flips)
+                seen["max-flips"] += mode == MAX and bool(got.flips)
+    assert min(seen.values()) >= 20, seen

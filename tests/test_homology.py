@@ -178,7 +178,7 @@ def test_integer_kernel_basis():
 
 def test_find_weight_homomorphisms():
     homs = find_weight_homomorphisms(sample_a())
-    assert homs[0].weights == (1, 1, 1) and homs[0].flips == frozenset()
+    assert homs[0].weights == (1, 1, 1)
     braid_homs = find_weight_homomorphisms(sample_braid())
     assert [h.weights for h in braid_homs] == [(1, 1, 1)]
     with pytest.raises(NoSurjection):
@@ -208,7 +208,8 @@ def test_weight_vectors_satisfy_invariants():
             assert math.gcd(*[abs(w) for w in hom.weights]) == 1
             for i in range(k):
                 assert sum(mat[i][j] * hom.weights[j] for j in range(n)) == 0
-            assert all(w >= 0 for j, w in enumerate(hom.weights) if j not in hom.flips)
+            # One of each pair +-v: the first nonzero weight is positive.
+            assert next(w for w in hom.weights if w) > 0
 
 
 def test_half_box_search_matches_full_box_oracle():

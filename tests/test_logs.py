@@ -21,7 +21,8 @@ from npicheck.logs import (
 from npicheck.minima import MAX, MIN, check_presentation
 from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.textio import parse_presentation
-from npicheck.words import make_presentation, validate
+from npicheck.words import make_presentation, rotate_word, validate
+from adian_normalize_oracle import adian_normalize_oracle
 
 
 def test_log_to_presentation():
@@ -71,6 +72,31 @@ def test_adian_normalize():
     assert form2.pairs[0].u == (2,) and form2.pairs[0].v == (1,)
     with pytest.raises(NotAdian):
         adian_normalize(make_presentation(["a", "b"], [(1, 2, 1, 2)]))
+
+
+def test_adian_normalize_matches_the_rotation_oracle():
+    # Seeded words: any signs, and u v^-1 with u, v positive, rotated; the
+    # runs must give the rotation oracle's form or its NotAdian message.
+    rng = random.Random(64)
+    adian = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            word = [rng.choice([1, -1]) * rng.randrange(1, 4) for _ in range(rng.randrange(0, 9))]
+        else:
+            u = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+            v = [-rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+            word = rotate_word(u + v, rng.randrange(len(u) + len(v)))
+        pres = make_presentation(["a", "b", "c"], [(1, -2), tuple(word)])
+        try:
+            want = adian_normalize_oracle(pres)
+        except NotAdian as exc:
+            with pytest.raises(NotAdian) as got:
+                adian_normalize(pres)
+            assert str(got.value) == str(exc)
+            continue
+        assert adian_normalize(pres) == want
+        adian += 1
+    assert adian >= 1000
 
 
 def test_adian_npi_check_examples():

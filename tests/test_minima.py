@@ -31,6 +31,7 @@ from npicheck.textio import parse_presentation
 from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
 from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
+from flip_frame_oracle import in_flipped_frame
 from helpers import maxima_multiset
 from samples import (
     FOREST7R3_2_TEXT,
@@ -347,14 +348,22 @@ def test_check_presentation_verdicts():
 
 
 def test_check_presentation_flips_negative_weights():
-    # <a, b | a b>: the only primitive weight vectors are +-(1, -1), so the
-    # pipeline must flip one generator before computing profiles.
+    # <a, b | a b>: the only primitive weight vectors are +-(1, -1).  The
+    # profiles are read in the frame of the input with the signed weights
+    # and the generator of negative weight is recorded as a flip; inverting
+    # it gives the counts of <a, b | a b^-1> under the weights (1, 1).
     p = make_presentation(["a", "b"], [(1, 2)])
     mixed = TargetAssignment.from_weights(p, (1, -1))
     verdict = check_presentation(p, Z, mixed, MIN)
     assert verdict.status == "concatenable"
     assert verdict.flips == frozenset({1})
-    assert verdict.presentation.relators == ((1, -2),)
+    assert verdict.presentation == p
+    assert [m.counts for m in verdict.multisets] == [{0: (1, 0), 1: (1, 0)}]
+    flipped = make_presentation(["a", "b"], [(1, -2)])
+    want = check_presentation(flipped, Z, TargetAssignment.from_weights(flipped, (1, 1)), MIN)
+    old = in_flipped_frame(verdict)
+    assert old.presentation == flipped
+    assert (old.multisets, old.certificate) == (want.multisets, want.certificate)
 
     # Negating all weights swaps minima for maxima; for the first sample
     # both maxima supports coincide, so the negated map fails while the
@@ -441,8 +450,9 @@ def test_integer_multisets_match_the_target_operations():
 
 
 def test_check_assignment_matches_the_generic_oracle():
-    # The one-pass flips and multisets against flip_generator once per
-    # flipped generator and the target's operations, in both modes.
+    # The one-pass multisets in the frame of the input against
+    # flip_generator once per flipped generator and the target's
+    # operations, in both modes, after mapping through the flips.
     rng = random.Random(19)
     statuses = set()
     for pres in _oracle_presentations(rng):
@@ -452,7 +462,7 @@ def test_check_assignment_matches_the_generic_oracle():
             for mode in (MIN, MAX):
                 got = check_assignment(pres, hyps, Z, assignment, mode)
                 want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
-                _assert_same_verdict(got, want)
+                _assert_same_verdict(in_flipped_frame(got), want)
                 statuses.add((got.status, got.hypotheses[-1].key))
     assert statuses >= {
         ("concatenable", "assignment-well-defined"),
@@ -474,4 +484,5 @@ def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
         assignment = TargetAssignment.from_weights(pres, hom.weights)
         for mode in (MIN, MAX):
             got = check_assignment(pres, hyps, Z, assignment, mode, outcomes)
-            _assert_same_verdict(got, check_assignment_oracle(pres, hyps, Z, assignment, mode))
+            want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
+            _assert_same_verdict(in_flipped_frame(got), want)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import oracle_json
+from flip_frame_oracle import swap_flipped
 from helpers import verify_assignment
 from npicheck import homology, minima
 from npicheck.logs import log_to_presentation, lof_random
@@ -242,15 +243,18 @@ def test_each_multiset_tuple_is_decided_once(text, monkeypatch):
     # One call per distinct tuple, the Adian route's all-ones checks included.
     assert max(Counter(decided).values()) == 1
     for attempt in doc["attempts"]:
+        # The report writes the counts of a flipped generator inverted; the
+        # route decides the multisets of the input, with them swapped back.
         multisets = _multisets(attempt, names)
-        assert _key(multisets) in decided
+        flips = {names.index(g) for g in attempt["flips"]}
+        assert _key(swap_flipped(multisets, flips)) in decided
         got = {k: attempt[k] for k in ("certificate", "failure_witness") if k in attempt}
         assert got == _outcome_entry(weak_concatenability(multisets), names)
         # The same map checked alone, with no shared decisions.
         weights = [attempt["weights"][g] for g in names]
         alone = check_presentation(pres, IntTarget(), TargetAssignment.from_weights(pres, weights))
-        assert alone.status == attempt["status"]
-        assert _key(alone.multisets) == _key(multisets)
+        assert alone.status == attempt["status"] and alone.flips == flips
+        assert _key(alone.multisets) == _key(swap_flipped(multisets, flips))
 
 
 def test_the_145_attempt_forests_decide_few_tuples(monkeypatch):

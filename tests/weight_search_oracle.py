@@ -55,5 +55,5 @@ def full_box_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> l
         for row in mat:
             assert sum(x * w for x, w in zip(row, vec)) == 0
         assert math.gcd(*[abs(x) for x in vec]) == 1
-        out.append(WeightHom(vec, frozenset(j for j, w in enumerate(vec) if w < 0)))
+        out.append(WeightHom(vec))
     return out
