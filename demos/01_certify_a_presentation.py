@@ -39,7 +39,7 @@ for i in range(len(pres.relators)):
 verdict = check_presentation(pres, target, ones)
 print("verdict:", verdict.status)
 for m in verdict.multisets:
-    print(f"  multiset of minima, r{m.relator}: {m.describe(verdict.presentation)}")
+    print(f"  multiset of minima, r{m.relator}: {m.describe(pres)}")
 cert = verdict.certificate
 print("certificate ordering:", cert.ordering)
 print(

@@ -10,13 +10,15 @@ validity, without running the routes; ``phi``, ``minima`` and ``concat``
 print the report's attempts; ``cover`` its cover section; ``report`` and
 ``lot`` the whole document.  So every view tries the report's maps in its
 order, stops where it stops and shares its checks.
-Exit codes: 0 a verdict was computed (whatever it is), 2 parse or usage
-error, 3 any other failure (an internal check).
+Exit codes: 0 a verdict was computed (whatever it is), 1 the reader
+closed standard output, 2 parse or usage error, 3 any other failure (an
+internal check).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .complexes import _check_bounds
@@ -128,10 +130,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (ParseError, BadPhiSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (as ``| head`` does).  Point stdout at
+        # devnull, so that the flush at exit does not fail again, and exit
+        # 1 as CPython does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # every other failure is the program's own
         import traceback  # imported here so that start-up does not load it
 

@@ -20,9 +20,10 @@ below assumes otherwise.
 1. Pendant trees.  A face-free edge ending at a vertex of degree one
    changes neither chi nor collapsibility: no collapse uses it, and the
    residual graph is a tree with it iff without it.  Stripping such edges
-   while any remain leaves the *core* of C, itself a candidate, and
-   ``_decorate_with_trees`` lists every decoration of a core within the
-   edge budget.  So it is enough to reach every core.
+   while any remain leaves the *core* of C, itself a candidate.  Leaf
+   moves, each one face-free edge to a fresh vertex, grow every
+   decoration of a core within the edge budget back from it, so it is
+   enough to reach every core.
 2. Ears.  Let e be a face-free edge on a cycle of a core C.  Then C - e is
    connected with chi one higher, and its core D differs from C by an ear:
    a path from a vertex of D through vertices not in D, closed by one edge
@@ -284,19 +285,6 @@ def collapsible(complex_: TwoComplex) -> bool:
     return faces_left == 0 and euler_characteristic(complex_) == 1 and is_connected(complex_)
 
 
-def _children(vertex_count, edges, n_gens, out_used, in_used):
-    """Folded one-edge extensions: to a fresh vertex or between existing ones."""
-    for v in range(vertex_count):
-        for g in range(n_gens):
-            if (v, g) not in out_used:
-                yield vertex_count + 1, edges + ((v, vertex_count, g),)
-                for w in range(vertex_count):
-                    if (w, g) not in in_used:
-                        yield vertex_count, edges + ((v, w, g),)
-            if (v, g) not in in_used:
-                yield vertex_count + 1, edges + ((vertex_count, v, g),)
-
-
 def _spell(rel) -> list[tuple[int, bool]]:
     """A relator as (label, forward) letters."""
     return [(letter_gen(x), x > 0) for x in rel]
@@ -336,32 +324,6 @@ def _require_valid(pres: Presentation) -> None:
     diags = validate(pres)
     if diags:
         raise ValueError("invalid presentation: " + "; ".join(map(str, diags)))
-
-
-def _decorate_with_trees(pres, base: TwoComplex, max_edges: int):
-    """All pendant-tree decorations of a complex within the edge budget:
-    the one-edge extensions of ``_children`` that add a fresh vertex."""
-    seen = {canonical_complex(base)}
-    level = [base]
-    while level:
-        nxt = []
-        for cur in level:
-            if len(cur.edges) >= max_edges:
-                continue
-            out_used = {(s, g) for s, _, g in cur.edges}
-            in_used = {(d, g) for _, d, g in cur.edges}
-            for child_v, child_edges in _children(
-                cur.vertex_count, cur.edges, len(pres.generators), out_used, in_used
-            ):
-                if child_v == cur.vertex_count:
-                    continue  # an edge between existing vertices closes a cycle
-                child = TwoComplex(child_v, child_edges, cur.faces)
-                canon = canonical_complex(child)
-                if canon not in seen:
-                    seen.add(canon)
-                    nxt.append(child)
-                    yield child
-        level = nxt
 
 
 class _Moves:
@@ -588,6 +550,15 @@ class _Moves:
                                 yield self._snapshot()
                                 self._pop()
 
+    def leaf_moves(self):
+        """One face-free edge from a vertex of the state to a fresh vertex,
+        while room is left; it keeps chi."""
+        if len(self.edges) >= self.max_edges:
+            return
+        for x in range(self.state.vertex_count):
+            for _ in self._fresh_paths(x, 1):
+                yield self._snapshot()
+
 
 def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     """Candidates for the non-positive-immersion dichotomy within bounds.
@@ -607,33 +578,30 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     spelled = [_spell(rel) for rel in pres.relators]
     singles: dict[int, list] = {}
 
-    def explore(stack, moves):
+    def explore(stack, moves, seen):
         while stack:
             state = stack.pop()
             for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces, singles)):
                 canon = canonical_complex(child)
-                if canon not in states:
-                    states[canon] = child
+                if canon not in seen:
+                    seen[canon] = child
                     stack.append(child)
 
     start = TwoComplex(1, (), ())
     states = {canonical_complex(start): start}
-    explore([start], _Moves.face_moves)
-    explore(list(states.values()), _Moves.ear_moves)
+    explore([start], _Moves.face_moves, states)
+    explore(list(states.values()), _Moves.ear_moves, states)
 
-    found: dict[tuple, ImmersionReport] = {}
-    for canon, state in states.items():
-        chi = euler_characteristic(state)
-        # Graphs (no faces) with chi >= 1 are trees, which collapse.
-        if chi >= 1 and state.faces and not collapsible(state):
-            found[canon] = ImmersionReport(from_canonical(canon), chi)
-    for core in list(found.values()):
-        for decorated in _decorate_with_trees(pres, core.complex, max_edges):
-            canon = canonical_complex(decorated)
-            if canon not in found:
-                found[canon] = ImmersionReport(from_canonical(canon), core.chi)
+    # Graphs (no faces) with chi >= 1 are trees, which collapse.
+    found = {
+        canon: state for canon, state in states.items()
+        if euler_characteristic(state) >= 1 and state.faces and not collapsible(state)
+    }
+    explore(list(found.values()), _Moves.leaf_moves, found)
 
-    reports = [found[c] for c in sorted(found)]
+    reports = [
+        ImmersionReport(from_canonical(c), euler_characteristic(found[c])) for c in sorted(found)
+    ]
     for r in reports:
         assert is_folded(r.complex) and is_connected(r.complex)
         assert link_injective(r.complex)

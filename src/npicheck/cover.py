@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .minima import ConcatCertificate, replay_certificate
+from .minima import ConcatCertificate, _integer_profile, replay_certificate
 from .words import Presentation, is_proper_power, letter_gen
 
 
@@ -46,18 +46,9 @@ class CoverCell(NamedTuple):
     relator: int
 
 
-def _profile(pres: Presentation, weights, rel: int) -> list[int]:
-    out = []
-    acc = 0
-    for x in pres.relators[rel]:
-        acc += weights[letter_gen(x)] * (1 if x > 0 else -1)
-        out.append(acc)
-    return out
-
-
 def relator_span(pres: Presentation, weights, rel: int) -> int:
     """Spread between the highest and lowest level visited by a lift."""
-    prof = _profile(pres, weights, rel)
+    prof = _integer_profile(pres.relators[rel], weights)
     return max(prof + [0]) - min(prof + [0])
 
 
@@ -96,7 +87,7 @@ def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEd
     levels) reproduces the relator word exactly.
     """
     pres, weights = window.presentation, window.weights
-    prof = _profile(pres, weights, cell.relator)
+    prof = _integer_profile(pres.relators[cell.relator], weights)
     anchor = cell.level - min(prof + [0])
     # The lift of g from level j ends at j + w[g]: its lower endpoint is
     # j + min(w[g], 0).

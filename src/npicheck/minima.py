@@ -6,17 +6,15 @@ length-t prefix; v_l is the identity because relators die under the
 homomorphism.  In Min mode the extremum m is the order-minimum of the
 profile.  Each boundary step whose endpoint pair {v_{t-1}, v_t} touches m
 contributes a copy of its generator, tagged by the letter's sign (v_0 is
-the identity and enters only as the value before letter 1).  For integer
-targets with nonnegative weights this coincides with: a negative copy for
-every prefix w a^-1 of weight m and a positive copy for every prefix w a
-of weight m + phi(a).  Max mode replaces the minimum by the maximum, so
-the Max-mode multisets under phi are the Min-mode multisets under -phi.
+the identity and enters only as the value before letter 1).  The rule is
+the same for every left-ordered target, integer weights of either sign
+included.  Max mode replaces the minimum by the maximum, so the Max-mode
+multisets under phi are the Min-mode multisets under -phi.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import NamedTuple
 
 from .homology import H1Structure, is_generalized_wirtinger
@@ -31,10 +29,6 @@ from .words import Presentation, letter_gen, validate
 
 MIN = "min"
 MAX = "max"
-
-
-class NegativeWeight(ValueError):
-    """Integer target with a negative generator weight; flip first."""
 
 
 class NonVanishingRelatorWeight(ValueError):
@@ -54,12 +48,6 @@ def _profile(word, target: OrderedTarget, assignment: TargetAssignment) -> list:
 
 def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignment: TargetAssignment) -> list:
     """Images of the initial subwords of relator ``rel`` (length-1 up to full)."""
-    if isinstance(target, IntTarget):
-        for j in range(len(pres.generators)):
-            if assignment.image(j) < 0:
-                raise NegativeWeight(
-                    f"generator {pres.generators[j]} has negative weight; flip it first"
-                )
     out = _profile(pres.relators[rel], target, assignment)
     if out and not target.equals(out[-1], target.identity()):
         raise NonVanishingRelatorWeight(
@@ -90,14 +78,24 @@ class MinimaMultiset(NamedTuple):
         return "{" + ", ".join(bits) + "}"
 
 
+def _extremal_counts(word, at) -> dict:
+    """Copies of each generator at the extremum, as (positive, negative)
+    per 0-based generator index: letter t counts when v_{t-1} or v_t is
+    the extremum, where ``at`` flags v_1, ..., v_l.  v_0, the identity,
+    takes the flag of v_l, which is the identity too."""
+    counts: dict[int, list[int]] = {}
+    prev = at[-1]
+    for x, here in zip(word, at):
+        if prev or here:
+            counts.setdefault(abs(x) - 1, [0, 0])[x < 0] += 1
+        prev = here
+    return {g: (p, n) for g, (p, n) in counts.items()}
+
+
 def _extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMultiset:
     """The multiset of relator ``rel`` (letters ``word``) from its prefix
-    profile, which ends at the identity.
-
-    Letter t counts when v_{t-1} or v_t is the extremum.  Each prefix
-    value is compared with the extremum once; v_0, the identity, takes
-    the answer of v_l, which is the identity too.
-    """
+    profile, which ends at the identity.  Each prefix value is compared
+    with the extremum once."""
     if not profile:
         raise ValueError("empty relator has no extremal multiset")
     want = LT if mode == MIN else GT
@@ -106,20 +104,7 @@ def _extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMul
         if target.compare(v, extremum) == want:
             extremum = v
     at = [target.equals(v, extremum) for v in profile]
-    counts: dict[int, list[int]] = {}
-    prev = at[-1]
-    for x, here in zip(word, at):
-        if prev or here:
-            g = letter_gen(x)
-            pair = counts.setdefault(g, [0, 0])
-            pair[0 if x > 0 else 1] += 1
-        prev = here
-    return MinimaMultiset(
-        relator=rel,
-        mode=mode,
-        extremum=extremum,
-        counts={g: (p, n) for g, (p, n) in counts.items()},
-    )
+    return MinimaMultiset(rel, mode, extremum, _extremal_counts(word, at))
 
 
 def minima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
@@ -307,7 +292,6 @@ class CheckVerdict(NamedTuple):
     status: str  # "concatenable" | "not-concatenable" | "hypothesis-failure"
     hypotheses: tuple[HypothesisResult, ...]
     flips: frozenset[int]  # generators of negative integer weight
-    presentation: Presentation
     assignment: TargetAssignment | None
     mode: str
     multisets: tuple[MinimaMultiset, ...] | None
@@ -365,12 +349,13 @@ def check_assignment(
     """Check one assignment on a presentation whose own hypotheses
     ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
 
-    For integer targets each relator's profile, image and extremal
-    multiset are read in one pass over its letters with the signed
-    weights (:func:`_integer_multisets`), in the frame of ``pres``.  The
-    generators of negative weight are only recorded, as ``flips``: the
-    report writes their copy counts inverted, as the counts of the
-    presentation with those generators inverted.
+    For integer targets each relator's profile is the running sum of its
+    signed letter weights (:func:`_integer_profile`), in the frame of
+    ``pres``: its last value is the relator's image, and the whole list
+    gives the extremal multiset.  The generators of negative weight are
+    only recorded, as ``flips``: the report writes their copy counts
+    inverted, as the counts of the presentation with those generators
+    inverted.
 
     For other targets each relator's prefix profile is computed once
     through the target's operations and serves both steps: its last value
@@ -387,7 +372,7 @@ def check_assignment(
 
     def failed() -> CheckVerdict:
         return CheckVerdict(
-            "hypothesis-failure", tuple(hyps), frozenset(), pres, None, mode, None, None, None
+            "hypothesis-failure", tuple(hyps), frozenset(), None, mode, None, None, None
         )
 
     if hyps[-1].status == "fail":
@@ -448,7 +433,6 @@ def check_assignment(
         "concatenable" if concatenable else "not-concatenable",
         tuple(hyps),
         flips,
-        pres,
         assignment,
         mode,
         multisets,
@@ -470,33 +454,28 @@ def _ordered_multisets(relators, target: OrderedTarget, assignment, mode: str):
     )
 
 
+def _integer_profile(word, weights) -> list[int]:
+    """The prefix profile of ``word`` under integer weights of either
+    sign: the running sums of its signed letter weights."""
+    out = []
+    acc = 0
+    for x in word:
+        acc += weights[x - 1] if x > 0 else -weights[-x - 1]
+        out.append(acc)
+    return out
+
+
 def _integer_multisets(relators, weights, mode: str):
     """The extremal multisets of :func:`_ordered_multisets` over the
-    integers, or None when a relator's weight is not zero.
-
-    The profile of a relator is the running sum of its signed letter
-    weights, and each relator takes one pass over its letters: v_0, the
-    identity, takes the place of v_l, which is 0 too.
-    """
-    step = {}
-    for j, w in enumerate(weights, 1):
-        step[j] = w
-        step[-j] = -w
+    integers, or None when a relator's weight is not zero."""
     extreme = min if mode == MIN else max
     out = []
     for i, word in enumerate(relators):
-        profile = list(accumulate(map(step.__getitem__, word)))
+        profile = _integer_profile(word, weights)
         if not profile:
             raise ValueError("empty relator has no extremal multiset")
         if profile[-1]:
             return None
         m = extreme(profile)
-        counts: dict[int, list[int]] = {}
-        prev = profile[-1] == m
-        for x, v in zip(word, profile):
-            here = v == m
-            if prev or here:
-                counts.setdefault(abs(x) - 1, [0, 0])[x < 0] += 1
-            prev = here
-        out.append(MinimaMultiset(i, mode, m, {g: (p, n) for g, (p, n) in counts.items()}))
+        out.append(MinimaMultiset(i, mode, m, _extremal_counts(word, [v == m for v in profile])))
     return tuple(out)

@@ -219,9 +219,9 @@ def _verdict_to_entry(pres: Presentation, verdict: CheckVerdict) -> dict:
     return entry
 
 
-def cover_section(verdict: CheckVerdict) -> dict:
+def cover_section(pres: Presentation, verdict: CheckVerdict) -> dict:
     """Verify the slim certificate of a concatenable integer verdict on
-    the cover.  The section names the window that reaches one level beyond
+    ``pres`` on its cyclic cover.  The section names the window that reaches one level beyond
     the largest relator span on each side, and the cells it holds; the
     checks themselves are decided once per relator (see
     :func:`cover.verify_weak_slim_certificate`).
@@ -231,7 +231,6 @@ def cover_section(verdict: CheckVerdict) -> dict:
     left-invariant order gives another one; so a max-mode verdict is
     verified with its own multisets and certificate on the weights -phi.
     """
-    pres = verdict.presentation
     sign = -1 if verdict.mode == MAX else 1
     weights = tuple(sign * verdict.assignment.image(j) for j in range(len(pres.generators)))
     spans = [
@@ -406,7 +405,7 @@ def _presentation_route(
         }
         _merge_hypotheses(doc, entry["hypotheses"])
     if certified and integer:
-        doc["cover"] = cover_section(verdict)
+        doc["cover"] = cover_section(pres, verdict)
         return (
             "npi-certified",
             CITATIONS["concat-z"],
@@ -484,7 +483,7 @@ def _log_route(
     doc["attempts"].append(_verdict_to_entry(pres, verdict.min_check or verdict.max_check))
     doc["phi"] = {"target": "z", "weights": {name: 1 for name in pres.generators}, "flips": []}
     if verdict.min_check:
-        doc["cover"] = cover_section(verdict.min_check)
+        doc["cover"] = cover_section(pres, verdict.min_check)
     branch = "T" if verdict.t_forest.ok else "I"
     return (
         "npi-certified",

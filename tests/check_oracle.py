@@ -1,13 +1,17 @@
 """The integer path of ``check_assignment`` before it read each relator in
-one pass, kept verbatim (but for its name) as a differential oracle for
+one pass, kept verbatim (but for its name, and for the presentation its
+verdict no longer carries) as a differential oracle for
 :func:`npicheck.minima.check_assignment`.
 
 It flips one generator at a time with :func:`words.flip_generator` and
 computes every prefix profile and extremal multiset through the target's
-operations (:func:`minima._profile`, :func:`minima._extremal_multiset`),
+operations (:func:`minima._profile` and ``extremal_multiset``, the former
+``minima._extremal_multiset`` with its own counting loop, so that the
+differential does not run the package's counting helper on both sides),
 for every target.  It works in the flipped frame, which
 ``check_assignment`` has left: compare through
-:func:`flip_frame_oracle.in_flipped_frame`.
+:func:`flip_frame_oracle.in_flipped_frame`.  The verdict's presentation
+is ``flip_all(pres, verdict.flips)``.
 """
 
 from __future__ import annotations
@@ -19,12 +23,44 @@ from npicheck.minima import (
     CheckVerdict,
     ConcatCertificate,
     HypothesisResult,
-    _extremal_multiset,
+    MinimaMultiset,
     _profile,
     weak_concatenability,
 )
-from npicheck.orders import IntTarget, OrderedTarget, TargetAssignment
-from npicheck.words import Presentation, flip_generator
+from npicheck.orders import GT, LT, IntTarget, OrderedTarget, TargetAssignment
+from npicheck.words import Presentation, flip_generator, letter_gen
+
+
+def extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMultiset:
+    """The multiset of relator ``rel`` (letters ``word``) from its prefix
+    profile, which ends at the identity.
+
+    Letter t counts when v_{t-1} or v_t is the extremum.  Each prefix
+    value is compared with the extremum once; v_0, the identity, takes
+    the answer of v_l, which is the identity too.
+    """
+    if not profile:
+        raise ValueError("empty relator has no extremal multiset")
+    want = LT if mode == MIN else GT
+    extremum = profile[0]
+    for v in profile[1:]:
+        if target.compare(v, extremum) == want:
+            extremum = v
+    at = [target.equals(v, extremum) for v in profile]
+    counts: dict[int, list[int]] = {}
+    prev = at[-1]
+    for x, here in zip(word, at):
+        if prev or here:
+            g = letter_gen(x)
+            pair = counts.setdefault(g, [0, 0])
+            pair[0 if x > 0 else 1] += 1
+        prev = here
+    return MinimaMultiset(
+        relator=rel,
+        mode=mode,
+        extremum=extremum,
+        counts={g: (p, n) for g, (p, n) in counts.items()},
+    )
 
 
 def check_assignment_oracle(
@@ -56,7 +92,7 @@ def check_assignment_oracle(
 
     def failed() -> CheckVerdict:
         return CheckVerdict(
-            "hypothesis-failure", tuple(hyps), frozenset(), pres, None, mode, None, None, None
+            "hypothesis-failure", tuple(hyps), frozenset(), None, mode, None, None, None
         )
 
     if hyps[-1].status == "fail":
@@ -115,7 +151,7 @@ def check_assignment_oracle(
     )
 
     multisets = tuple(
-        _extremal_multiset(i, r, p, target, mode)
+        extremal_multiset(i, r, p, target, mode)
         for i, (r, p) in enumerate(zip(work_pres.relators, profiles))
     )
     if outcomes is None:
@@ -129,7 +165,6 @@ def check_assignment_oracle(
         "concatenable" if concatenable else "not-concatenable",
         tuple(hyps),
         flips,
-        work_pres,
         work_assignment,
         mode,
         multisets,

@@ -7,7 +7,8 @@ nonnegative weights, and it verified a max-mode certificate on the mirror
 of its verdict (``mirror``), every generator inverted again.
 ``cover_section_oracle`` and ``verdict_to_entry_oracle`` are the former
 ``report.cover_section`` and ``report._verdict_to_entry`` verbatim (but
-for their names); they take a verdict of
+for their names, and for the presentation that ``cover_section_oracle``
+takes as an argument); they take a verdict of
 :func:`check_oracle.check_assignment_oracle`, which is the flipped-frame
 ``check_assignment``.  The flipped-frame route reached the cover only with
 nonnegative weights, where an edge's lower endpoint is its start level, so
@@ -15,6 +16,11 @@ it runs on the current cover module.
 
 ``in_flipped_frame`` maps a verdict of the input frame to the one the
 flipped-frame route gives for the same assignment.
+
+A verdict carries no presentation: each function here takes the one the
+verdict was checked on, which for a verdict of
+:func:`check_oracle.check_assignment_oracle` on ``pres`` is
+``flip_all(pres, verdict.flips)``.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ def flip_all(pres: Presentation, flips: frozenset[int]) -> Presentation:
     )
 
 
-def mirror(verdict: CheckVerdict) -> CheckVerdict:
-    """The min-mode verdict on the mirror of a max-mode one.
+def mirror(pres: Presentation, verdict: CheckVerdict) -> tuple[Presentation, CheckVerdict]:
+    """The mirror of ``pres`` and the min-mode verdict on it of a max-mode
+    verdict on ``pres``.
 
     Maxima under phi are minima under -phi.  Flipping every generator
     negates each prefix profile under the same nonnegative weights, so the
@@ -57,7 +64,6 @@ def mirror(verdict: CheckVerdict) -> CheckVerdict:
     concatenability sees only supports and unequal copy counts, so the
     mirrored certificate must have the same ordering and witnesses.
     """
-    pres = verdict.presentation
     pres = flip_all(pres, frozenset(range(len(pres.generators))))
     multisets = tuple(
         minima_multiset(pres, i, IntTarget(), verdict.assignment)
@@ -70,10 +76,10 @@ def mirror(verdict: CheckVerdict) -> CheckVerdict:
 
     if not isinstance(cert, ConcatCertificate) or shape(cert) != shape(verdict.certificate):
         raise AssertionError("the mirror of a max-mode verdict has another certificate")
-    return verdict._replace(presentation=pres, mode=MIN, multisets=multisets, certificate=cert)
+    return pres, verdict._replace(mode=MIN, multisets=multisets, certificate=cert)
 
 
-def cover_section_oracle(verdict: CheckVerdict) -> dict:
+def cover_section_oracle(pres: Presentation, verdict: CheckVerdict) -> dict:
     """Verify the slim certificate of a concatenable integer verdict on
     the cover.  The section names the window that reaches one level beyond
     the largest relator span on each side, and the cells it holds; the
@@ -84,8 +90,7 @@ def cover_section_oracle(verdict: CheckVerdict) -> dict:
     verdict is verified on its mirror (see :func:`mirror`).
     """
     if verdict.mode == MAX:
-        verdict = mirror(verdict)
-    pres = verdict.presentation
+        pres, verdict = mirror(pres, verdict)
     weights = tuple(verdict.assignment.image(j) for j in range(len(pres.generators)))
     spans = [
         cover_mod.relator_span(pres, weights, i) for i in range(len(pres.relators))
@@ -146,15 +151,15 @@ def swap_flipped(multisets, flips) -> tuple[MinimaMultiset, ...]:
     )
 
 
-def in_flipped_frame(verdict: CheckVerdict) -> CheckVerdict:
-    """``verdict``, from the route that works in the frame of the input,
-    as the flipped-frame route gives it: the presentation with every
-    generator of ``verdict.flips`` inverted, the weights |phi|, and the
-    copy counts of each flipped generator swapped."""
+def in_flipped_frame(pres: Presentation, verdict: CheckVerdict) -> CheckVerdict:
+    """``verdict`` on ``pres``, from the route that works in the frame of
+    the input, as the flipped-frame route gives it on the presentation
+    with every generator of ``verdict.flips`` inverted: the weights |phi|,
+    and the copy counts of each flipped generator swapped."""
     flips = verdict.flips
     if not flips:
         return verdict
-    pres = flip_all(verdict.presentation, flips)
+    pres = flip_all(pres, flips)
     weights = [abs(verdict.assignment.image(j)) for j in range(len(pres.generators))]
     cert = verdict.certificate
     if cert is not None:
@@ -163,7 +168,6 @@ def in_flipped_frame(verdict: CheckVerdict) -> CheckVerdict:
             for w in cert.witnesses
         ))
     return verdict._replace(
-        presentation=pres,
         assignment=TargetAssignment.from_weights(pres, weights),
         multisets=swap_flipped(verdict.multisets, flips),
         certificate=cert,

@@ -27,7 +27,6 @@ from npicheck.complexes import (
     ImmersionReport,
     TwoComplex,
     _check_bounds,
-    _children,
     _closed_walk,
     _require_valid,
     _spell,
@@ -39,6 +38,19 @@ from npicheck.complexes import (
     is_folded,
     link_injective,
 )
+
+
+def _children(vertex_count, edges, n_gens, out_used, in_used):
+    """Folded one-edge extensions: to a fresh vertex or between existing ones."""
+    for v in range(vertex_count):
+        for g in range(n_gens):
+            if (v, g) not in out_used:
+                yield vertex_count + 1, edges + ((v, vertex_count, g),)
+                for w in range(vertex_count):
+                    if (w, g) not in in_used:
+                        yield vertex_count, edges + ((v, w, g),)
+            if (v, g) not in in_used:
+                yield vertex_count + 1, edges + ((vertex_count, v, g),)
 
 
 def grow_graphs(n_gens, max_edges, rank_cap):

@@ -843,6 +843,25 @@ def test_traced_benchmark_finds_the_names_it_reads():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_stdout_exits_1(tmp_path):
+    # ``npicheck immerse w.pres --bounds 6,2 | head -1``: the reader closes
+    # the pipe after the first line.  The ~148 kB of candidates do not fit
+    # in the pipe, so a write fails: that is exit 1 with nothing on stderr,
+    # not an internal check failure.
+    pres = tmp_path / "w.pres"
+    pres.write_text("gens: a b\nrel: a b^2 a^-1\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "npicheck.cli", "immerse", str(pres), "--bounds", "6,2"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert first == b"candidates within bounds (6, 2): 759\n"
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_cli_start_up_imports():
     # What every CLI process pays at start-up: no dataclass code generation,
     # no pathlib (the CLI reads its file with open) and no random (only

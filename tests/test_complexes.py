@@ -332,16 +332,30 @@ def _differential_presentations():
             yield pres
 
 
+def _has_pendant_edge(complex_):
+    """Whether a face-free edge ends at a vertex of degree one: what leaf
+    moves add."""
+    faced = {e for _, path in complex_.faces for e, _ in path}
+    degree = Counter(v for s, d, _ in complex_.edges for v in (s, d))
+    return any(
+        i not in faced and 1 in (degree[s], degree[d])
+        for i, (s, d, _) in enumerate(complex_.edges)
+    )
+
+
 def test_npi_scan_matches_graph_first_oracle():
-    wraps = 0
+    wraps = pendant = 0
     for pres in _differential_presentations():
         wraps += any(len(r) > 1 and r[0] == -r[-1] for r in pres.relators)
         expected = _scan_key(oracle_scan(pres, 4, 3))
         for max_e in range(5):
             for max_f in range(4):
-                got = _scan_key(npi_scan(pres, max_e, max_f))
+                reports = npi_scan(pres, max_e, max_f)
+                got = _scan_key(reports)
                 assert got == _within(expected, max_e, max_f), (pres, max_e, max_f)
+                pendant += sum(_has_pendant_edge(r.complex) for r in reports)
     assert wraps >= 5
+    assert pendant > 0
 
 
 def _face_move_cases():

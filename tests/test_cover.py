@@ -33,7 +33,7 @@ from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.report import _verdict_to_entry, cover_section
 from npicheck.words import flip_generator, letter_gen, make_presentation
 from check_oracle import check_assignment_oracle
-from flip_frame_oracle import cover_section_oracle, mirror, verdict_to_entry_oracle
+from flip_frame_oracle import cover_section_oracle, flip_all, mirror, verdict_to_entry_oracle
 from samples import sample_a, sample_b
 from slim_verify_oracle import oracle_verify_weak_slim_certificate
 from test_homology import _wlot
@@ -351,8 +351,9 @@ def test_cover_section_matches_the_flipped_frame_route():
                 assert _verdict_to_entry(pres, got) == verdict_to_entry_oracle(pres, want)
                 if got.status != "concatenable":
                     continue
-                assert cover_section(got) == cover_section_oracle(want)
-                old = mirror(want) if mode == MAX else want
+                flipped = flip_all(pres, want.flips)
+                assert cover_section(pres, got) == cover_section_oracle(flipped, want)
+                old_pres, old = mirror(flipped, want) if mode == MAX else (flipped, want)
                 old_weights = tuple(old.assignment.image(j) for j in range(len(pres.generators)))
                 sign = -1 if mode == MAX else 1
                 priority = list(range(1, len(weights) + 1))
@@ -373,7 +374,7 @@ def test_cover_section_matches_the_flipped_frame_route():
                         got.certificate, tamper,
                     )
                     assert checks == _cover_checks(
-                        old.presentation, old_weights, old.multisets, old.certificate, tamper
+                        old_pres, old_weights, old.multisets, old.certificate, tamper
                     )
                     seen["tampered-failing"] += tamper is not tampers[0] and not all(
                         ok for _, ok in checks

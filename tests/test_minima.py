@@ -11,9 +11,9 @@ from npicheck.minima import (
     ConcatFailure,
     MinimaMultiset,
     NonVanishingRelatorWeight,
-    NegativeWeight,
     WitnessStep,
     _integer_multisets,
+    _integer_profile,
     _ordered_multisets,
     check_assignment,
     check_presentation,
@@ -31,7 +31,7 @@ from npicheck.textio import parse_presentation
 from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
 from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
-from flip_frame_oracle import in_flipped_frame
+from flip_frame_oracle import flip_all, in_flipped_frame
 from helpers import maxima_multiset
 from samples import (
     FOREST7R3_2_TEXT,
@@ -41,6 +41,7 @@ from samples import (
     sample_braid,
     torsion_presentation,
 )
+from test_cover import _lofs_and_wlots
 
 Z = IntTarget()
 
@@ -58,9 +59,11 @@ def test_prefix_profiles():
 
 
 def test_profile_errors():
+    # Signed weights are read as they are: negating every weight negates
+    # the profile.  Only a relator with a nonzero image is an error.
     pa = sample_a()
-    with pytest.raises(NegativeWeight):
-        prefix_profile(pa, 0, Z, TargetAssignment.from_weights(pa, (-1, 1, 1)))
+    neg = TargetAssignment.from_weights(pa, (-1, -1, -1))
+    assert prefix_profile(pa, 1, Z, neg) == [1, 2, 1, 0, -1, 0, 1, 2, 1, 0]
     bad = make_presentation(["a", "b"], [(1, 1, -2)])
     with pytest.raises(NonVanishingRelatorWeight):
         prefix_profile(bad, 0, Z, ones(bad))
@@ -357,12 +360,11 @@ def test_check_presentation_flips_negative_weights():
     verdict = check_presentation(p, Z, mixed, MIN)
     assert verdict.status == "concatenable"
     assert verdict.flips == frozenset({1})
-    assert verdict.presentation == p
     assert [m.counts for m in verdict.multisets] == [{0: (1, 0), 1: (1, 0)}]
     flipped = make_presentation(["a", "b"], [(1, -2)])
     want = check_presentation(flipped, Z, TargetAssignment.from_weights(flipped, (1, 1)), MIN)
-    old = in_flipped_frame(verdict)
-    assert old.presentation == flipped
+    old = in_flipped_frame(p, verdict)
+    assert flip_all(p, verdict.flips) == flipped
     assert (old.multisets, old.certificate) == (want.multisets, want.certificate)
 
     # Negating all weights swaps minima for maxima; for the first sample
@@ -373,6 +375,41 @@ def test_check_presentation_flips_negative_weights():
     verdict = check_presentation(pa, Z, neg, MIN)
     assert verdict.status == "not-concatenable"
     assert verdict.flips == frozenset({0, 1, 2})
+
+
+def test_profile_and_minima_multiset_take_signed_weights():
+    # prefix_profile and minima_multiset read a map of either sign as the
+    # report does.  On <a, b | a b> under a=1, b=-1 they raised before the
+    # pipeline took signed weights.  On every map of the box and its
+    # negation, the profile is the one check_presentation reads (its
+    # minimum is the multiset's extremum), and the multisets are its
+    # min-mode ones.
+    p = make_presentation(["a", "b"], [(1, 2)])
+    mixed = TargetAssignment.from_weights(p, (1, -1))
+    assert prefix_profile(p, 0, Z, mixed) == [1, 0]
+    assert minima_multiset(p, 0, Z, mixed) == MinimaMultiset(0, MIN, 0, {0: (1, 0), 1: (1, 0)})
+
+    rng = random.Random(64)
+    seen = {"negative": 0, "nonnegative": 0}
+    for pres in _lofs_and_wlots(rng):
+        try:
+            maps = [h.weights for h in find_weight_homomorphisms(pres, 1)]
+        except NoSurjection:
+            continue
+        for weights in maps + [tuple(-w for w in vec) for vec in maps]:
+            assignment = TargetAssignment.from_weights(pres, weights)
+            verdict = check_presentation(pres, Z, assignment, MIN)
+            if verdict.multisets is None:
+                continue
+            for i, word in enumerate(pres.relators):
+                profile = prefix_profile(pres, i, Z, assignment)
+                assert profile == _integer_profile(word, weights)
+                assert min(profile) == verdict.multisets[i].extremum
+                got = minima_multiset(pres, i, Z, assignment)
+                assert got == verdict.multisets[i]
+                assert _counts_in_order([got]) == _counts_in_order(verdict.multisets[i:i + 1])
+            seen["negative" if min(weights) < 0 else "nonnegative"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_modes_must_match():
@@ -462,7 +499,7 @@ def test_check_assignment_matches_the_generic_oracle():
             for mode in (MIN, MAX):
                 got = check_assignment(pres, hyps, Z, assignment, mode)
                 want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
-                _assert_same_verdict(in_flipped_frame(got), want)
+                _assert_same_verdict(in_flipped_frame(pres, got), want)
                 statuses.add((got.status, got.hypotheses[-1].key))
     assert statuses >= {
         ("concatenable", "assignment-well-defined"),
@@ -485,4 +522,4 @@ def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
         for mode in (MIN, MAX):
             got = check_assignment(pres, hyps, Z, assignment, mode, outcomes)
             want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
-            _assert_same_verdict(in_flipped_frame(got), want)
+            _assert_same_verdict(in_flipped_frame(pres, got), want)
