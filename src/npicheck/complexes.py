@@ -78,6 +78,20 @@ below assumes otherwise.
      state edge before the run, or, when every edge is new, a state vertex
      the face passes through.  A trace is started only at such a corner,
      one whose first edge is missing from the state.
+6. Cutting traces that cannot close; no cut loses a class.
+   - Least corner.  A face with a new edge is built by the trace from each
+     corner (u, t) at a state vertex u whose edge at t is not a state
+     edge, so a trace stops at such a corner before its own start.
+   - A fresh vertex needs a join.  Until a join, the added edges form a
+     forest on the state, and the walk leaves the subtree of a fresh
+     vertex made at position t only back across its edge, so the cyclic
+     subword from t reduces to nothing: t >= L - h, where h letters cancel
+     across the wrap (nested, as in ``c^-1 b^-1 a b c``).  Elsewhere a
+     fresh edge needs a join and one more edge of room left.
+   - Walk-only tails.  Once no edge can be added (no room, or no join left
+     and no tail position), the rest of the word is walked.
+   - Canonical form.  Forms compare on their sorted edge triples first, so
+     only starts whose triples tie for the least relabel faces.
 
 States are deduplicated by ``canonical_complex``, so each class is
 expanded once.
@@ -190,25 +204,13 @@ def is_connected(complex_: TwoComplex) -> bool:
     return len(seen) == complex_.vertex_count
 
 
-def _ends_of(edges, vertex):
-    """Sorted (label, direction, other endpoint, edge index) ends at a vertex."""
-    out = []
-    for idx, (s, d, g) in enumerate(edges):
-        if s == vertex:
-            out.append((g, 0, d, idx))
-        if d == vertex:
-            out.append((g, 1, s, idx))
-    out.sort()
-    return out
-
-
 def _bfs_positions(ends, start: int) -> dict[int, int]:
     """Vertex -> position in the breadth-first order from start, taking
     each vertex's edge ends in their sorted order."""
     pos = {start: 0}
     order = [start]
     for v in order:
-        for _, _, other, _ in ends[v]:
+        for _, _, other in ends[v]:
             if other not in pos:
                 pos[other] = len(order)
                 order.append(other)
@@ -229,23 +231,30 @@ def canonical_graph(vertex_count: int, edges) -> tuple:
 def canonical_complex(complex_: TwoComplex) -> tuple:
     """Canonical form including faces (minimum over BFS vertex orderings)."""
     edges = complex_.edges
-    ends = [_ends_of(edges, v) for v in range(complex_.vertex_count)]
-    best = None
+    ends: list[list] = [[] for _ in range(complex_.vertex_count)]
+    for s, d, g in edges:
+        ends[s].append((g, 0, d))
+        ends[d].append((g, 1, s))
+    for at in ends:
+        at.sort()
+    best, ties = None, []
     for start in range(complex_.vertex_count):
         pos = _bfs_positions(ends, start)
         triples = [(pos[s], pos[d], g) for s, d, g in edges]
-        sorted_triples = tuple(sorted(triples))
-        index_of = {t: i for i, t in enumerate(sorted_triples)}
-        new_faces = tuple(
-            sorted(
-                (rel, tuple((index_of[triples[e]], d) for e, d in path))
-                for rel, path in complex_.faces
-            )
-        )
-        cand = (complex_.vertex_count, sorted_triples, new_faces)
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else (complex_.vertex_count, (), ())
+        key = sorted(triples)
+        if best is None or key < best:
+            best, ties = key, [triples]
+        elif key == best:
+            ties.append(triples)
+    if best is None:
+        return (complex_.vertex_count, (), ())
+    index_of = {t: i for i, t in enumerate(best)}
+    faces = min(
+        tuple(sorted((rel, tuple((index_of[triples[e]], d) for e, d in path))
+                     for rel, path in complex_.faces))
+        for triples in ties
+    )
+    return (complex_.vertex_count, tuple(best), faces)
 
 
 def from_canonical(canon: tuple) -> TwoComplex:
@@ -290,20 +299,13 @@ def _spell(rel) -> list[tuple[int, bool]]:
     return [(letter_gen(x), x > 0) for x in rel]
 
 
-def _closed_walk(word, v0, out, into, edges):
-    """The edge path spelling ``word`` (a list of (label, forward) letters)
-    from v0 along existing edges, or None if an edge is missing or the walk
-    does not close; ``out`` and ``into`` map (vertex, label) to an edge."""
-    v = v0
-    path = []
-    for g, forward in word:
-        e = (out if forward else into).get((v, g))
-        if e is None:
-            return None
-        path.append((e, 1 if forward else -1))
-        s, d, _ = edges[e]
-        v = d if forward else s
-    return tuple(path) if v == v0 else None
+def _wrap_depth(word) -> int:
+    """The h of point 6: how many (label, forward) letters cancel cyclically
+    across the end of a freely reduced word."""
+    h = 0
+    while h < len(word) // 2 and word[h][0] == word[-1 - h][0] and word[h][1] != word[-1 - h][1]:
+        h += 1
+    return h
 
 
 def _check_bounds(max_edges: int, max_faces: int) -> None:
@@ -330,11 +332,12 @@ class _Moves:
     """The moves of the face-first scan out of one state.
 
     The state's folded graph is grown and shrunk in place: ``out`` and
-    ``into`` map (vertex, label) to the edge leaving or entering the vertex
-    with that label, and ``corners`` holds the (vertex, relator, position)
-    corners of the state's faces.  A move pushes edges, yields a snapshot
-    while they are in place, and pops them again.  ``singles`` is the
-    scan's cache of single-face complexes, one list per relator (see
+    ``into`` map the slot ``vertex * n_gens + label`` to the edge leaving
+    or entering the vertex with that label, and ``corners[rel]`` holds
+    ``vertex * len(relator) + position`` for the corners of the state's
+    faces of that relator.  A move pushes edges, yields a snapshot while
+    they are in place, and pops them again.  ``singles`` is the scan's
+    cache of single-face complexes, one list per relator (see
     ``_single_faces``).
     """
 
@@ -347,27 +350,27 @@ class _Moves:
         self.singles = singles
         self.vertex_count = state.vertex_count
         self.edges = list(state.edges)
-        self.out = {(s, g): i for i, (s, _, g) in enumerate(state.edges)}
-        self.into = {(d, g): i for i, (_, d, g) in enumerate(state.edges)}
-        self.corners = {
-            (_tail(state.edges, e, d), rel, t)
-            for rel, path in state.faces
-            for t, (e, d) in enumerate(path)
-        }
+        self.out = {s * n_gens + g: i for i, (s, _, g) in enumerate(state.edges)}
+        self.into = {d * n_gens + g: i for i, (_, d, g) in enumerate(state.edges)}
+        self.tails = [len(word) - _wrap_depth(word) for word in spelled]
+        self.corners: list[set[int]] = [set() for _ in spelled]
+        for rel, path in state.faces:
+            for t, (e, d) in enumerate(path):
+                self.corners[rel].add(_tail(state.edges, e, d) * len(path) + t)
 
     def _attach(self, v: int, g: int, forward: bool, w: int) -> int:
         """Push the edge labelled g that leaves v for w (or enters v from w)."""
         s, d = (v, w) if forward else (w, v)
         idx = len(self.edges)
-        self.out[(s, g)] = idx
-        self.into[(d, g)] = idx
+        self.out[s * self.n_gens + g] = idx
+        self.into[d * self.n_gens + g] = idx
         self.edges.append((s, d, g))
         return idx
 
     def _pop(self) -> None:
         s, d, g = self.edges.pop()
-        del self.out[(s, g)]
-        del self.into[(d, g)]
+        del self.out[s * self.n_gens + g]
+        del self.into[d * self.n_gens + g]
 
     def _snapshot(self, new_face=None) -> TwoComplex:
         faces = self.state.faces + ((new_face,) if new_face else ())
@@ -384,7 +387,7 @@ class _Moves:
                 return
             for g in range(self.n_gens):
                 for forward in (True, False):
-                    if (v, g) in (self.out if forward else self.into):
+                    if v * self.n_gens + g in (self.out if forward else self.into):
                         continue
                     w = self.vertex_count
                     self.vertex_count += 1
@@ -400,48 +403,84 @@ class _Moves:
         ``start`` at ``v0``.  An edge the word needs is followed if it
         exists; otherwise it is added, to a fresh vertex or, as a join, to
         an existing one (at most ``join_cap`` joins).  The last step must
-        land on ``v0``, and no corner may repeat one of the state's."""
+        land on ``v0``, and no corner may repeat one of the state's.  If
+        the start corner's edge exists, the trace only walks.  Otherwise
+        the cuts of point 6 of the module docstring apply."""
         spelled = self.spelled[rel]
         length = len(spelled)
+        n = self.n_gens
+        out, into, edges = self.out, self.into, self.edges
+        corners = self.corners[rel]
+        first = v0 * length + start  # the start corner, ranked like ``corners``
+        state_edges = len(edges)
+        g, forward = spelled[start]
         path = [None] * length
 
-        def step(k, v, joins):
-            # Existing edges are followed in this loop; only an added edge
-            # recurses.  Each open call below the first holds one pushed
-            # edge, popped when it returns, and the state never holds more
-            # than max_edges edges, so the depth is at most max_edges + 1
-            # however long the relator.
-            while True:
-                if k == length:
-                    if v == v0:
-                        cut = (length - start) % length  # path[cut] is position 0
-                        yield self._snapshot((rel, tuple(path[cut:] + path[:cut])))
-                    return
+        def follow(k, v):
+            # Follow existing edges from step k at v: the step and vertex
+            # where an edge must be added, (length, v0) once the face has
+            # closed, or (-1, v) where the trace stops.
+            while k < length:
                 pos = (start + k) % length
-                if (v, rel, pos) in self.corners:
-                    return
+                corner = v * length + pos
+                if corner in corners:
+                    return -1, v
                 g, forward = spelled[pos]
-                sign = 1 if forward else -1
-                last = k == length - 1
-                e = (self.out if forward else self.into).get((v, g))
+                e = (out if forward else into).get(v * n + g)
+                if corner < first and (e is None or e >= state_edges):
+                    return -1, v  # a trace from that corner finds this face
                 if e is None:
-                    break
-                s, d, _ = self.edges[e]
-                w = d if forward else s
-                if last and w != v0:
-                    return
-                path[k] = (e, sign)
-                k, v = k + 1, w
-            if len(self.edges) >= self.max_edges:
+                    return k, v
+                s, d, _ = edges[e]
+                v = d if forward else s
+                if k == length - 1 and v != v0:
+                    return -1, v
+                path[k] = (e, 1 if forward else -1)
+                k += 1
+            return k, v
+
+        def snapshot():
+            cut = (length - start) % length  # path[cut] is position 0
+            return self._snapshot((rel, tuple(path[cut:] + path[:cut])))
+
+        if v0 * n + g in (out if forward else into):
+            # From a corner whose edge exists the trace adds no edge: it walks.
+            if follow(0, v0)[0] == length:
+                yield snapshot()
+            return
+        tail = self.tails[rel]
+
+        def step(k, v, joins):
+            # Each open call below the first holds one pushed edge, popped
+            # when it returns, and the state never holds more than
+            # max_edges edges, so the depth is at most max_edges + 1
+            # however long the relator.
+            k, v = follow(k, v)
+            if k < 0:
                 return
-            far_slot = self.into if forward else self.out
+            if k == length:
+                yield snapshot()
+                return
+            room = self.max_edges - len(edges)
+            if room < 1:
+                return
+            pos = (start + k) % length
+            g, forward = spelled[pos]
+            sign = 1 if forward else -1
+            last = k == length - 1
             if joins < join_cap:
+                far = into if forward else out
+                walk = last or room == 1 or (joins + 1 == join_cap and tail == length)
                 for w in (v0,) if last else range(self.vertex_count):
-                    if (w, g) not in far_slot:
-                        path[k] = (self._attach(v, g, forward, w), sign)
+                    if w * n + g in far:
+                        continue
+                    path[k] = (self._attach(v, g, forward, w), sign)
+                    if not walk:
                         yield from step(k + 1, w, joins + 1)
-                        self._pop()
-            if not last:
+                    elif follow(k + 1, w)[0] == length:
+                        yield snapshot()
+                    self._pop()
+            if not last and (pos >= tail or (joins < join_cap and room >= 2)):
                 w = self.vertex_count
                 self.vertex_count += 1
                 path[k] = (self._attach(v, g, forward, w), sign)
@@ -509,20 +548,14 @@ class _Moves:
             return
         # Each later face raises chi by at most one.
         join_cap = euler_characteristic(state) + self.max_faces - len(state.faces) - 1
-        # A trace from a corner whose first edge is missing must add it.
+        # Position 0 is read at every vertex as a walk where its edge exists;
+        # any position where its edge is missing, as a trace that adds it.
         has_room = len(state.edges) < self.max_edges
         for v in range(state.vertex_count):
             for rel, word in enumerate(self.spelled):
-                path = _closed_walk(word, v, self.out, self.into, self.edges)
-                if path is not None and not any(
-                    (_tail(self.edges, e, d), rel, t) in self.corners
-                    for t, (e, d) in enumerate(path)
-                ):
-                    yield self._snapshot((rel, path))
-                if not has_room:
-                    continue
                 for t, (g, forward) in enumerate(word):
-                    if (v, g) not in (self.out if forward else self.into):
+                    missing = v * self.n_gens + g not in (self.out if forward else self.into)
+                    if has_room if missing else t == 0:
                         yield from self._trace(rel, t, v, join_cap)
         for x in range(state.vertex_count):
             for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
@@ -541,11 +574,11 @@ class _Moves:
             for v in itertools.chain((x,), self._fresh_paths(x, room - 1)):
                 for g in range(self.n_gens):
                     for forward in (True, False):
-                        if (v, g) in (self.out if forward else self.into):
+                        if v * self.n_gens + g in (self.out if forward else self.into):
                             continue
                         far_slot = self.into if forward else self.out
                         for w in range(self.vertex_count):
-                            if (w, g) not in far_slot:
+                            if w * self.n_gens + g not in far_slot:
                                 self._attach(v, g, forward, w)
                                 yield self._snapshot()
                                 self._pop()

@@ -62,12 +62,14 @@ class CoverWindow(NamedTuple):
     cells: tuple[CoverCell, ...]
 
 
-def build_cover_window(pres: Presentation, weights, lo: int, hi: int) -> CoverWindow:
-    """Window [lo, hi]: exactly the R_{j,i} with all boundary levels inside."""
+def build_cover_window(pres: Presentation, weights, lo: int, hi: int, spans=None) -> CoverWindow:
+    """Window [lo, hi]: exactly the R_{j,i} with all boundary levels inside.
+    ``spans`` are the relators' :func:`relator_span` if the caller has them."""
     weights = tuple(int(w) for w in weights)
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    spans = [relator_span(pres, weights, i) for i in range(len(pres.relators))]
+    if spans is None:
+        spans = [relator_span(pres, weights, i) for i in range(len(pres.relators))]
     if spans and hi - lo < max(spans):
         raise WindowTooSmall(
             f"window height {hi - lo} below the maximum relator span {max(spans)}"

@@ -113,12 +113,16 @@ class Multigraph(NamedTuple):
 
 
 def _letter_graph(source: AdianForm | Log, end: int) -> Multigraph:
-    """Edges join the letters of u and v at index ``end`` of each block."""
-    form = adian_normalize(log_to_presentation(source)) if isinstance(source, Log) else source
-    edges = tuple(
-        tuple(sorted((letter_gen(p.u[end]), letter_gen(p.v[end])))) for p in form.pairs
-    )
-    return Multigraph(len(form.generators), edges)
+    """Edges join the letters of u and v at index ``end`` of each block.  A
+    LOG edge's relator t^-1 lambda^-1 i lambda is u v^-1 with u = i lambda
+    and v = lambda t, so a LOG needs no normalizing."""
+    if isinstance(source, Log):
+        ends = [((i, lam)[end], (lam, t)[end]) for i, lam, t in source.edges]
+        count = len(source.vertices)
+    else:
+        ends = [(letter_gen(p.u[end]), letter_gen(p.v[end])) for p in source.pairs]
+        count = len(source.generators)
+    return Multigraph(count, tuple(tuple(sorted(pair)) for pair in ends))
 
 
 def graph_I(source: AdianForm | Log) -> Multigraph:

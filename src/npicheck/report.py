@@ -237,7 +237,7 @@ def cover_section(pres: Presentation, verdict: CheckVerdict) -> dict:
         cover_mod.relator_span(pres, weights, i) for i in range(len(pres.relators))
     ]
     margin = (max(spans) if spans else 0) + 1
-    window = cover_mod.build_cover_window(pres, weights, -margin, margin)
+    window = cover_mod.build_cover_window(pres, weights, -margin, margin, spans)
     slim = cover_mod.build_slim_certificate(pres, verdict.multisets, verdict.certificate)
     report = cover_mod.verify_weak_slim_certificate(
         pres, weights, verdict.multisets, slim, window
@@ -457,8 +457,8 @@ def _log_route(
         "reduced": reduced,
         "diagnostics": [{"edge": i, "code": code} for i, code in diags],
         "underlying_forest": underlying_forest(log),
-        "graph_i_forest": is_forest(graph_I(log)).ok if reduced else None,
-        "graph_t_forest": is_forest(graph_T(log)).ok if reduced else None,
+        "graph_i_forest": None,
+        "graph_t_forest": None,
     }
     detail = "; ".join(f"edge {i}: {c}" for i, c in diags)
     doc["hypotheses"] = _hypothesis_dicts(
@@ -471,6 +471,10 @@ def _log_route(
             "the LOG is not reduced; the forest criteria require reduced input",
         )
     verdict = _adian_section(doc, pres, pres_hyps)
+    forests = (verdict.i_forest, verdict.t_forest)
+    if verdict.t_forest is None:  # a hypothesis stopped the Adian route first
+        forests = (is_forest(graph_I(log)), is_forest(graph_T(log)))
+    doc["lot"]["graph_i_forest"], doc["lot"]["graph_t_forest"] = (f.ok for f in forests)
     _merge_hypotheses(doc, doc["adian"]["hypotheses"])
     if verdict.status == "hypothesis-failure":
         return "hypothesis-failure", "", _first_failure(doc["hypotheses"])

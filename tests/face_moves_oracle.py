@@ -38,12 +38,12 @@ class OracleMoves(_Moves):
                     yield self._snapshot((rel, tuple(path[cut:] + path[:cut])))
                 return
             pos = (start + k) % length
-            if (v, rel, pos) in self.corners:
+            if v * length + pos in self.corners[rel]:
                 return
             g, forward = spelled[pos]
             sign = 1 if forward else -1
             last = k == length - 1
-            e = (self.out if forward else self.into).get((v, g))
+            e = (self.out if forward else self.into).get(v * self.n_gens + g)
             if e is not None:
                 s, d, _ = self.edges[e]
                 w = d if forward else s
@@ -56,7 +56,7 @@ class OracleMoves(_Moves):
             far_slot = self.into if forward else self.out
             if joins < join_cap:
                 for w in (v0,) if last else range(low, self.vertex_count):
-                    if (w, g) not in far_slot:
+                    if w * self.n_gens + g not in far_slot:
                         path[k] = (self._attach(v, g, forward, w), sign)
                         yield from step(k + 1, w, joins + 1)
                         self._pop()

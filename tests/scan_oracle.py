@@ -5,6 +5,10 @@ oracles; this is the only graph-first enumerator.
 complex within the bounds, faceless ones included: it grows every
 connected folded graph one edge at a time and attaches faces afterwards.
 
+``oracle_canonical_complex`` is the former ``canonical_complex``
+verbatim: it relabels the faces for every start vertex, where the current
+one does so only for the starts whose edge triples tie for the least.
+
 ``oracle_scan`` is the exhaustive search that the face-first scan
 replaced: grow every connected folded graph of cycle rank at most
 ``max_faces`` (chi >= 1 needs rank <= faces), attach every link-injective
@@ -27,7 +31,6 @@ from npicheck.complexes import (
     ImmersionReport,
     TwoComplex,
     _check_bounds,
-    _closed_walk,
     _require_valid,
     _spell,
     canonical_complex,
@@ -38,6 +41,69 @@ from npicheck.complexes import (
     is_folded,
     link_injective,
 )
+
+
+def _ends_of(edges, vertex):
+    """Sorted (label, direction, other endpoint, edge index) ends at a vertex."""
+    out = []
+    for idx, (s, d, g) in enumerate(edges):
+        if s == vertex:
+            out.append((g, 0, d, idx))
+        if d == vertex:
+            out.append((g, 1, s, idx))
+    out.sort()
+    return out
+
+
+def _bfs_positions(ends, start: int) -> dict[int, int]:
+    """Vertex -> position in the breadth-first order from start, taking
+    each vertex's edge ends in their sorted order."""
+    pos = {start: 0}
+    order = [start]
+    for v in order:
+        for _, _, other, _ in ends[v]:
+            if other not in pos:
+                pos[other] = len(order)
+                order.append(other)
+    return pos
+
+
+def oracle_canonical_complex(complex_: TwoComplex) -> tuple:
+    """Canonical form including faces (minimum over BFS vertex orderings)."""
+    edges = complex_.edges
+    ends = [_ends_of(edges, v) for v in range(complex_.vertex_count)]
+    best = None
+    for start in range(complex_.vertex_count):
+        pos = _bfs_positions(ends, start)
+        triples = [(pos[s], pos[d], g) for s, d, g in edges]
+        sorted_triples = tuple(sorted(triples))
+        index_of = {t: i for i, t in enumerate(sorted_triples)}
+        new_faces = tuple(
+            sorted(
+                (rel, tuple((index_of[triples[e]], d) for e, d in path))
+                for rel, path in complex_.faces
+            )
+        )
+        cand = (complex_.vertex_count, sorted_triples, new_faces)
+        if best is None or cand < best:
+            best = cand
+    return best if best is not None else (complex_.vertex_count, (), ())
+
+
+def _closed_walk(word, v0, out, into, edges):
+    """The edge path spelling ``word`` (a list of (label, forward) letters)
+    from v0 along existing edges, or None if an edge is missing or the walk
+    does not close; ``out`` and ``into`` map (vertex, label) to an edge."""
+    v = v0
+    path = []
+    for g, forward in word:
+        e = (out if forward else into).get((v, g))
+        if e is None:
+            return None
+        path.append((e, 1 if forward else -1))
+        s, d, _ = edges[e]
+        v = d if forward else s
+    return tuple(path) if v == v0 else None
 
 
 def _children(vertex_count, edges, n_gens, out_used, in_used):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import collapse_oracle
+from npicheck import complexes
 from face_moves_oracle import OracleMoves, oracle_npi_scan
 from npicheck.complexes import (
     TwoComplex,
@@ -24,7 +25,7 @@ from npicheck.textio import parse_presentation
 from npicheck.words import flip_generator, letter_gen, make_presentation, rotate_word, validate
 from helpers import presentation_complex
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
-from scan_oracle import enumerate_immersions, oracle_scan
+from scan_oracle import enumerate_immersions, oracle_canonical_complex, oracle_scan
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,11 @@ def test_negative_bounds_rejected(bounds):
 # The second relator reads a b b a^-1: its first and last letters cancel
 # cyclically, so its faces cross an edge out and back.
 WRAP_TEXT = "gens: a b\nrel: a b^2 a^-1\n"
+# Nested wrap pairs: two letters cancel cyclically across the wrap.
+NESTED_WRAP_TEXTS = (
+    "gens: a b c\nrel: c^-1 b^-1 a^2 b c\n",
+    "gens: a b\nrel: b^-1 a^-1 b^2 a b\n",
+)
 
 
 def _scan_key(reports):
@@ -317,6 +323,7 @@ def _differential_presentations():
     yield sample_braid()
     yield torsion_presentation()
     yield parse_presentation(WRAP_TEXT)
+    yield from map(parse_presentation, NESTED_WRAP_TEXTS)
     yield parse_presentation("gens: a b\nrel: a^2\nrel: b^2\n")
     yield parse_presentation("gens: a b\nrel: a^3\nrel: a b a^-1 b^-1\n")
     rng = random.Random(2024)
@@ -366,31 +373,85 @@ def _face_move_cases():
     yield sample_a(), 6, 2
 
 
+def _face_move_states(pres, max_e, max_f):
+    """Every state the face moves reach, with the snapshots of its moves."""
+    spelled = [_spell(rel) for rel in pres.relators]
+    n_gens = len(pres.generators)
+    singles = {}
+    start = TwoComplex(1, (), ())
+    seen = {canonical_complex(start)}
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        children = list(_Moves(state, spelled, n_gens, max_e, max_f, singles).face_moves())
+        yield state, children
+        for child in children:
+            canon = canonical_complex(child)
+            if canon not in seen:
+                seen.add(canon)
+                stack.append(from_canonical(canon))
+
+
 def test_face_moves_match_trace_everywhere_oracle():
     # From every state the face moves reach, the moves and the oracle's reach
     # the same classes, so they reach the same states; the scans agree.
     for pres, max_e, max_f in _face_move_cases():
         spelled = [_spell(rel) for rel in pres.relators]
         n_gens = len(pres.generators)
-        singles = {}
-        start = TwoComplex(1, (), ())
-        seen = {canonical_complex(start)}
-        stack = [start]
-        while stack:
-            state = stack.pop()
-            got = {
-                canonical_complex(c)
-                for c in _Moves(state, spelled, n_gens, max_e, max_f, singles).face_moves()
-            }
+        for state, children in _face_move_states(pres, max_e, max_f):
+            got = {canonical_complex(c) for c in children}
             want = {
                 canonical_complex(c)
                 for c in OracleMoves(state, spelled, n_gens, max_e, max_f, {}).face_moves()
             }
             assert got == want, (pres, max_e, max_f, state)
-            for canon in got - seen:
-                seen.add(canon)
-                stack.append(from_canonical(canon))
         assert npi_scan(pres, max_e, max_f) == oracle_npi_scan(pres, max_e, max_f)
+
+
+def _new_face(state, snapshot):
+    """The face a move adds, as its relator and the vertices of its corners
+    from position 0, the vertices it creates numbered in order of visit."""
+    rel, path = snapshot.faces[-1]
+    fresh = {}
+    corners = []
+    for e, d in path:
+        v = snapshot.edges[e][0 if d == 1 else 1]
+        if v >= state.vertex_count:
+            v = fresh.setdefault(v, state.vertex_count + len(fresh))
+        corners.append(v)
+    return rel, tuple(corners)
+
+
+def test_traced_faces_are_never_repeated():
+    # A face through a vertex of the state is traced from its least corner
+    # only (grafted faces touch no vertex of the state), so no two snapshots
+    # of one state carry the same such face.
+    traced = 0
+    for pres, max_e, max_f in _face_move_cases():
+        for state, children in _face_move_states(pres, max_e, max_f):
+            faces = [_new_face(state, c) for c in children]
+            faces = [f for f in faces if min(f[1]) < state.vertex_count]
+            assert len(faces) == len(set(faces)), (pres, max_e, max_f, state)
+            traced += len(faces)
+    assert traced > 1000
+
+
+def test_canonical_complex_matches_the_oracle_on_every_scanned_state(monkeypatch):
+    # Every complex the scan puts into canonical form: the children of face,
+    # ear and leaf moves.
+    current = complexes.canonical_complex
+    forms = []
+
+    def checked(complex_):
+        forms.append(current(complex_))
+        assert forms[-1] == oracle_canonical_complex(complex_), complex_
+        return forms[-1]
+
+    monkeypatch.setattr(complexes, "canonical_complex", checked)
+    for pres in _differential_presentations():
+        npi_scan(pres, 5, 3)
+    npi_scan(sample_a(), 6, 2)
+    assert len(forms) > 4000
 
 
 def _isomorphic_twins(pres):

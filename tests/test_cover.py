@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from npicheck import cover as cover_mod
 from npicheck.cover import (
     CertificateMismatch,
     CoverCell,
@@ -383,3 +384,19 @@ def test_cover_section_matches_the_flipped_frame_route():
                 seen["flips"] += bool(got.flips)
                 seen["max-flips"] += mode == MAX and bool(got.flips)
     assert min(seen.values()) >= 20, seen
+
+
+def test_cover_section_computes_each_span_once(monkeypatch):
+    # The margin and the window read the same spans: one walk per relator.
+    calls = []
+
+    def counting(pres, weights, rel):
+        calls.append(rel)
+        return relator_span(pres, weights, rel)
+
+    monkeypatch.setattr(cover_mod, "relator_span", counting)
+    for pres in (sample_a(), sample_b()):
+        calls.clear()
+        section = cover_section(pres, certified(pres))
+        assert section["ok"]
+        assert sorted(calls) == list(range(len(pres.relators)))

@@ -54,6 +54,18 @@ def test_graphs_from_log_and_artin():
     assert graph_I(empty).edges == () and graph_T(empty).edges == ()
 
 
+def test_log_letter_graphs_match_the_normalized_presentation():
+    # A LOG's letter graphs are read off its edges without normalizing;
+    # they are those of its Adian form, reduced or not.
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        edges = tuple(tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 6)))
+        log = Log(tuple("abcde"[:n]), edges)
+        form = adian_normalize(log_to_presentation(log))
+        assert graph_I(log) == graph_I(form) and graph_T(log) == graph_T(form), log
+
+
 def test_is_forest():
     assert is_forest(Multigraph(3, ((0, 1), (1, 2)))).ok
     loop = is_forest(Multigraph(1, ((0, 0),)))

@@ -1,5 +1,6 @@
-"""The report writer against ``json.dumps``, and the weight route's one
-decision per distinct multiset tuple against a fresh decision per map."""
+"""The report writer against ``json.dumps``, the weight route's one
+decision per distinct multiset tuple against a fresh decision per map, and
+the work each report does once."""
 
 import json
 import random
@@ -11,8 +12,15 @@ import pytest
 from conftest import oracle_json
 from flip_frame_oracle import swap_flipped
 from helpers import verify_assignment
-from npicheck import homology, minima
-from npicheck.logs import log_to_presentation, lof_random
+from npicheck import homology, logs, minima, report
+from npicheck.logs import (
+    adian_normalize,
+    graph_I,
+    graph_T,
+    is_forest,
+    log_to_presentation,
+    lof_random,
+)
 from npicheck.minima import (
     ConcatCertificate,
     HypothesisResult,
@@ -22,11 +30,12 @@ from npicheck.minima import (
 )
 from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.report import ReportOptions, full_report, report_json
-from npicheck.textio import parse_presentation
+from npicheck.textio import parse_log, parse_presentation
 from npicheck.words import Diagnostic
 from samples import (
     FOREST7R3_2_TEXT,
     FOREST7R3_8_TEXT,
+    LOT_SINGLE_EDGE_TEXT,
     SAMPLE_A_TEXT,
     TORSION_TEXT,
     sample_a,
@@ -311,3 +320,43 @@ def test_one_smith_form_per_report(text, detail, monkeypatch):
     doc = _report(text)
     assert doc["verdict"]["detail"] == detail
     assert len(calls) == 1  # H1, the kernel basis and the NoSurjection detail share it
+
+
+@pytest.mark.parametrize(
+    "text, forest_tests, status",
+    [
+        (LOT_SINGLE_EDGE_TEXT, 2, "npi-certified"),
+        # The underlying graph has a cycle, so the H1 hypothesis stops the
+        # Adian route before its forest tests.
+        ("vertices: a b c\nedge: a b c\nedge: c b a\n", 2, "hypothesis-failure"),
+        ("vertices: a b\nedge: a a b\n", 0, "hypothesis-failure"),
+    ],
+    ids=["certified", "cyclic", "not-reduced"],
+)
+def test_log_report_normalizes_once(text, forest_tests, status, monkeypatch):
+    # A reduced LOG's report normalizes its presentation once, in the Adian
+    # route, and tests each letter graph for a forest once.
+    normalized, tested = [], []
+
+    def normalizing(pres):
+        normalized.append(pres)
+        return adian_normalize(pres)
+
+    def testing(graph):
+        tested.append(graph)
+        return is_forest(graph)
+
+    monkeypatch.setattr(logs, "adian_normalize", normalizing)
+    for module in (logs, report):
+        monkeypatch.setattr(module, "is_forest", testing)
+    doc = full_report(parse_log(text), ReportOptions(target=IntTarget()), input_text=text)
+    assert doc["verdict"]["status"] == status
+    assert len(normalized) == (forest_tests > 0)
+    assert len(tested) == 1 + forest_tests  # the underlying graph, then the letter graphs
+    lot = doc["lot"]
+    if forest_tests:
+        log = parse_log(text)
+        assert lot["graph_i_forest"] == is_forest(graph_I(log)).ok
+        assert lot["graph_t_forest"] == is_forest(graph_T(log)).ok
+    else:
+        assert lot["graph_i_forest"] is lot["graph_t_forest"] is None
