@@ -92,6 +92,14 @@ below assumes otherwise.
      and no tail position), the rest of the word is walked.
    - Canonical form.  Forms compare on their sorted edge triples first, so
      only starts whose triples tie for the least relabel faces.
+7. Corner fits.  The edges a new face crosses form a connected folded
+   graph of at most max_edges edges, of cycle rank at most b1(S) plus the
+   trace's joins <= b1(S) + join_cap = max_faces (a walk: at most b1(S)).
+   So the face is one of the relator's single faces, its position-t corner
+   vertex x at the start v0, and the state's edges at v0 stay: each loop at
+   x lands on slots of v0 free or holding a loop, each other edge end on a
+   slot free or holding a non-loop edge.  A trace or walk starts only at a
+   corner where some single face passes this test.
 
 States are deduplicated by ``canonical_complex``, so each class is
 expanded once.
@@ -308,6 +316,28 @@ def _wrap_depth(word) -> int:
     return h
 
 
+def _slot_masks(vertex_count: int, edges) -> tuple[list[int], list[int]]:
+    """Each vertex's slots holding a loop and slots holding another edge,
+    as bit masks: bit 2g is the out-slot of label g, bit 2g + 1 the in-slot."""
+    loops, others = [0] * vertex_count, [0] * vertex_count
+    for s, d, g in edges:
+        if s == d:
+            loops[s] |= 3 << 2 * g
+        else:
+            others[s] |= 1 << 2 * g
+            others[d] |= 2 << 2 * g
+    return loops, others
+
+
+class _Scan:
+    """Per-scan tables: each relator's tail L - h (point 6) and, filled on
+    first use, its single faces and corner fits (``_Moves._single_faces``)."""
+
+    def __init__(self, spelled):
+        self.tails = [len(word) - _wrap_depth(word) for word in spelled]
+        self.singles: dict[int, tuple] = {}
+
+
 def _check_bounds(max_edges: int, max_faces: int) -> None:
     if max_edges < 0 or max_faces < 0:
         raise ValueError(f"bounds ({max_edges}, {max_faces}) must be non-negative")
@@ -336,23 +366,21 @@ class _Moves:
     or entering the vertex with that label, and ``corners[rel]`` holds
     ``vertex * len(relator) + position`` for the corners of the state's
     faces of that relator.  A move pushes edges, yields a snapshot while
-    they are in place, and pops them again.  ``singles`` is the scan's
-    cache of single-face complexes, one list per relator (see
-    ``_single_faces``).
+    they are in place, and pops them again.  ``scan`` holds the scan's
+    per-relator tables (see ``_Scan``).
     """
 
-    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces, singles):
+    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces, scan):
         self.state = state
         self.spelled = spelled
         self.n_gens = n_gens
         self.max_edges = max_edges
         self.max_faces = max_faces
-        self.singles = singles
+        self.scan = scan
         self.vertex_count = state.vertex_count
         self.edges = list(state.edges)
         self.out = {s * n_gens + g: i for i, (s, _, g) in enumerate(state.edges)}
         self.into = {d * n_gens + g: i for i, (_, d, g) in enumerate(state.edges)}
-        self.tails = [len(word) - _wrap_depth(word) for word in spelled]
         self.corners: list[set[int]] = [set() for _ in spelled]
         for rel, path in state.faces:
             for t, (e, d) in enumerate(path):
@@ -448,7 +476,7 @@ class _Moves:
             if follow(0, v0)[0] == length:
                 yield snapshot()
             return
-        tail = self.tails[rel]
+        tail = self.scan.tails[rel]
 
         def step(k, v, joins):
             # Each open call below the first holds one pushed edge, popped
@@ -469,17 +497,22 @@ class _Moves:
             sign = 1 if forward else -1
             last = k == length - 1
             if joins < join_cap:
-                far = into if forward else out
+                near, far = (out, into) if forward else (into, out)
                 walk = last or room == 1 or (joins + 1 == join_cap and tail == length)
+                slot, idx = v * n + g, len(edges)
+                path[k] = (idx, sign)
                 for w in (v0,) if last else range(self.vertex_count):
-                    if w * n + g in far:
+                    far_slot = w * n + g
+                    if far_slot in far:
                         continue
-                    path[k] = (self._attach(v, g, forward, w), sign)
+                    near[slot] = far[far_slot] = idx
+                    edges.append((v, w, g) if forward else (w, v, g))
                     if not walk:
                         yield from step(k + 1, w, joins + 1)
                     elif follow(k + 1, w)[0] == length:
                         yield snapshot()
-                    self._pop()
+                    edges.pop()
+                    del near[slot], far[far_slot]
             if not last and (pos >= tail or (joins < join_cap and room >= 2)):
                 w = self.vertex_count
                 self.vertex_count += 1
@@ -491,26 +524,31 @@ class _Moves:
         yield from step(0, v0, 0)
 
     def _single_faces(self, rel: int):
-        """The single-face complexes of relator ``rel`` within the bounds, as
-        (complex, joins, ends): what ``_trace`` yields from position 0 in
-        the one-vertex start state, whose join cap is ``max_faces``.  The
-        face's position-0 corner is at vertex 0, ``joins`` is E - V + 1, and
-        ``ends[v]`` is the set of (label, leaves v) edge ends at vertex v.
-        Traced once per scan, on first use."""
-        faces = self.singles.get(rel)
-        if faces is None:
-            start = _Moves(
-                TwoComplex(1, (), ()), self.spelled, self.n_gens,
-                self.max_edges, self.max_faces, self.singles,
-            )
-            faces = self.singles[rel] = []
+        """Relator ``rel``'s single faces within the bounds and their corner
+        fits, traced once per scan, on first use.  The faces are what
+        ``_trace`` yields from position 0 in the one-vertex start state (join
+        cap ``max_faces``), as (complex, joins, slots): the position-0 corner
+        is at vertex 0, joins is E - V + 1, and slots[v] masks the edge ends
+        at v.  ``fits[t]`` holds the least demanding (loop, other-edge)
+        masks of their position-t corner vertices (point 7)."""
+        if rel not in self.scan.singles:
+            start = _Moves(TwoComplex(1, (), ()), self.spelled, self.n_gens,
+                           self.max_edges, self.max_faces, self.scan)
+            faces, corners = [], set()
             for c in start._trace(rel, 0, 0, self.max_faces):
-                ends = [set() for _ in range(c.vertex_count)]
-                for s, d, g in c.edges:
-                    ends[s].add((g, True))
-                    ends[d].add((g, False))
-                faces.append((c, len(c.edges) - c.vertex_count + 1, ends))
-        return faces
+                loops, others = _slot_masks(c.vertex_count, c.edges)
+                slots = [a | b for a, b in zip(loops, others)]
+                faces.append((c, len(c.edges) - c.vertex_count + 1, slots))
+                for t, (e, d) in enumerate(c.faces[0][1]):
+                    x = _tail(c.edges, e, d)
+                    corners.add((t, loops[x], others[x]))
+            # Fewest bits first, so a pair is kept unless one kept asks less.
+            fits = [[] for _ in self.spelled[rel]]
+            for t, lx, ox in sorted(corners, key=lambda k: (k[1] | k[2]).bit_count()):
+                if all(ly & ~lx or oy & ~ox for ly, oy in fits[t]):
+                    fits[t].append((lx, ox))
+            self.scan.singles[rel] = (faces, fits)
+        return self.scan.singles[rel]
 
     def _grafts(self, rel: int, u: int, join_cap: int):
         """Snapshots with a first face of relator ``rel`` in a new blob at
@@ -519,16 +557,16 @@ class _Moves:
         ends leave free the one the bridge's last edge takes at u.  The
         face's other vertices are numbered after u, the last vertex."""
         s, _, g = self.edges[-1]
-        taken = (g, s == u)
+        taken = 1 << 2 * g + (s != u)
         room = self.max_edges - len(self.edges)
         first = len(self.edges)
-        for c, joins, ends in self._single_faces(rel):
+        for c, joins, slots in self._single_faces(rel)[0]:
             if joins > join_cap or len(c.edges) > room:
                 continue
             (_, path), = c.faces
             face = (rel, tuple((first + e, d) for e, d in path))
             for root in range(c.vertex_count):
-                if taken in ends[root]:
+                if slots[root] & taken:
                     continue
                 at = [u if v == root else u + v + (v < root) for v in range(c.vertex_count)]
                 edges = tuple(self.edges) + tuple((at[a], at[b], h) for a, b, h in c.edges)
@@ -544,19 +582,27 @@ class _Moves:
         if not state.faces:
             # The start state, the only faceless one: one face at its vertex.
             for rel in rels:
-                yield from (c for c, _, _ in self._single_faces(rel))
+                yield from (c for c, _, _ in self._single_faces(rel)[0])
             return
         # Each later face raises chi by at most one.
         join_cap = euler_characteristic(state) + self.max_faces - len(state.faces) - 1
         # Position 0 is read at every vertex as a walk where its edge exists;
-        # any position where its edge is missing, as a trace that adds it.
+        # any position where its edge is missing, as a trace that adds it;
+        # both only where a single face fits the corner (point 7).
         has_room = len(state.edges) < self.max_edges
+        fits = [self._single_faces(rel)[1] for rel in rels]
+        loops, others = _slot_masks(state.vertex_count, state.edges)
         for v in range(state.vertex_count):
+            lv, ov = loops[v], others[v]
             for rel, word in enumerate(self.spelled):
                 for t, (g, forward) in enumerate(word):
                     missing = v * self.n_gens + g not in (self.out if forward else self.into)
-                    if has_room if missing else t == 0:
-                        yield from self._trace(rel, t, v, join_cap)
+                    if not (has_room if missing else t == 0):
+                        continue
+                    for lx, ox in fits[rel][t]:
+                        if not (lx & ov or ox & lv):
+                            yield from self._trace(rel, t, v, join_cap)
+                            break
         for x in range(state.vertex_count):
             for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
                 for rel in rels:
@@ -609,12 +655,12 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     _require_valid(pres)
     n_gens = len(pres.generators)
     spelled = [_spell(rel) for rel in pres.relators]
-    singles: dict[int, list] = {}
+    scan = _Scan(spelled)
 
     def explore(stack, moves, seen):
         while stack:
             state = stack.pop()
-            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces, singles)):
+            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces, scan)):
                 canon = canonical_complex(child)
                 if canon not in seen:
                     seen[canon] = child

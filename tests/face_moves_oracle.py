@@ -6,8 +6,9 @@ rotation of every relator is traced from every vertex of the state, and a
 new blob's first face is traced again at each bridge end, confined to
 vertices from the bridge end on by ``low``.  The current moves trace each
 relator's single faces once per scan and start a state-vertex trace only
-at a corner whose first edge is missing; the module docstring of
-``complexes`` gives the argument that they reach the same classes.
+at a corner whose first edge is missing and where one of those faces
+fits; the module docstring of ``complexes`` gives the argument that they
+reach the same classes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from npicheck.complexes import _Moves, euler_characteristic
 
 
 class OracleMoves(_Moves):
-    """``_Moves`` with the former face moves; the single-face cache it is
-    handed goes unused."""
+    """``_Moves`` with the former face moves; the per-scan tables it is
+    handed go unused."""
 
     def _trace(self, rel: int, start: int, v0: int, low: int, join_cap: int):
         """Snapshots with one more face: relator ``rel`` read from position

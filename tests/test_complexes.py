@@ -11,8 +11,11 @@ from face_moves_oracle import OracleMoves, oracle_npi_scan
 from npicheck.complexes import (
     TwoComplex,
     _Moves,
+    _Scan,
+    _slot_masks,
     _spell,
     canonical_complex,
+    check_faces,
     collapsible,
     euler_characteristic,
     from_canonical,
@@ -190,6 +193,30 @@ def test_collapsible():
     start = time.perf_counter()
     assert not collapsible(wedge)
     assert time.perf_counter() - start < 0.1
+
+
+AB = make_presentation(["a", "b"], [(1, 2)])
+
+
+def test_check_faces_accepts_a_closed_face():
+    check_faces(AB, TwoComplex(2, ((0, 1, 0), (1, 0, 1)), ((0, ((0, 1), (1, 1))),)))
+
+
+@pytest.mark.parametrize("complex_, why", [
+    # a then b on the edges 0 -> 1 -> 2: the letters are right, the path open
+    (TwoComplex(3, ((0, 1, 0), (1, 2, 1)), ((0, ((0, 1), (1, 1))),)), "not closed"),
+    # b leaves vertex 2, but a ends at vertex 1
+    (TwoComplex(3, ((0, 1, 0), (2, 0, 1)), ((0, ((0, 1), (1, 1))),)), "not an edge path"),
+    # the second step is labelled a
+    (TwoComplex(2, ((0, 1, 0), (1, 0, 0)), ((0, ((0, 1), (1, 1))),)), "does not spell"),
+    # the second step crosses b backwards
+    (TwoComplex(2, ((0, 1, 0), (0, 1, 1)), ((0, ((0, 1), (1, -1))),)), "does not spell"),
+    # one step for a relator of two letters
+    (TwoComplex(1, ((0, 0, 0),), ((0, ((0, 1),)),)), "length differs"),
+])
+def test_check_faces_rejects(complex_, why):
+    with pytest.raises(AssertionError, match=why):
+        check_faces(AB, complex_)
 
 
 def test_enumerate_free_group_graphs():
@@ -377,13 +404,13 @@ def _face_move_states(pres, max_e, max_f):
     """Every state the face moves reach, with the snapshots of its moves."""
     spelled = [_spell(rel) for rel in pres.relators]
     n_gens = len(pres.generators)
-    singles = {}
+    scan = _Scan(spelled)
     start = TwoComplex(1, (), ())
     seen = {canonical_complex(start)}
     stack = [start]
     while stack:
         state = stack.pop()
-        children = list(_Moves(state, spelled, n_gens, max_e, max_f, singles).face_moves())
+        children = list(_Moves(state, spelled, n_gens, max_e, max_f, scan).face_moves())
         yield state, children
         for child in children:
             canon = canonical_complex(child)
@@ -406,6 +433,63 @@ def test_face_moves_match_trace_everywhere_oracle():
             }
             assert got == want, (pres, max_e, max_f, state)
         assert npi_scan(pres, max_e, max_f) == oracle_npi_scan(pres, max_e, max_f)
+
+
+def _fits_corner(single, t, kinds):
+    """Whether the position-t corner vertex of a single-face complex can sit
+    at a state vertex whose slots ``kinds`` maps, (label, leaves) -> whether
+    the edge there is a loop: a loop only on slots free or holding a loop,
+    another edge end only on slots free or holding a non-loop edge."""
+    e, d = single.faces[0][1][t]
+    x = single.edges[e][0 if d == 1 else 1]
+    for s, dst, g in single.edges:
+        for end, leaves in ((s, True), (dst, False)):
+            kind = kinds.get((g, leaves))
+            if end == x and kind is not None and kind != (s == dst):
+                return False
+    return True
+
+
+def test_corners_no_single_face_fits_trace_nothing():
+    # Point 7 of the complexes docstring: a trace or walk starts only at a
+    # corner where one of the relator's single faces fits.  The masks decide
+    # exactly that fit, and every start they reject, traced anyway with
+    # the join cap face_moves uses, yields nothing.
+    rejected = 0
+    a52 = (sample_a(), 5, 2)
+    second = Counter()  # fits at the starts of sample A's second relator at (5, 2)
+    for pres, max_e, max_f in _face_move_cases():
+        spelled = [_spell(rel) for rel in pres.relators]
+        n_gens = len(pres.generators)
+        scan = _Scan(spelled)
+        for state, _ in _face_move_states(pres, max_e, max_f):
+            if not state.faces or len(state.faces) >= max_f:
+                continue
+            moves = _Moves(state, spelled, n_gens, max_e, max_f, scan)
+            join_cap = euler_characteristic(state) + max_f - len(state.faces) - 1
+            loops, others = _slot_masks(state.vertex_count, state.edges)
+            for v in range(state.vertex_count):
+                kinds = {}
+                for s, d, g in state.edges:
+                    for end, leaves in ((s, True), (d, False)):
+                        if end == v:
+                            kinds[g, leaves] = s == d
+                for rel, word in enumerate(spelled):
+                    singles, fits = moves._single_faces(rel)
+                    for t, letter in enumerate(word):
+                        if not (len(state.edges) < max_e if letter not in kinds else t == 0):
+                            continue
+                        fit = any(not (lx & others[v] or ox & loops[v]) for lx, ox in fits[t])
+                        assert fit == any(_fits_corner(c, t, kinds) for c, _, _ in singles)
+                        if rel == 1 and (pres, max_e, max_f) == a52:
+                            second[fit] += 1
+                        if not fit:
+                            rejected += 1
+                            assert not list(moves._trace(rel, t, v, join_cap)), (
+                                pres, max_e, max_f, state, rel, t, v,
+                            )
+    assert rejected > 0
+    assert second[False] > 0 and second[True] == 0
 
 
 def _new_face(state, snapshot):

@@ -289,6 +289,104 @@ def test_stuck_core_replay_rejects_bad_cores():
     assert not replay_stuck_core((0, 1), msa)[0]
 
 
+def _certified_families():
+    """Seeded families of two to five multisets that have a certificate."""
+    rng = random.Random(41)
+    while True:
+        multisets = []
+        for i in range(rng.randrange(2, 6)):
+            counts = {}
+            for g in rng.sample(range(6), rng.randrange(1, 4)):
+                counts[g] = (rng.randrange(0, 3), rng.randrange(0, 3))
+            counts[rng.randrange(6)] = (1, 0)
+            multisets.append(make_multiset(i, counts))
+        cert = weak_concatenability(multisets)
+        if isinstance(cert, ConcatCertificate):
+            yield multisets, cert
+
+
+def _with_witness(cert, step, witness):
+    witnesses = cert.witnesses[:step] + (witness,) + cert.witnesses[step + 1:]
+    return cert._replace(witnesses=witnesses)
+
+
+def _duplicate_relator(by_rel, cert):
+    return cert._replace(ordering=cert.ordering[:-1] + cert.ordering[:1])
+
+
+def _drop_witness(by_rel, cert):
+    return cert._replace(witnesses=cert.witnesses[:-1])
+
+
+def _absent_witness(by_rel, cert):
+    support = by_rel[cert.ordering[0]].support()
+    g = min(set(range(7)) - support)
+    return _with_witness(cert, 0, WitnessStep(g, 1, 0))
+
+
+def _miscounted_witness(by_rel, cert):
+    w = cert.witnesses[0]
+    return _with_witness(cert, 0, WitnessStep(w.gen, w.positive + 1, w.negative))
+
+
+def _balanced_witness(by_rel, cert):
+    for step, rel in enumerate(cert.ordering):
+        for g, (p, n) in sorted(by_rel[rel].counts.items()):
+            if p == n > 0:
+                return _with_witness(cert, step, WitnessStep(g, p, n))
+    return None
+
+
+def _fresh_witness(by_rel, cert, step, used):
+    """The step's witness replaced by an unbalanced generator of its relator
+    from ``used``, if there is one."""
+    for g in sorted(used):
+        p, n = by_rel[cert.ordering[step]].counts.get(g, (0, 0))
+        if p != n:
+            return _with_witness(cert, step, WitnessStep(g, p, n))
+    return None
+
+
+def _reused_witness(by_rel, cert):
+    for step in range(1, len(cert.ordering)):
+        tampered = _fresh_witness(by_rel, cert, step, {w.gen for w in cert.witnesses[:step]})
+        if tampered:
+            return tampered
+    return None
+
+
+def _witness_from_earlier_support(by_rel, cert):
+    # A generator an earlier relator carries but did not witness: a replay
+    # that marks only witnesses as used accepts it.
+    for step in range(1, len(cert.ordering)):
+        support = set().union(*(by_rel[rel].support() for rel in cert.ordering[:step]))
+        unwitnessed = support - {w.gen for w in cert.witnesses[:step]}
+        tampered = _fresh_witness(by_rel, cert, step, unwitnessed)
+        if tampered:
+            return tampered
+    return None
+
+
+@pytest.mark.parametrize("tamper, why", [
+    (_duplicate_relator, "ordering is not a permutation"),
+    (_drop_witness, "one witness required per step"),
+    (_absent_witness, "witness not in the multiset"),
+    (_miscounted_witness, "witness counts do not match"),
+    (_balanced_witness, "positive and negative copies are equal"),
+    (_reused_witness, "witness generator already used earlier"),
+    (_witness_from_earlier_support, "witness generator already used earlier"),
+])
+def test_replay_rejects_a_certificate_changed_in_one_step(tamper, why):
+    for multisets, cert in itertools.islice(_certified_families(), 200):
+        tampered = tamper({m.relator: m for m in multisets}, cert)
+        if tampered is not None:
+            break
+    assert tampered is not None
+    assert replay_certificate(cert, multisets) == (True, "certificate replays")
+    ok, got = replay_certificate(tampered, multisets)
+    assert not ok and why in got, got
+
+
 def ring(k):
     """Relator i has usable witness i; relator i-1 carries i in its support."""
     return [make_multiset(i, {i: (1, 0), (i + 1) % k: (1, 1)}) for i in range(k)]
