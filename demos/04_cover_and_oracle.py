@@ -1,10 +1,11 @@
 """Inspect the machinery behind a verdict: the cyclic-cover certificate
-and the bounded immersion oracle.
+and the bounded immersion oracle, as the report's ``cover`` and
+``oracle_scan`` sections.
 
-The cover window materializes a finite slice of the infinite cyclic cover
-and checks that the concatenability certificate really produces a
-slim-style edge order: every lifted 2-cell has its witness lift as the
-unique minimal boundary edge, traversed with nonzero signed count.
+The cover section verifies, on a window of the infinite cyclic cover,
+that the concatenability certificate really produces a slim-style edge
+order: every lifted 2-cell has its witness lift as the unique minimal
+boundary edge, traversed with nonzero signed count.
 
 The oracle enumerates small immersions outright.  For <a | a^2> it finds
 the presentation complex itself as a chi = 1 non-collapsible candidate
@@ -12,38 +13,26 @@ the presentation complex itself as a chi = 1 non-collapsible candidate
 scan comes back empty.
 """
 
-from npicheck import (
-    build_cover_window,
-    build_slim_certificate,
-    check_presentation,
-    npi_scan,
-    parse_presentation,
-    verify_weak_slim_certificate,
-)
-from npicheck.cover import lifted_boundary
-from npicheck.orders import IntTarget, TargetAssignment
+from npicheck import ReportOptions, full_report, parse_presentation, parse_target_spec
 
-pres = parse_presentation(
-    "gens: a b c\nrel: a^-1 b\nrel: c^-1 b^-1 c a b a^-1 c^-1 b^-1 c^2\n"
-)
-weights = (1, 1, 1)
-verdict = check_presentation(pres, IntTarget(), TargetAssignment.all_ones(pres))
-slim = build_slim_certificate(pres, verdict.multisets, verdict.certificate)
-window = build_cover_window(pres, weights, -4, 4)
-print(f"window [-4, 4] holds {len(window.cells)} two-cells")
-cell = window.cells[0]
-print(f"lifted boundary of {cell}:")
-for edge, direction in lifted_boundary(window, cell):
-    arrow = "->" if direction == 1 else "<-"
-    print(f"  {arrow} {pres.generators[edge.gen]} at level {edge.level}")
-report = verify_weak_slim_certificate(pres, weights, verdict.multisets, slim, window)
-for check in report.checks:
-    print(f"  [{'ok' if check.ok else 'FAIL'}] {check.check}")
+Z = parse_target_spec("z")
+certified = "gens: a b c\nrel: a^-1 b\nrel: c^-1 b^-1 c a b a^-1 c^-1 b^-1 c^2\n"
+torsion = "gens: a\nrel: a^2\n"
 
+docs = {
+    name: full_report(parse_presentation(text), ReportOptions(target=Z, scan_bounds=bounds))
+    for name, text, bounds in (("<a | a^2>", torsion, (1, 1)), ("certified", certified, (6, 2)))
+}
+
+cover = docs["certified"]["cover"]
+print(f"cover window {cover['window']} holds {cover['cells']} two-cells")
+for check in cover["checks"]:
+    print(f"  [{'ok' if check['ok'] else 'FAIL'}] {check['check']}: {check['detail']}")
 print()
-torsion = parse_presentation("gens: a\nrel: a^2\n")
-for name, target, bounds in (("<a | a^2>", torsion, (1, 1)), ("certified", pres, (6, 2))):
-    reports = npi_scan(target, *bounds)
-    print(f"scan of {name} at bounds {bounds}: {len(reports)} candidate(s)")
-    for r in reports:
-        print(f"  chi={r.chi}: {r.complex.to_dict(target)}")
+
+for name, doc in docs.items():
+    scan = doc["oracle_scan"]
+    print(f"scan of {name} at bounds {tuple(scan['bounds'])}: {scan['count']} candidate(s)")
+    for c in scan["candidates"]:
+        print(f"  chi={c['chi']}: {c['complex']}")
+    print(f"  verdict: {doc['verdict']['status']} -- {doc['verdict']['detail']}")

@@ -3,7 +3,7 @@
 Subcommands: validate, h1, phi, minima, concat, lot, adian, cover,
 immerse, report.  Each prints part of one :func:`report.full_report`
 document, or of its first stage, the presentation hypotheses
-(:func:`minima._presentation_hypotheses`): ``validate``, ``h1`` and
+(:func:`minima.presentation_hypotheses`): ``validate``, ``h1`` and
 ``adian`` print those rows, and ``immerse`` the report's oracle scan
 section (:func:`report._scan_section`) of a presentation that passes
 validity, without running the routes; ``phi``, ``minima`` and ``concat``
@@ -23,7 +23,7 @@ import sys
 
 from .complexes import _check_bounds
 from .logs import adian_check
-from .minima import MAX, MIN, _presentation_hypotheses
+from .minima import MAX, MIN, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
     VERDICT_LABELS,
@@ -229,7 +229,7 @@ def _dispatch(args) -> int:
 
     # The first stage of every report: validity, then H1 free of rank n - k.
     pres = parse_presentation(text)
-    hyps, h1 = _presentation_hypotheses(pres)
+    hyps, h1 = presentation_hypotheses(pres)
     if command == "validate":
         _print_rows(hyps[:1])
     elif command == "h1":

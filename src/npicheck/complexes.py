@@ -225,6 +225,7 @@ def _bfs_positions(ends, start: int) -> dict[int, int]:
     return pos
 
 
+# perfbench/run.py reads calls["complexes.canonical_graph"] in layer_metrics.
 def canonical_graph(vertex_count: int, edges) -> tuple:
     """Minimum deterministic-BFS serialization over start vertices.
 

@@ -283,40 +283,23 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[WeightHom]:
-    """All primitive weight vectors in the kernel-combination search box.
+def _weight_stream(snf: SmithForm, coeff_bound: int = 3) -> Iterator[WeightHom]:
+    """The primitive weight vectors of the kernel-combination search box,
+    built only as far as the caller reads; ``snf`` is the Smith form of the
+    exponent matrix (see :class:`H1Structure`).
 
     Combinations of the kernel basis with coefficients in
     [-coeff_bound, coeff_bound] are divided by their gcd and deduplicated
     up to global sign; the all-ones vector, when present, comes first and
     the rest follow in lexicographic order.
 
-    This is the whole of the stream that ``--phi auto`` reads lazily,
-    :func:`_weight_stream`.  At its call only the kernel basis is
-    computed, and NoSurjection is raised when the basis is empty.  The box
-    is built only when a map past all-ones is asked for, or the first map
-    when the box does not hold all-ones; so a report that certifies on
-    the all-ones map never builds it.
+    At the call only the kernel basis is read, and NoSurjection is raised
+    exactly when it is empty.  A nonempty basis always gives a map, since
+    its vectors are nonzero and independent.  The box is built only when a
+    map past all-ones is asked for, or the first map when the box does not
+    hold all-ones; so a report that certifies on the all-ones map never
+    builds it.
     """
-    return list(_weight_stream(pres, coeff_bound))
-
-
-def _weight_stream(
-    pres: Presentation, coeff_bound: int = 3, snf: SmithForm | None = None
-) -> Iterator[WeightHom]:
-    """The maps of :func:`find_weight_homomorphisms`, in its order, built
-    only as far as the caller reads.
-
-    At the call: one Smith form of the exponent matrix gives the kernel
-    basis, and NoSurjection is raised exactly when the basis is empty.  A
-    nonempty basis always gives a map, since its vectors are nonzero and
-    independent.  ``snf`` is that Smith form when the caller has it
-    already (see :class:`H1Structure`); it is computed here otherwise.
-    """
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
-    if snf is None:
-        snf = smith_normal_form(exponent_matrix(pres), len(pres.generators))
     basis = _kernel_basis(snf)
     if not basis:
         raise NoSurjection("no primitive kernel vector in the search box")

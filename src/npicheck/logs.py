@@ -20,7 +20,6 @@ from .minima import (
     CheckVerdict,
     HypothesisResult,
     check_assignment,
-    presentation_hypotheses,
 )
 from .orders import IntTarget, TargetAssignment
 from .words import Presentation, Word, letter_gen, rotate_word
@@ -28,10 +27,6 @@ from .words import Presentation, Word, letter_gen, rotate_word
 
 class NotAdian(ValueError):
     """A relator admits no rotation of the form (positive block)(negative block)."""
-
-
-class Unsatisfiable(ValueError):
-    """No reduced labelled oriented forest exists for these parameters."""
 
 
 class Log(NamedTuple):
@@ -195,11 +190,6 @@ class AdianVerdict(NamedTuple):
     max_check: CheckVerdict | None
 
 
-def adian_npi_check(pres: Presentation) -> AdianVerdict:
-    """Run every hypothesis check and the equal-length Adian route."""
-    return adian_check(pres, presentation_hypotheses(pres))
-
-
 def adian_check(
     pres: Presentation,
     pres_hyps: tuple[HypothesisResult, ...],
@@ -207,7 +197,7 @@ def adian_check(
 ) -> AdianVerdict:
     """Equal-length Adian route to non-positive immersions, on a
     presentation whose own hypotheses ``pres_hyps`` (from
-    :func:`presentation_hypotheses`) are known.  ``outcomes`` is passed
+    :func:`minima.presentation_hypotheses`) are known.  ``outcomes`` is passed
     on to :func:`check_assignment`.
 
     Requires an Adian decomposition with len(u) = len(v) everywhere, a
@@ -259,45 +249,3 @@ def adian_check(
             )
     status = "npi" if (t_check.ok or i_check.ok) else "not-decided"
     return AdianVerdict(status, tuple(hyps), t_check, i_check, min_verdict, max_verdict)
-
-
-def lof_random(n_vertices: int, n_edges: int, rng) -> Log:
-    """Uniform reduced labelled oriented forest by rejection sampling,
-    drawing from ``rng``, a :class:`random.Random`.
-
-    Uniform over forests with the requested vertex and edge counts, then
-    uniform orientations and labels, rejecting until every edge satisfies
-    label != initial and label != terminal.
-    """
-    if n_vertices < 1:
-        raise ValueError("need at least one vertex")
-    if n_edges < 0 or n_edges > max(n_vertices - 1, 0):
-        raise Unsatisfiable(f"no forest on {n_vertices} vertices has {n_edges} edges")
-    if n_edges >= 1 and n_vertices < 3:
-        raise Unsatisfiable("a reduced edge needs a label distinct from both endpoints")
-    names = tuple(_vertex_name(i) for i in range(n_vertices))
-    all_pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
-    while True:
-        pairs = rng.sample(all_pairs, n_edges) if n_edges else []
-        if not is_forest(Multigraph(n_vertices, tuple(pairs))).ok:
-            continue
-        edges = []
-        ok = True
-        for a, b in pairs:
-            i, t = (a, b) if rng.random() < 0.5 else (b, a)
-            lam = rng.randrange(n_vertices)
-            if lam == i or lam == t:
-                ok = False
-                break
-            edges.append((i, lam, t))
-        if ok:
-            return Log(names, tuple(edges))
-
-
-def _vertex_name(i: int) -> str:
-    name = ""
-    i += 1
-    while i:
-        i, r = divmod(i - 1, 26)
-        name = chr(ord("a") + r) + name
-    return name

@@ -27,12 +27,8 @@ from .orders import (
 )
 from .words import Presentation, letter_gen, validate
 
-MIN = "min"
+MIN = "min"  # also imported by the ring-k16 probe (perfbench/probes.py)
 MAX = "max"
-
-
-class NonVanishingRelatorWeight(ValueError):
-    """The relator does not map to the identity; phi is not well defined."""
 
 
 def _profile(word, target: OrderedTarget, assignment: TargetAssignment) -> list:
@@ -46,16 +42,7 @@ def _profile(word, target: OrderedTarget, assignment: TargetAssignment) -> list:
     return out
 
 
-def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignment: TargetAssignment) -> list:
-    """Images of the initial subwords of relator ``rel`` (length-1 up to full)."""
-    out = _profile(pres.relators[rel], target, assignment)
-    if out and not target.equals(out[-1], target.identity()):
-        raise NonVanishingRelatorWeight(
-            f"relator {rel} has nonzero image {target.describe(out[-1])}"
-        )
-    return out
-
-
+# The ring-k16 probe (perfbench/probes.py) builds these records directly.
 class MinimaMultiset(NamedTuple):
     """Per-relator copies of generators at the extremal prefix level."""
 
@@ -69,13 +56,6 @@ class MinimaMultiset(NamedTuple):
 
     def total(self) -> int:
         return sum(p + n for p, n in self.counts.values())
-
-    def describe(self, pres: Presentation) -> str:
-        bits = []
-        for g in sorted(self.counts):
-            p, n = self.counts[g]
-            bits.append(f"{pres.generators[g]}:(+{p},-{n})")
-        return "{" + ", ".join(bits) + "}"
 
 
 def _extremal_counts(word, at) -> dict:
@@ -105,12 +85,6 @@ def _extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMul
             extremum = v
     at = [target.equals(v, extremum) for v in profile]
     return MinimaMultiset(rel, mode, extremum, _extremal_counts(word, at))
-
-
-def minima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
-    """Multiset of minima of relator ``rel`` with respect to the assignment."""
-    profile = prefix_profile(pres, rel, target, assignment)
-    return _extremal_multiset(rel, pres.relators[rel], profile, target, MIN)
 
 
 class WitnessStep(NamedTuple):
@@ -230,6 +204,7 @@ def _stuck(usable, supports, rest, blocked) -> set[int]:
     return left
 
 
+# Public for the ring-k16 probe (perfbench/probes.py), which calls it directly.
 def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
     """Decide weak concatenability by peeling.
 
@@ -299,19 +274,16 @@ class CheckVerdict(NamedTuple):
     failure: ConcatFailure | None
 
 
-def presentation_hypotheses(pres: Presentation) -> tuple[HypothesisResult, ...]:
-    """The hypotheses that depend on the presentation alone, checked once
-    for every weight map tried on it: validity, then H1 free abelian of
-    rank n - k.  A failing entry is the last one."""
-    return _presentation_hypotheses(pres)[0]
-
-
-def _presentation_hypotheses(
+def presentation_hypotheses(
     pres: Presentation,
 ) -> tuple[tuple[HypothesisResult, ...], H1Structure | None]:
-    """:func:`presentation_hypotheses` with the H1 structure it read, None
-    for an invalid presentation.  The structure carries its Smith form,
-    from which the weight search reads the kernel basis."""
+    """The hypotheses that depend on the presentation alone, checked once
+    for every weight map tried on it: validity, then H1 free abelian of
+    rank n - k.  A failing entry is the last one.
+
+    Returned with the H1 structure they read, None for an invalid
+    presentation.  The structure carries its Smith form, from which the
+    weight search reads the kernel basis."""
     diags = validate(pres)
     if diags:
         return (
@@ -328,6 +300,7 @@ def _presentation_hypotheses(
     ), wirt.h1
 
 
+# perfbench/run.py reads calls["minima.check_presentation"] in layer_metrics.
 def check_presentation(
     pres: Presentation,
     target: OrderedTarget,
@@ -335,7 +308,7 @@ def check_presentation(
     mode: str = MIN,
 ) -> CheckVerdict:
     """Run every hypothesis check and decide weak concatenability."""
-    return check_assignment(pres, presentation_hypotheses(pres), target, assignment, mode)
+    return check_assignment(pres, presentation_hypotheses(pres)[0], target, assignment, mode)
 
 
 def check_assignment(
@@ -347,7 +320,7 @@ def check_assignment(
     outcomes: dict | None = None,
 ) -> CheckVerdict:
     """Check one assignment on a presentation whose own hypotheses
-    ``pres_hyps`` (from :func:`presentation_hypotheses`) are known.
+    ``pres_hyps`` (the first item of :func:`presentation_hypotheses`) are known.
 
     For integer targets each relator's profile is the running sum of its
     signed letter weights (:func:`_integer_profile`), in the frame of

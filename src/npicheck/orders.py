@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .words import Presentation, Word, freely_reduce, inverse_word, letter_gen
+from .words import Presentation, Word, freely_reduce, inverse_word
 
 LT, EQ, GT = -1, 0, 1
 
@@ -237,15 +237,6 @@ class TargetAssignment(NamedTuple):
         return TargetAssignment(
             target, {j: target.generator(j + 1) for j in range(len(pres.generators))}
         )
-
-
-def evaluate_word(target: OrderedTarget, assignment: TargetAssignment, word):
-    """Image of a word under the homomorphism defined by the assignment."""
-    acc = target.identity()
-    for x in word:
-        img = assignment.image(letter_gen(x))
-        acc = target.multiply(acc, img if x > 0 else target.inverse(img))
-    return acc
 
 
 def parse_target_spec(spec: str) -> OrderedTarget:

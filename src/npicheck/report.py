@@ -49,8 +49,8 @@ from .minima import (
     MIN,
     CheckVerdict,
     HypothesisResult,
-    _presentation_hypotheses,
     check_assignment,
+    presentation_hypotheses,
 )
 from .orders import (
     BraidTarget,
@@ -136,6 +136,8 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
         name = name.strip()
         if name not in pres.generators:
             raise BadPhiSpec(f"--phi: unknown generator {name!r}")
+        if pres.generators.index(name) in images:
+            raise BadPhiSpec(f"--phi: generator {name} is named twice")
         try:
             if isinstance(target, IntTarget):
                 image = int(value)
@@ -261,7 +263,7 @@ def full_report(
     that its cover checks pass, scan a valid presentation when ``--scan``
     asks for it, and write the verdict."""
     pres = log_to_presentation(source) if isinstance(source, Log) else source
-    pres_hyps, h1 = _presentation_hypotheses(pres)
+    pres_hyps, h1 = presentation_hypotheses(pres)
     if isinstance(source, Log):
         doc = _base_doc("log", pres, input_text)
         status, citation, detail = _log_route(doc, source, pres, pres_hyps, options)
@@ -348,17 +350,17 @@ def _presentation_route(
     target = options.target
     integer = isinstance(target, IntTarget)
     # The map a named spec gives, or for ``auto`` every weight map in the
-    # order find_weight_homomorphisms lists them.  Only the kernel basis is
-    # read here, from the Smith form of the H1 check, raising NoSurjection
-    # when it is empty.  The maps are read lazily: all-ones comes first
-    # when the coefficient box holds it, and the box is built only when a
-    # map after it is asked for, so a run that stops at a concatenable
-    # all-ones map never builds the box.
+    # order of homology._weight_stream: all-ones first when the coefficient
+    # box holds it, then the rest of the box in sorted order.  Only the
+    # kernel basis is read here, from the Smith form of the H1 check,
+    # raising NoSurjection when it is empty.  The box is built only when a
+    # map after all-ones is asked for, so a run that stops at a
+    # concatenable all-ones map never builds it.
     assignment = parse_phi_spec(options.phi_spec, pres, target)
     try:
         candidates = iter([assignment]) if assignment is not None else (
             TargetAssignment.from_weights(pres, h.weights)
-            for h in _weight_stream(pres, snf=h1.smith)
+            for h in _weight_stream(h1.smith)
         )
     except NoSurjection as exc:
         doc["hypotheses"] += _hypothesis_dicts(

@@ -82,25 +82,6 @@ class Presentation(NamedTuple):
         return f"<{' '.join(self.generators)} | {rels}>"
 
 
-def make_presentation(generators, relators) -> Presentation:
-    return Presentation(tuple(generators), tuple(tuple(r) for r in relators))
-
-
-def flip_generator(pres: Presentation, gen: int) -> Presentation:
-    """Replace generator ``gen`` (0-based) by its inverse in every relator.
-
-    An involution; cyclic reducedness of relators is preserved because
-    cancellation patterns are invariant under negating one generator's sign.
-    """
-    if not 0 <= gen < len(pres.generators):
-        raise IndexError(f"no generator with index {gen}")
-    target = gen + 1
-    new_rels = tuple(
-        tuple(-x if abs(x) == target else x for x in r) for r in pres.relators
-    )
-    return Presentation(pres.generators, new_rels)
-
-
 class Diagnostic(NamedTuple):
     """One violated presentation invariant (data, not a failure)."""
 

@@ -28,7 +28,8 @@ from npicheck.minima import (
     weak_concatenability,
 )
 from npicheck.orders import GT, LT, IntTarget, OrderedTarget, TargetAssignment
-from npicheck.words import Presentation, flip_generator, letter_gen
+from npicheck.words import Presentation, letter_gen
+from helpers import flip_generator
 
 
 def extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMultiset:

@@ -33,12 +33,12 @@ from npicheck.minima import (
     ConcatCertificate,
     MinimaMultiset,
     WitnessStep,
-    minima_multiset,
     weak_concatenability,
 )
 from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.report import _hypothesis_dicts
 from npicheck.words import Presentation
+from helpers import minima_multiset
 
 
 def flip_all(pres: Presentation, flips: frozenset[int]) -> Presentation:

@@ -1,18 +1,49 @@
 """Functions that only the tests call, built on the package's own layers:
-text writers for presentations and LOGs, cyclic reduction of words, the
-integer kernel basis of a matrix, multisets of maxima, the standard
-2-complex of a presentation and the well-definedness check of an
-assignment.  No part of the package needs them, so it does not ship them.
+text writers for presentations and LOGs, presentations built from words,
+generator flips, cyclic reduction of words, the integer kernel basis of a
+matrix, the weight search as a list, prefix profiles and multisets of
+minima or maxima of one relator, the image of a word, the strictly
+minimal edge of a lifted 2-cell, the Adian route with its own hypotheses,
+seeded random reduced forests, the standard 2-complex of a presentation
+and the well-definedness check of an assignment.  The package reaches
+these only through the report, so it does not ship them.
 """
 
 from __future__ import annotations
 
 from npicheck.complexes import TwoComplex
-from npicheck.homology import _kernel_basis, smith_normal_form
-from npicheck.logs import Log
-from npicheck.minima import MAX, MinimaMultiset, _extremal_multiset, prefix_profile
-from npicheck.orders import OrderedTarget, TargetAssignment, evaluate_word
+from npicheck.cover import CoverCell, CoverEdge, CoverWindow, edge_key, lifted_boundary
+from npicheck.homology import WeightHom, _kernel_basis, _weight_stream, h1_structure, smith_normal_form
+from npicheck.logs import AdianVerdict, Log, Multigraph, adian_check, is_forest
+from npicheck.minima import (
+    MAX,
+    MIN,
+    MinimaMultiset,
+    _extremal_multiset,
+    _profile,
+    presentation_hypotheses,
+)
+from npicheck.orders import OrderedTarget, TargetAssignment
 from npicheck.words import Presentation, Word, freely_reduce, is_freely_reduced, letter_gen
+
+
+def make_presentation(generators, relators) -> Presentation:
+    return Presentation(tuple(generators), tuple(tuple(r) for r in relators))
+
+
+def flip_generator(pres: Presentation, gen: int) -> Presentation:
+    """Replace generator ``gen`` (0-based) by its inverse in every relator.
+
+    An involution; cyclic reducedness of relators is preserved because
+    cancellation patterns are invariant under negating one generator's sign.
+    """
+    if not 0 <= gen < len(pres.generators):
+        raise IndexError(f"no generator with index {gen}")
+    target = gen + 1
+    new_rels = tuple(
+        tuple(-x if abs(x) == target else x for x in r) for r in pres.relators
+    )
+    return Presentation(pres.generators, new_rels)
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -76,6 +107,31 @@ def integer_kernel_basis(matrix: list[list[int]], ncols: int = 0) -> list[tuple[
     return _kernel_basis(smith_normal_form(matrix, ncols))
 
 
+def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[WeightHom]:
+    """Every map of the weight search, in the order ``--phi auto`` tries them."""
+    return list(_weight_stream(h1_structure(pres).smith, coeff_bound))
+
+
+class NonVanishingRelatorWeight(ValueError):
+    """The relator does not map to the identity; phi is not well defined."""
+
+
+def prefix_profile(pres: Presentation, rel: int, target: OrderedTarget, assignment: TargetAssignment) -> list:
+    """Images of the initial subwords of relator ``rel`` (length-1 up to full)."""
+    out = _profile(pres.relators[rel], target, assignment)
+    if out and not target.equals(out[-1], target.identity()):
+        raise NonVanishingRelatorWeight(
+            f"relator {rel} has nonzero image {target.describe(out[-1])}"
+        )
+    return out
+
+
+def minima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
+    """Multiset of minima of relator ``rel`` with respect to the assignment."""
+    profile = prefix_profile(pres, rel, target, assignment)
+    return _extremal_multiset(rel, pres.relators[rel], profile, target, MIN)
+
+
 def maxima_multiset(pres, rel, target, assignment) -> MinimaMultiset:
     """Mirror image of ``minima_multiset`` at the profile maximum."""
     profile = prefix_profile(pres, rel, target, assignment)
@@ -100,3 +156,69 @@ def verify_assignment(
     return all(
         target.equals(evaluate_word(target, assignment, r), ident) for r in pres.relators
     )
+
+
+def evaluate_word(target: OrderedTarget, assignment: TargetAssignment, word):
+    """Image of a word under the homomorphism defined by the assignment."""
+    profile = _profile(word, target, assignment)
+    return profile[-1] if profile else target.identity()
+
+
+def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
+    """Strictly minimal boundary edge under the (level, priority) key.
+
+    gen_priority maps generator index to a position 1..n; keys compare
+    lexicographically with level ascending and position descending, so at
+    equal level the highest-priority generator wins as the minimum.
+    Distinct edges have distinct keys, so the minimum is unique.
+    """
+    edges = (e for e, _ in lifted_boundary(window, cell))
+    return min(edges, key=lambda e: edge_key(e, gen_priority))
+
+
+def adian_npi_check(pres: Presentation) -> AdianVerdict:
+    """The equal-length Adian route on ``pres`` with its own hypotheses."""
+    return adian_check(pres, presentation_hypotheses(pres)[0])
+
+
+def lof_random(n_vertices: int, n_edges: int, rng) -> Log:
+    """Uniform reduced labelled oriented forest by rejection sampling,
+    drawing from ``rng``, a :class:`random.Random`.
+
+    Uniform over forests with the requested vertex and edge counts, then
+    uniform orientations and labels, rejecting until every edge satisfies
+    label != initial and label != terminal.  Vertices are named a, b, ...,
+    z, aa, ab, ...
+    """
+    if n_vertices < 1:
+        raise ValueError("need at least one vertex")
+    if n_edges < 0 or n_edges > max(n_vertices - 1, 0):
+        raise ValueError(f"no forest on {n_vertices} vertices has {n_edges} edges")
+    if n_edges >= 1 and n_vertices < 3:
+        raise ValueError("a reduced edge needs a label distinct from both endpoints")
+    names = tuple(_vertex_name(i) for i in range(n_vertices))
+    all_pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
+    while True:
+        pairs = rng.sample(all_pairs, n_edges) if n_edges else []
+        if not is_forest(Multigraph(n_vertices, tuple(pairs))).ok:
+            continue
+        edges = []
+        ok = True
+        for a, b in pairs:
+            i, t = (a, b) if rng.random() < 0.5 else (b, a)
+            lam = rng.randrange(n_vertices)
+            if lam == i or lam == t:
+                ok = False
+                break
+            edges.append((i, lam, t))
+        if ok:
+            return Log(names, tuple(edges))
+
+
+def _vertex_name(i: int) -> str:
+    name = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, 26)
+        name = chr(ord("a") + r) + name
+    return name

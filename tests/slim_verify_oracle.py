@@ -18,10 +18,10 @@ from npicheck.cover import (
     SlimReport,
     edge_key,
     lifted_boundary,
-    min_edge,
 )
 from npicheck.minima import replay_certificate
 from npicheck.words import Presentation, is_proper_power
+from helpers import min_edge
 
 
 def oracle_verify_weak_slim_certificate(

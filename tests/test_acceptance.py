@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import presentation_complex
+from helpers import (
+    adian_npi_check,
+    find_weight_homomorphisms,
+    lof_random,
+    make_presentation,
+    minima_multiset,
+    prefix_profile,
+    presentation_complex,
+)
 from npicheck.complexes import canonical_complex, collapsible, npi_scan
 from npicheck.cover import (
     CertificateMismatch,
@@ -20,13 +28,8 @@ from npicheck.cover import (
     lifted_boundary,
     verify_weak_slim_certificate,
 )
-from npicheck.homology import (
-    find_weight_homomorphisms,
-    h1_structure,
-    is_generalized_wirtinger,
-    smith_normal_form,
-)
-from npicheck.logs import adian_npi_check, graph_I, graph_T, is_forest, lof_random, log_to_presentation
+from npicheck.homology import h1_structure, is_generalized_wirtinger, smith_normal_form
+from npicheck.logs import graph_I, graph_T, is_forest, log_to_presentation
 from npicheck.minima import (
     MAX,
     MIN,
@@ -34,14 +37,11 @@ from npicheck.minima import (
     ConcatFailure,
     WitnessStep,
     check_presentation,
-    minima_multiset,
-    prefix_profile,
     replay_certificate,
     weak_concatenability,
 )
 from npicheck.orders import BraidTarget, IntTarget, TargetAssignment, parse_target_spec
 from npicheck.report import ReportOptions, full_report, report_json
-from npicheck.words import make_presentation
 from samples import (
     SAMPLE_A_TEXT,
     SAMPLE_B_TEXT,

@@ -13,8 +13,7 @@ from npicheck import minima, orders, words
 from npicheck import report as report_mod
 from npicheck.cli import run
 from npicheck.complexes import npi_scan
-from npicheck.homology import find_weight_homomorphisms
-from npicheck.logs import Log, log_to_presentation, lof_random
+from npicheck.logs import Log, log_to_presentation
 from npicheck.minima import check_presentation
 from npicheck.orders import IntTarget, TargetAssignment, parse_target_spec
 from npicheck.report import ReportOptions, full_report, report_json
@@ -25,7 +24,7 @@ from npicheck.textio import (
     parse_presentation,
     sniff_kind,
 )
-from helpers import format_log, format_presentation
+from helpers import find_weight_homomorphisms, format_log, format_presentation, lof_random
 from samples import (
     FOREST7R3_8_TEXT,
     LOT_SINGLE_EDGE_TEXT,
@@ -125,6 +124,7 @@ def files(tmp_path):
         ("broken.pres", "gens: a\nrel: a^0\n"),
         ("adian.pres", ADIAN_TEXT),
         ("invalid.pres", "gens: a b\nrel: a a^-1 b\n"),
+        ("ab.pres", "gens: a b\nrel: a b^-1\n"),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -803,6 +803,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["concat", "braid.pres", "--target", "braid:4", "--phi", "x=0,y=1,z=2"],
          "--phi: generator x: '0'"),
         (["report", "a.pres", "--phi", "a=1,b=1"], "--phi: missing images for generators c"),
+        (["report", "ab.pres", "--phi", "a=1,a=2,b=1"], "--phi: generator a is named twice"),
         (["report", "a.pres", "--target", "braid:1"], "argument --target: expected z |"),
         (["minima", "a.pres", "--target", "q"], "argument --target: expected z |"),
         (["phi", "a.pres", "--bound", "0"], "unrecognized arguments: --bound 0"),
@@ -816,7 +817,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["cover", "a.pres", "--window", "-4,4"], "unrecognized arguments: --window -4,4"),
     ],
     ids=[
-        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "target-braid", "target-q", "bound-gone",
+        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "phi-twice", "target-braid", "target-q", "bound-gone",
         "scan-cap", "bounds-cap", "scan-negative", "phi-named", "immerse-invalid",
         "report-window-gone", "cover-window-gone",
     ],
@@ -827,11 +828,15 @@ def test_usage_errors_name_the_option(files, capsys, argv, message):
 
 
 def test_traced_benchmark_finds_the_names_it_reads():
-    # perfbench/run.py reads some call counts by function name; deleting or
-    # renaming one of those functions breaks the traced benchmark.
+    # perfbench/run.py reads some call counts by function name, and the
+    # ring-k16 probe of perfbench/probes.py imports names from npicheck.minima;
+    # deleting or renaming one of them breaks the benchmark.
     root = Path(__file__).resolve().parent.parent
     code = (
-        "import npicheck.cli, run, tracer\n"
+        "import npicheck.cli, probes, run, tracer\n"
+        "ring_imports = [line for line in probes.RING_CODE.splitlines() if 'npicheck' in line]\n"
+        "assert ring_imports\n"
+        "exec('\\n'.join(ring_imports))\n"
         "t = tracer.Tracer()\n"
         "t.install()\n"
         "run.layer_metrics(t.totals(), 1, 1.0)\n"
@@ -864,8 +869,8 @@ def test_closed_stdout_exits_1(tmp_path):
 
 def test_cli_start_up_imports():
     # What every CLI process pays at start-up: no dataclass code generation,
-    # no pathlib (the CLI reads its file with open) and no random (only
-    # lof_random draws from one, which its caller passes in), and every
+    # no pathlib (the CLI reads its file with open) and no random (the
+    # package draws no random numbers), and every
     # layer loaded at import, since the traced benchmark reads them from
     # sys.modules once npicheck.cli is imported.
     root = Path(__file__).resolve().parent.parent

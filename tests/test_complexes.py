@@ -25,8 +25,8 @@ from npicheck.complexes import (
     npi_scan,
 )
 from npicheck.textio import parse_presentation
-from npicheck.words import flip_generator, letter_gen, make_presentation, rotate_word, validate
-from helpers import presentation_complex
+from npicheck.words import letter_gen, rotate_word, validate
+from helpers import flip_generator, make_presentation, presentation_complex
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 from scan_oracle import enumerate_immersions, oracle_canonical_complex, oracle_scan
 

@@ -12,17 +12,21 @@ import npicheck
 from npicheck.homology import (
     NoSurjection,
     exponent_matrix,
-    find_weight_homomorphisms,
     h1_structure,
     integer_det,
     is_generalized_wirtinger,
     mat_mul,
     smith_normal_form,
 )
-from npicheck.logs import log_to_presentation, lof_random
+from npicheck.logs import log_to_presentation
 from npicheck.textio import parse_presentation
-from npicheck.words import flip_generator, make_presentation
-from helpers import integer_kernel_basis
+from helpers import (
+    find_weight_homomorphisms,
+    flip_generator,
+    integer_kernel_basis,
+    lof_random,
+    make_presentation,
+)
 from samples import sample_a, sample_braid, torsion_presentation
 from smith_oracle import exponent_matrix_oracle, smith_normal_form_oracle
 from weight_search_oracle import full_box_weight_homomorphisms

@@ -7,13 +7,10 @@ from npicheck.logs import (
     Log,
     Multigraph,
     NotAdian,
-    Unsatisfiable,
     adian_normalize,
-    adian_npi_check,
     graph_I,
     graph_T,
     is_forest,
-    lof_random,
     log_is_reduced,
     log_to_presentation,
     underlying_forest,
@@ -21,7 +18,8 @@ from npicheck.logs import (
 from npicheck.minima import MAX, MIN, check_presentation
 from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.textio import parse_presentation
-from npicheck.words import make_presentation, rotate_word, validate
+from npicheck.words import rotate_word, validate
+from helpers import adian_npi_check, lof_random, make_presentation
 from adian_normalize_oracle import adian_normalize_oracle
 
 
@@ -148,9 +146,9 @@ def test_lof_random_golden_and_degenerate():
         ("a", "b", "c", "d", "e"), ((2, 4, 0), (4, 2, 1), (4, 0, 3))
     )
     assert log_is_reduced(log)[0]
-    with pytest.raises(Unsatisfiable):
+    with pytest.raises(ValueError):
         lof_random(2, 1, random.Random(0))
-    with pytest.raises(Unsatisfiable):
+    with pytest.raises(ValueError):
         lof_random(4, 5, random.Random(0))
     assert lof_random(3, 1, random.Random(1)).edges
 

@@ -10,29 +10,34 @@ from npicheck.minima import (
     ConcatCertificate,
     ConcatFailure,
     MinimaMultiset,
-    NonVanishingRelatorWeight,
     WitnessStep,
     _integer_multisets,
     _integer_profile,
     _ordered_multisets,
     check_assignment,
     check_presentation,
-    minima_multiset,
-    prefix_profile,
     presentation_hypotheses,
     replay_certificate,
     replay_stuck_core,
     weak_concatenability,
 )
-from npicheck.homology import NoSurjection, find_weight_homomorphisms
-from npicheck.logs import log_to_presentation, lof_random
+from npicheck.homology import NoSurjection
+from npicheck.logs import log_to_presentation
 from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
 from npicheck.textio import parse_presentation
-from npicheck.words import exponent_sum, freely_reduce, make_presentation, rotate_word
+from npicheck.words import exponent_sum, freely_reduce, rotate_word
 from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
 from flip_frame_oracle import flip_all, in_flipped_frame
-from helpers import maxima_multiset
+from helpers import (
+    NonVanishingRelatorWeight,
+    find_weight_homomorphisms,
+    lof_random,
+    make_presentation,
+    maxima_multiset,
+    minima_multiset,
+    prefix_profile,
+)
 from samples import (
     FOREST7R3_2_TEXT,
     FOREST7R3_8_TEXT,
@@ -591,7 +596,7 @@ def test_check_assignment_matches_the_generic_oracle():
     rng = random.Random(19)
     statuses = set()
     for pres in _oracle_presentations(rng):
-        hyps = presentation_hypotheses(pres)
+        hyps, _ = presentation_hypotheses(pres)
         for weights in _weight_cases(pres, rng):
             assignment = TargetAssignment.from_weights(pres, weights)
             for mode in (MIN, MAX):
@@ -611,7 +616,7 @@ def test_check_assignment_matches_the_generic_oracle():
 @pytest.mark.parametrize("text", [FOREST7R3_2_TEXT, FOREST7R3_8_TEXT], ids=["2", "8"])
 def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
     pres = parse_presentation(text)
-    hyps = presentation_hypotheses(pres)
+    hyps, _ = presentation_hypotheses(pres)
     homs = find_weight_homomorphisms(pres)
     assert len(homs) == 145
     outcomes: dict = {}

@@ -17,11 +17,10 @@ from npicheck.orders import (
     TargetAssignment,
     UnassignedGenerator,
     braid_sign,
-    evaluate_word,
     handle_reduce,
     parse_target_spec,
 )
-from helpers import verify_assignment
+from helpers import evaluate_word, verify_assignment
 from samples import B4_RELATORS, sample_a, sample_braid
 
 

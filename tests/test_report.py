@@ -11,16 +11,9 @@ import pytest
 
 from conftest import oracle_json
 from flip_frame_oracle import swap_flipped
-from helpers import verify_assignment
+from helpers import lof_random, verify_assignment
 from npicheck import homology, logs, minima, report
-from npicheck.logs import (
-    adian_normalize,
-    graph_I,
-    graph_T,
-    is_forest,
-    log_to_presentation,
-    lof_random,
-)
+from npicheck.logs import adian_normalize, graph_I, graph_T, is_forest, log_to_presentation
 from npicheck.minima import (
     ConcatCertificate,
     HypothesisResult,

@@ -2,16 +2,8 @@ import random
 
 from hypothesis import given, strategies as st
 
-from npicheck.words import (
-    Diagnostic,
-    exponent_sum,
-    flip_generator,
-    freely_reduce,
-    is_proper_power,
-    make_presentation,
-    validate,
-)
-from helpers import cyclically_reduce, is_cyclically_reduced
+from npicheck.words import Diagnostic, exponent_sum, freely_reduce, is_proper_power, validate
+from helpers import cyclically_reduce, flip_generator, is_cyclically_reduced, make_presentation
 from samples import sample_a
 
 

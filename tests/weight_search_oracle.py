@@ -1,6 +1,6 @@
 """The weight-map search that walked the whole coefficient box before the
 half-box search replaced it, kept verbatim as a differential oracle for
-:func:`npicheck.homology.find_weight_homomorphisms`.
+the weight search, :func:`npicheck.homology._weight_stream`.
 
 It tries all (2 * coeff_bound + 1)^r coefficient vectors, r the H1 rank,
 so it is only usable for small r.
