@@ -379,7 +379,20 @@ def _presentation_route(
     # fail too: stop there as well.  Otherwise every attempt stays in the
     # report as the witness of why none certifies.  Many maps give the same
     # multisets, so each distinct tuple is decided once per report.
+    #
+    # The attempts with one outcome share one entry body, and each adds
+    # only its own weights; the writer then writes the body's row lists
+    # once (see report_json).  A body is built once per distinct (flips,
+    # hypothesis rows, decided outcome), and that triple fixes it: the
+    # mode is the report's, and a decided outcome is the object that
+    # check_assignment took from ``outcomes``, one per distinct multiset
+    # tuple, so its identity fixes the multisets as well as the
+    # certificate or stuck core.  A verdict that stopped at a hypothesis
+    # has neither (both ids are of None) and no multisets.  ``outcomes``
+    # keeps every outcome alive until the route returns, so no id is
+    # reused while ``bodies`` is in use.
     outcomes: dict = {}
+    bodies: dict = {}
     for cand in candidates:
         try:
             verdict = check_assignment(pres, pres_hyps, target, cand, options.mode, outcomes)
@@ -387,7 +400,11 @@ def _presentation_route(
             # Only a braid target reduces handles, and it has one assignment:
             # no attempt finished, so the verdict names the stage that stopped.
             return "not-decided", "", f"handle reduction in {target.name} stopped: {exc}"
-        entry = _verdict_to_entry(pres, verdict)
+        key = (verdict.flips, verdict.hypotheses, id(verdict.certificate), id(verdict.failure))
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _verdict_to_entry(pres, verdict)
+        entry = dict(body)
         if integer:
             entry["weights"] = {name: cand.image(j) for j, name in enumerate(pres.generators)}
         doc["attempts"].append(entry)
@@ -508,36 +525,53 @@ def report_json(doc: dict) -> str:
     The writer below appends the same tokens to one list; strings go
     through the C string quoter.  It raises TypeError on any value a
     report does not hold (a float, a non-string key, any other object).
+
+    A list of rows (a list whose first item is a dict) that the document
+    holds more than once by identity, at the same indentation, is written
+    once: attempts that share an entry body share its hypothesis rows and
+    multisets.  Its second meeting appends the text of the first, kept
+    as a span of the output until then.  The bytes do not change: the
+    text of a value depends only on the value and its indentation, and
+    the value is the same object.  The record of those lists lives for
+    one call and holds each list it names, so no id is reused while it
+    is in use.  A value the writer refuses fails on its first write,
+    before anything is recorded.
     """
     out: list[str] = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
+def _write_json(value, newline: str, out: list[str], rows: dict) -> None:
     """Append ``value`` to ``out``; ``newline`` is a line break followed by
-    the indentation of the current level.
+    the indentation of the current level.  ``rows`` maps the id of each
+    list of rows written so far to (the list, its ``newline``, its text):
+    a slice of ``out`` until the list is met again, then the joined text.
 
     Inside a list or a dict, an item whose type is exactly ``str`` or
     ``int`` is written in place; every other item, subclasses of those
     included, takes the recursive call, so both ways accept and refuse the
-    same values.
+    same values.  The recursive call mostly meets containers, so it tests
+    for them first; no value is both a container and a scalar, so the
+    order of the tests does not change what is written.
     """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif type(value) is list or type(value) is tuple:
+    cls = type(value)
+    if cls is list or cls is tuple:
         if not value:
             out.append("[]")
             return
+        shared = cls is list and type(value[0]) is dict
+        if shared:
+            seen = rows.get(id(value))
+            if seen is not None and seen[1] == newline:
+                text = seen[2]
+                if type(text) is slice:
+                    text = "".join(out[text])
+                    rows[id(value)] = (value, newline, text)
+                out.append(text)
+                return
+            start = len(out)
         quote = encode_basestring_ascii
         inner = newline + "  "
         sep = "[" + inner
@@ -549,9 +583,11 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                 out.append(sep + int.__repr__(item))
             else:
                 out.append(sep)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, rows)
             sep = "," + inner
         out.append(newline + "]")
+        if shared and seen is None:
+            rows[id(value)] = (value, newline, slice(start, len(out)))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -570,9 +606,19 @@ def _write_json(value, newline: str, out: list[str]) -> None:
                 out.append(f"{sep}{quote(key)}: {int.__repr__(item)}")
             else:
                 out.append(f"{sep}{quote(key)}: ")
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, rows)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     else:
         raise TypeError(f"a report holds no {type(value).__name__}")
 

@@ -42,6 +42,17 @@ FOREST7R3_8_TEXT = (
     "rel: v1^-1 v0^-1 v6 v0\n"
 )
 
+# A third H1 rank 3 forest (forest7r3-3 of the wide-presentations workload
+# at seed 1), not decided in either mode: its 145 attempts, 96 of them
+# with flips, hold 9 distinct bodies.
+FOREST7R3_3_TEXT = (
+    "gens: v0 v1 v2 v3 v4 v5 v6\n"
+    "rel: v5^-1 v4^-1 v3 v4\n"
+    "rel: v5^-1 v2^-1 v1 v2\n"
+    "rel: v2^-1 v6^-1 v5 v6\n"
+    "rel: v6^-1 v2^-1 v1 v2\n"
+)
+
 
 def sample_a():
     return parse_presentation(SAMPLE_A_TEXT)

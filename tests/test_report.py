@@ -1,6 +1,7 @@
 """The report writer against ``json.dumps``, the weight route's one
-decision per distinct multiset tuple against a fresh decision per map, and
-the work each report does once."""
+decision per distinct multiset tuple against a fresh decision per map, its
+shared attempt bodies against a fresh entry per map, and the work each
+report does once."""
 
 import json
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from attempt_entry_oracle import fresh_attempts
 from conftest import oracle_json
 from flip_frame_oracle import swap_flipped
 from helpers import lof_random, verify_assignment
@@ -27,6 +29,7 @@ from npicheck.textio import parse_log, parse_presentation
 from npicheck.words import Diagnostic
 from samples import (
     FOREST7R3_2_TEXT,
+    FOREST7R3_3_TEXT,
     FOREST7R3_8_TEXT,
     LOT_SINGLE_EDGE_TEXT,
     SAMPLE_A_TEXT,
@@ -180,6 +183,50 @@ def test_writer_rejects_what_a_report_does_not_hold(doc):
         report_json(doc)
 
 
+# -- a list of rows met again -------------------------------------------
+
+ROWS = [{"name": "a", "n": 1}, {"name": "\u00e9", "rows": [{"k": [], "t": ()}]}, "x"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": ROWS, "b": ROWS, "c": ROWS},
+        {"a": ROWS, "b": {"c": ROWS}, "d": [ROWS, {"e": ROWS}], "f": ROWS},
+        {"t": (ROWS, ROWS), "u": [(ROWS,), ROWS], "v": ROWS},
+    ],
+    ids=["one-depth", "two-depths", "in-a-tuple"],
+)
+def test_writer_matches_on_repeated_row_lists(doc):
+    # The second and later meetings at one depth repeat the text of the
+    # first, closing bracket included; a meeting at another depth is
+    # written anew.
+    assert report_json(doc) == oracle_json(doc)
+
+
+def test_writer_writes_a_repeated_row_list_once(monkeypatch):
+    quoted = []
+    original = report.encode_basestring_ascii
+
+    def counting(s):
+        quoted.append(s)
+        return original(s)
+
+    rows = [{"key": "value"}]
+    doc = {f"k{i}": rows for i in range(10)}
+    monkeypatch.setattr(report, "encode_basestring_ascii", counting)
+    assert report_json(doc) == oracle_json(doc)
+    assert quoted.count("key") == quoted.count("value") == 1
+
+
+def test_writer_refuses_a_float_in_a_repeated_row_list():
+    # The float fails on the first write, at the first meeting.
+    for rows in ([{"b": 1}, 1.5], [{"b": 1.5}], [{"b": [{"c": 0.5}]}]):
+        for doc in ({"a": rows, "b": rows}, {"a": (rows, rows)}, {"a": [rows], "b": rows}):
+            with pytest.raises(TypeError):
+                report_json(doc)
+
+
 # -- one decision per distinct multiset tuple ---------------------------
 
 def _multisets(attempt: dict, names: list[str]) -> tuple[MinimaMultiset, ...]:
@@ -208,20 +255,26 @@ def _outcome_entry(outcome, names: list[str]) -> dict:
     return {"failure_witness": {"stuck_core": list(outcome.stuck_core)}}
 
 
-def _family() -> list:
-    """Seeded LOTs and forests of H1 rank 2 to 4 as presentation text (14
-    of the 58 try more than one map, one of them 145), and the two
-    145-attempt forests."""
-    rng = random.Random(2026)
+def _seeded_forests(plan, seed: int) -> list:
+    """Presentation texts of seeded reduced forests, ``count`` of each
+    (vertices ``n``, H1 rank ``rank``) in ``plan``, as test parameters."""
+    rng = random.Random(seed)
     params = []
-    plan = ((4, 1, 4), (6, 1, 4), (5, 2, 6), (6, 3, 12), (7, 3, 12), (6, 4, 12), (8, 4, 8))
     for n, rank, count in plan:
         for j in range(count):
             pres = log_to_presentation(lof_random(n, n - rank, rng))
             text = "gens: " + " ".join(pres.generators) + "\n"
             text += "".join(f"rel: {pres.word_str(r)}\n" for r in pres.relators)
             params.append(pytest.param(text, id=f"n{n}-rank{rank}-{j}"))
-    return params + [
+    return params
+
+
+def _family() -> list:
+    """Seeded LOTs and forests of H1 rank 2 to 4 as presentation text (14
+    of the 58 try more than one map, one of them 145), and the two
+    145-attempt forests."""
+    plan = ((4, 1, 4), (6, 1, 4), (5, 2, 6), (6, 3, 12), (7, 3, 12), (6, 4, 12), (8, 4, 8))
+    return _seeded_forests(plan, 2026) + [
         pytest.param(FOREST7R3_2_TEXT, id="forest7r3-2"),
         pytest.param(FOREST7R3_8_TEXT, id="forest7r3-8"),
     ]
@@ -275,6 +328,57 @@ def test_the_145_attempt_forests_decide_few_tuples(monkeypatch):
         assert len(doc["attempts"]) == 145
         assert len(distinct) < 10
         assert len(calls) <= len(distinct) + 2  # + the Adian min and max checks
+
+
+# -- one entry body per distinct outcome --------------------------------
+
+@pytest.mark.parametrize(
+    "text, mode, bodies, status",
+    [
+        (FOREST7R3_8_TEXT, "min", 9, "npi-certified"),
+        (FOREST7R3_2_TEXT, "min", 6, "npi-certified"),
+        (FOREST7R3_3_TEXT, "min", 9, "not-decided"),
+        (FOREST7R3_3_TEXT, "max", 9, "not-decided"),
+    ],
+    ids=["forest7r3-8", "forest7r3-2", "forest7r3-3-min", "forest7r3-3-max"],
+)
+def test_the_145_attempt_forests_build_few_bodies(text, mode, bodies, status, monkeypatch):
+    built = []
+    original = report._verdict_to_entry
+
+    def counting(pres, verdict):
+        built.append(verdict)
+        return original(pres, verdict)
+
+    monkeypatch.setattr(report, "_verdict_to_entry", counting)
+    doc = _report(text, mode=mode)
+    attempts = doc["attempts"]
+    assert doc["verdict"]["status"] == status
+    assert len(attempts) == 145
+    assert len(built) == bodies
+    # The attempts of one body share its lists, which the writer writes once.
+    for field in ("hypotheses", "multisets"):
+        assert len({id(a[field]) for a in attempts}) == bodies
+    assert len({id(a["weights"]) for a in attempts}) == 145
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(FOREST7R3_2_TEXT, id="forest7r3-2"),
+        pytest.param(FOREST7R3_8_TEXT, id="forest7r3-8"),
+        pytest.param(FOREST7R3_3_TEXT, id="forest7r3-3"),
+    ] + _seeded_forests(((7, 3, 6), (6, 4, 4), (8, 4, 4)), 24),
+)
+def test_shared_bodies_match_fresh_entries(text, mode):
+    doc = _report(text, mode=mode)
+    fresh = fresh_attempts(parse_presentation(text), mode)
+    assert doc["attempts"] == fresh
+    # Compared as a bool: n8-rank4-2 keeps 1,120 attempts in either mode,
+    # and pytest's diff of two such texts would run for minutes.
+    same = report_json(doc) == oracle_json({**doc, "attempts": fresh})
+    assert same
 
 
 def test_ill_defined_map_fails_well_definedness():
