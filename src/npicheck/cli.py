@@ -44,20 +44,16 @@ ATTEMPT_LABELS = {"concatenable": "Concatenable", "not-concatenable": "NotConcat
 REPORT_VIEWS = ("report", "lot", "phi", "minima", "concat", "cover")
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    """``LO,HI``: two comma-separated integers (argparse names the option)."""
-    lo, _, hi = text.partition(",")
+def _scan_bounds(text: str) -> tuple[int, int]:
+    """``E,F``: two comma-separated integers within the immersion scan caps
+    (argparse names the option)."""
+    e, _, f = text.partition(",")
     try:
-        return int(lo), int(hi)
+        bounds = int(e), int(f)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected LO,HI (two integers), got {text!r}"
+            f"expected E,F (two integers), got {text!r}"
         ) from None
-
-
-def _scan_bounds(text: str) -> tuple[int, int]:
-    """``E,F`` within the immersion scan caps (argparse names the option)."""
-    bounds = _int_pair(text)
     try:
         _check_bounds(*bounds)
     except ValueError as exc:
@@ -105,13 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cover", "build and verify the cyclic-cover certificate")
     p.add_argument("--phi", default="auto")
     p = add("immerse", "bounded immersion scan")
-    p.add_argument("--bounds", dest="scan", type=_scan_bounds, default="4,2", help="E,F bounds")
+    p.add_argument("--bounds", dest="scan", type=_scan_bounds, default="4,2", metavar="E,F",
+                   help="edge and face bounds")
     p = add("report", "full pipeline with verdict")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--phi", default="auto")
     p.add_argument("--target", type=_target, default="z")
     p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    p.add_argument("--scan", type=_scan_bounds, default=None, help="E,F immersion scan bounds")
+    p.add_argument("--scan", type=_scan_bounds, default=None, metavar="E,F",
+                   help="immersion scan edge and face bounds")
     return parser
 
 

@@ -82,14 +82,8 @@ below assumes otherwise.
    - Least corner.  A face with a new edge is built by the trace from each
      corner (u, t) at a state vertex u whose edge at t is not a state
      edge, so a trace stops at such a corner before its own start.
-   - A fresh vertex needs a join.  Until a join, the added edges form a
-     forest on the state, and the walk leaves the subtree of a fresh
-     vertex made at position t only back across its edge, so the cyclic
-     subword from t reduces to nothing: t >= L - h, where h letters cancel
-     across the wrap (nested, as in ``c^-1 b^-1 a b c``).  Elsewhere a
-     fresh edge needs a join and one more edge of room left.
-   - Walk-only tails.  Once no edge can be added (no room, or no join left
-     and no tail position), the rest of the word is walked.
+   - Walk-only tails.  Once no room is left, the rest of the word is
+     walked; the last step adds no fresh vertex, since it lands on v0.
    - Canonical form.  Forms compare on their sorted edge triples first, so
      only starts whose triples tie for the least relabel faces.
 7. Corner fits.  The edges a new face crosses form a connected folded
@@ -308,15 +302,6 @@ def _spell(rel) -> list[tuple[int, bool]]:
     return [(letter_gen(x), x > 0) for x in rel]
 
 
-def _wrap_depth(word) -> int:
-    """The h of point 6: how many (label, forward) letters cancel cyclically
-    across the end of a freely reduced word."""
-    h = 0
-    while h < len(word) // 2 and word[h][0] == word[-1 - h][0] and word[h][1] != word[-1 - h][1]:
-        h += 1
-    return h
-
-
 def _slot_masks(vertex_count: int, edges) -> tuple[list[int], list[int]]:
     """Each vertex's slots holding a loop and slots holding another edge,
     as bit masks: bit 2g is the out-slot of label g, bit 2g + 1 the in-slot."""
@@ -328,15 +313,6 @@ def _slot_masks(vertex_count: int, edges) -> tuple[list[int], list[int]]:
             others[s] |= 1 << 2 * g
             others[d] |= 2 << 2 * g
     return loops, others
-
-
-class _Scan:
-    """Per-scan tables: each relator's tail L - h (point 6) and, filled on
-    first use, its single faces and corner fits (``_Moves._single_faces``)."""
-
-    def __init__(self, spelled):
-        self.tails = [len(word) - _wrap_depth(word) for word in spelled]
-        self.singles: dict[int, tuple] = {}
 
 
 def _check_bounds(max_edges: int, max_faces: int) -> None:
@@ -367,8 +343,8 @@ class _Moves:
     or entering the vertex with that label, and ``corners[rel]`` holds
     ``vertex * len(relator) + position`` for the corners of the state's
     faces of that relator.  A move pushes edges, yields a snapshot while
-    they are in place, and pops them again.  ``scan`` holds the scan's
-    per-relator tables (see ``_Scan``).
+    they are in place, and pops them again.  ``scan`` is the per-scan dict
+    of each relator's single faces and corner fits (``_single_faces``).
     """
 
     def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces, scan):
@@ -430,11 +406,11 @@ class _Moves:
     def _trace(self, rel: int, start: int, v0: int, join_cap: int):
         """Snapshots with one more face: relator ``rel`` read from position
         ``start`` at ``v0``.  An edge the word needs is followed if it
-        exists; otherwise it is added, to a fresh vertex or, as a join, to
-        an existing one (at most ``join_cap`` joins).  The last step must
-        land on ``v0``, and no corner may repeat one of the state's.  If
-        the start corner's edge exists, the trace only walks.  Otherwise
-        the cuts of point 6 of the module docstring apply."""
+        exists; otherwise it is added, as a join to an existing vertex (at
+        most ``join_cap`` joins) or to a fresh one, while room is left.  The
+        last step must land on ``v0``, and no corner may repeat one of the
+        state's.  If the start corner's edge exists, the trace only walks.
+        Otherwise the cuts of point 6 of the module docstring apply."""
         spelled = self.spelled[rel]
         length = len(spelled)
         n = self.n_gens
@@ -477,7 +453,6 @@ class _Moves:
             if follow(0, v0)[0] == length:
                 yield snapshot()
             return
-        tail = self.scan.tails[rel]
 
         def step(k, v, joins):
             # Each open call below the first holds one pushed edge, popped
@@ -493,13 +468,12 @@ class _Moves:
             room = self.max_edges - len(edges)
             if room < 1:
                 return
-            pos = (start + k) % length
-            g, forward = spelled[pos]
+            g, forward = spelled[(start + k) % length]
             sign = 1 if forward else -1
             last = k == length - 1
             if joins < join_cap:
                 near, far = (out, into) if forward else (into, out)
-                walk = last or room == 1 or (joins + 1 == join_cap and tail == length)
+                walk = last or room == 1
                 slot, idx = v * n + g, len(edges)
                 path[k] = (idx, sign)
                 for w in (v0,) if last else range(self.vertex_count):
@@ -514,7 +488,7 @@ class _Moves:
                         yield snapshot()
                     edges.pop()
                     del near[slot], far[far_slot]
-            if not last and (pos >= tail or (joins < join_cap and room >= 2)):
+            if not last:
                 w = self.vertex_count
                 self.vertex_count += 1
                 path[k] = (self._attach(v, g, forward, w), sign)
@@ -532,7 +506,7 @@ class _Moves:
         is at vertex 0, joins is E - V + 1, and slots[v] masks the edge ends
         at v.  ``fits[t]`` holds the least demanding (loop, other-edge)
         masks of their position-t corner vertices (point 7)."""
-        if rel not in self.scan.singles:
+        if rel not in self.scan:
             start = _Moves(TwoComplex(1, (), ()), self.spelled, self.n_gens,
                            self.max_edges, self.max_faces, self.scan)
             faces, corners = [], set()
@@ -548,8 +522,8 @@ class _Moves:
             for t, lx, ox in sorted(corners, key=lambda k: (k[1] | k[2]).bit_count()):
                 if all(ly & ~lx or oy & ~ox for ly, oy in fits[t]):
                     fits[t].append((lx, ox))
-            self.scan.singles[rel] = (faces, fits)
-        return self.scan.singles[rel]
+            self.scan[rel] = (faces, fits)
+        return self.scan[rel]
 
     def _grafts(self, rel: int, u: int, join_cap: int):
         """Snapshots with a first face of relator ``rel`` in a new blob at
@@ -656,7 +630,7 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     _require_valid(pres)
     n_gens = len(pres.generators)
     spelled = [_spell(rel) for rel in pres.relators]
-    scan = _Scan(spelled)
+    scan: dict[int, tuple] = {}
 
     def explore(stack, moves, seen):
         while stack:

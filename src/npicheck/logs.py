@@ -67,7 +67,6 @@ def underlying_forest(log: Log) -> bool:
 class AdianPair(NamedTuple):
     u: Word  # positive block
     v: Word  # positive block; the relator is cyclically u v^-1
-    rotation: int  # rotation of the stored relator realizing u v^-1
 
 
 class AdianForm(NamedTuple):
@@ -79,10 +78,9 @@ def adian_normalize(pres: Presentation) -> AdianForm:
     """Decompose every relator as u v^-1 with u, v nonempty positive words.
 
     A cyclic word admits such a rotation iff it has exactly one positive
-    and one negative run, which makes the decomposition canonical; the
-    returned rotation starts the positive run.  One pass over each relator
-    finds its runs: a run starts at each letter whose sign differs from
-    that of the letter before it, cyclically.
+    and one negative run, which makes the decomposition canonical.  One
+    pass over each relator finds its runs: a run starts at each letter
+    whose sign differs from that of the letter before it, cyclically.
     """
     pairs: list[AdianPair] = []
     for idx, rel in enumerate(pres.relators):
@@ -96,7 +94,7 @@ def adian_normalize(pres: Presentation) -> AdianForm:
         split = (j - k) % len(rel)
         u = rot[:split]
         v = tuple(-x for x in reversed(rot[split:]))
-        pairs.append(AdianPair(u, v, k))
+        pairs.append(AdianPair(u, v))
     return AdianForm(pres.generators, pairs)
 
 

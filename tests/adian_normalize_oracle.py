@@ -1,6 +1,6 @@
 """The Adian normalizer before it found the runs of a relator in one pass,
-kept verbatim (but for its name) as a differential oracle for
-:func:`npicheck.logs.adian_normalize`.
+kept verbatim (but for its name and the rotation that pairs no longer
+carry) as a differential oracle for :func:`npicheck.logs.adian_normalize`.
 
 It tries every rotation and rescans the rotated word, so it takes time
 quadratic in the relator length.
@@ -16,8 +16,7 @@ def adian_normalize_oracle(pres: Presentation) -> AdianForm:
     """Decompose every relator as u v^-1 with u, v nonempty positive words.
 
     A cyclic word admits such a rotation iff it has exactly one positive
-    and one negative run, which makes the decomposition canonical; the
-    returned rotation starts the positive run.
+    and one negative run, which makes the decomposition canonical.
     """
     pairs: list[AdianPair] = []
     for idx, rel in enumerate(pres.relators):
@@ -39,5 +38,5 @@ def adian_normalize_oracle(pres: Presentation) -> AdianForm:
         rot, split, k = found
         u = rot[:split]
         v = tuple(-x for x in reversed(rot[split:]))
-        pairs.append(AdianPair(u, v, k))
+        pairs.append(AdianPair(u, v))
     return AdianForm(pres.generators, pairs)

@@ -744,7 +744,7 @@ def test_handle_reduction_budget_is_not_decided(files, monkeypatch, capsys):
 def test_malformed_int_pair_option(files, capsys, command, option, value):
     assert run([command, files["a.pres"], option, value]) == 2
     err = capsys.readouterr().err
-    assert f"argument {option}" in err and "LO,HI" in err and repr(value) in err
+    assert f"argument {option}" in err and "E,F" in err and repr(value) in err
 
 
 def test_presentation_hypotheses_checked_once(monkeypatch):

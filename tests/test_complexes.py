@@ -11,7 +11,6 @@ from face_moves_oracle import OracleMoves, oracle_npi_scan
 from npicheck.complexes import (
     TwoComplex,
     _Moves,
-    _Scan,
     _slot_masks,
     _spell,
     canonical_complex,
@@ -404,7 +403,7 @@ def _face_move_states(pres, max_e, max_f):
     """Every state the face moves reach, with the snapshots of its moves."""
     spelled = [_spell(rel) for rel in pres.relators]
     n_gens = len(pres.generators)
-    scan = _Scan(spelled)
+    scan = {}
     start = TwoComplex(1, (), ())
     seen = {canonical_complex(start)}
     stack = [start]
@@ -461,7 +460,7 @@ def test_corners_no_single_face_fits_trace_nothing():
     for pres, max_e, max_f in _face_move_cases():
         spelled = [_spell(rel) for rel in pres.relators]
         n_gens = len(pres.generators)
-        scan = _Scan(spelled)
+        scan = {}
         for state, _ in _face_move_states(pres, max_e, max_f):
             if not state.faces or len(state.faces) >= max_f:
                 continue
