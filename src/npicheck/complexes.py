@@ -11,66 +11,54 @@ serialization over start vertices.
 ``npi_scan`` wants only candidates (chi >= 1 and not collapsible, which
 greedy collapse decides exactly: see ``collapsible``) and builds them
 face first, by moves that keep a state connected, folded and
-link-injective.  Why no candidate is missed, for a candidate C within
-the bounds.  An edge is *faced* if some face crosses it.  A relator with
-a cancelling wrap pair (``c^-1 ... c``) has faces that cross an edge out
-and back, so a faced edge may end at a vertex of degree one; nothing
-below assumes otherwise.
+link-injective.  An edge is *faced* if some face crosses it, and a
+complex is *fully faced* if every edge is.  A relator with a cancelling
+wrap pair (``c^-1 ... c``) has faces that cross an edge out and back, so
+a faced edge may end at a vertex of degree one; nothing below assumes
+otherwise.  The scan lists the fully faced candidates only, and within
+the bounds there is a candidate iff there is a fully faced one.  Let C
+be a candidate within the bounds with a face-free edge e.  A subcomplex
+of an immersion is an immersion, and each case below has fewer edges and
+no more faces, so it is within the bounds too.
 
-1. Pendant trees.  A face-free edge ending at a vertex of degree one
-   changes neither chi nor collapsibility: no collapse uses it, and the
-   residual graph is a tree with it iff without it.  Stripping such edges
-   while any remain leaves the *core* of C, itself a candidate.  Leaf
-   moves, each one face-free edge to a fresh vertex, grow every
-   decoration of a core within the edge budget back from it, so it is
-   enough to reach every core.
-2. Ears.  Let e be a face-free edge on a cycle of a core C.  Then C - e is
-   connected with chi one higher, and its core D differs from C by an ear:
-   a path from a vertex of D through vertices not in D, closed by one edge
-   to any vertex of D or of the path.  A connected 2-complex with
-   chi >= 2 has b2 = chi - 1 + b1 >= 1, so D is not contractible: it is a
-   candidate core with one face-free cycle edge fewer.  By induction C
-   arises by ear moves, each from chi >= 2, from a core C0 whose face-free
-   edges are all bridges.
-3. Blobs and bridges.  The faced edges of C0 form vertex-disjoint
-   connected blobs; contracting each blob turns C0 into a tree whose
-   leaves are blobs, since a face-free vertex of degree one is not in a
-   core.  A blob is built one face at a time, each face sharing a vertex
-   with the faces before it.  A face move reads the relator from that
-   vertex: where the face's next edge is already built the state has it,
-   and where it is not, foldedness of C0 says the state has no edge of
-   that label and direction at the current vertex, so the move adds it, to
-   the right existing vertex or to a fresh one.  Take the blobs in
-   breadth-first order of the tree from the blob of vertex 0.  The tree
-   path from the part built so far to the next blob runs through fresh
-   vertices: a bridge path, ending at a vertex of the new blob where a
-   face move begins.  That face touches no older vertex, so after a bridge
-   the move joins and follows only vertices it created itself.
+1. Pendant edges.  If e ends at a vertex of degree one, C - e is a
+   candidate: no collapse uses e, and the residual graph is a tree with
+   it iff without it, so neither chi nor collapsibility changes.
+2. Cycle edges.  If e lies on a cycle, C - e is connected with chi one
+   higher.  A connected 2-complex with chi >= 2 has b2 = chi - 1 + b1 >= 1,
+   so C - e is not contractible: it is a candidate.
+3. Bridges.  Otherwise C - e has two components A and B, each holding
+   whole faces, with chi(A) + chi(B) = chi(C) + 1 >= 2.  If both collapse
+   to a point, so does C: collapse both, and what is left is a tree.  So
+   one of them, say A, does not collapse.  If chi(A) >= 1, A is a
+   candidate; otherwise chi(B) >= 2, so B has b2 >= 1 and is one.
+
+By induction on edges, C reduces to a fully faced candidate within the
+bounds, so it is enough to reach every one of those.  A connected, fully
+faced complex is built one face at a time, each face sharing a vertex
+with the faces before it.  A face move reads the relator from that
+vertex: where the face's next edge is already built the state has it,
+and where it is not, foldedness of the complex says the state has no edge
+of that label and direction at the current vertex, so the move adds it,
+to the right existing vertex or to a fresh one.
+
 4. Pruning.  Every state on these routes is a connected, folded,
    link-injective subcomplex of C with no more edges or faces.  A face
    move raises chi by one less its *joins* (new edges ending at existing
-   vertices), a bridge path keeps chi, an ear lowers it.  So
-   chi(C) <= chi_now + (max_faces - faces_now), no route passes a state
-   where this is below one, and a face move makes at most
+   vertices).  So chi(C) <= chi_now + (max_faces - faces_now), no route
+   passes a state where this is below one, and a face move makes at most
    chi_now + max_faces - faces_now - 1 joins.
 5. Tracing each face once.  Which face extensions a trace finds does not
    depend on the order in which it builds them: a face's joins number its
    new edges less its new vertices, and the corner and landing tests are
-   per position.  Three reductions follow, none of which misses a class.
+   per position.  Two reductions follow, neither of which misses a class.
    - The start state's first face.  Reading a relator from position t at
      the one vertex gives the same complexes, renumbered, as reading it
      from position 0 at the vertex of the position-0 corner; so position 0
-     alone is read.
-   - A blob's first face.  It touches only the bridge end u and vertices
-     it creates, so it is a single-face complex of its own, rooted at u by
-     one of its vertices.  It does not depend on the state, and its join
-     count E - V + 1 does not depend on build order.  Whether it fits
-     depends on the state only through the join cap, the room left and
-     the edge end the bridge's last edge takes at u.  So each relator's
-     single faces are traced once per scan, from the start state, whose
-     join cap max_faces and room max_edges are the largest any state has
-     (each face raises chi by at most one), and grafted at u by every
-     vertex that passes those three tests.
+     alone is read.  These are the relator's *single faces*.  The start
+     state's join cap max_faces and room max_edges are the largest any
+     state has (each face raises chi by at most one), so they are traced
+     once per scan and kept for point 7.
    - A face from a vertex of the state.  If it lies on state edges, the
      folded graph leaves one walk spelling the relator from the vertex of
      its position-0 corner, and that walk finds it.  Otherwise a cyclic
@@ -101,7 +89,6 @@ expanded once.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .words import Presentation, letter_gen, validate
@@ -377,31 +364,9 @@ class _Moves:
         del self.out[s * self.n_gens + g]
         del self.into[d * self.n_gens + g]
 
-    def _snapshot(self, new_face=None) -> TwoComplex:
-        faces = self.state.faces + ((new_face,) if new_face else ())
+    def _snapshot(self, new_face) -> TwoComplex:
+        faces = self.state.faces + (new_face,)
         return TwoComplex(self.vertex_count, tuple(self.edges), faces)
-
-    def _fresh_paths(self, x: int, max_len: int):
-        """Ends of the folded paths of 1..max_len edges from x through fresh
-        vertices; each path stays in place while its end is yielded."""
-
-        def extend(v, length):
-            if length:
-                yield v
-            if length >= max_len:
-                return
-            for g in range(self.n_gens):
-                for forward in (True, False):
-                    if v * self.n_gens + g in (self.out if forward else self.into):
-                        continue
-                    w = self.vertex_count
-                    self.vertex_count += 1
-                    self._attach(v, g, forward, w)
-                    yield from extend(w, length + 1)
-                    self._pop()
-                    self.vertex_count -= 1
-
-        yield from extend(x, 0)
 
     def _trace(self, rel: int, start: int, v0: int, join_cap: int):
         """Snapshots with one more face: relator ``rel`` read from position
@@ -502,18 +467,16 @@ class _Moves:
         """Relator ``rel``'s single faces within the bounds and their corner
         fits, traced once per scan, on first use.  The faces are what
         ``_trace`` yields from position 0 in the one-vertex start state (join
-        cap ``max_faces``), as (complex, joins, slots): the position-0 corner
-        is at vertex 0, joins is E - V + 1, and slots[v] masks the edge ends
-        at v.  ``fits[t]`` holds the least demanding (loop, other-edge)
-        masks of their position-t corner vertices (point 7)."""
+        cap ``max_faces``), the position-0 corner at vertex 0.  ``fits[t]``
+        holds the least demanding (loop, other-edge) masks of their
+        position-t corner vertices (point 7)."""
         if rel not in self.scan:
             start = _Moves(TwoComplex(1, (), ()), self.spelled, self.n_gens,
                            self.max_edges, self.max_faces, self.scan)
-            faces, corners = [], set()
-            for c in start._trace(rel, 0, 0, self.max_faces):
+            faces = list(start._trace(rel, 0, 0, self.max_faces))
+            corners = set()
+            for c in faces:
                 loops, others = _slot_masks(c.vertex_count, c.edges)
-                slots = [a | b for a, b in zip(loops, others)]
-                faces.append((c, len(c.edges) - c.vertex_count + 1, slots))
                 for t, (e, d) in enumerate(c.faces[0][1]):
                     x = _tail(c.edges, e, d)
                     corners.add((t, loops[x], others[x]))
@@ -525,31 +488,8 @@ class _Moves:
             self.scan[rel] = (faces, fits)
         return self.scan[rel]
 
-    def _grafts(self, rel: int, u: int, join_cap: int):
-        """Snapshots with a first face of relator ``rel`` in a new blob at
-        the end u of the bridge just pushed: each single face within the
-        join cap and the room left, rooted at u by any vertex whose edge
-        ends leave free the one the bridge's last edge takes at u.  The
-        face's other vertices are numbered after u, the last vertex."""
-        s, _, g = self.edges[-1]
-        taken = 1 << 2 * g + (s != u)
-        room = self.max_edges - len(self.edges)
-        first = len(self.edges)
-        for c, joins, slots in self._single_faces(rel)[0]:
-            if joins > join_cap or len(c.edges) > room:
-                continue
-            (_, path), = c.faces
-            face = (rel, tuple((first + e, d) for e, d in path))
-            for root in range(c.vertex_count):
-                if slots[root] & taken:
-                    continue
-                at = [u if v == root else u + v + (v < root) for v in range(c.vertex_count)]
-                edges = tuple(self.edges) + tuple((at[a], at[b], h) for a, b, h in c.edges)
-                yield TwoComplex(u + c.vertex_count, edges, self.state.faces + (face,))
-
     def face_moves(self):
-        """One new face traced from a vertex of the state, or grafted at the
-        end of a new face-free bridge path as the first face of a new blob."""
+        """One new face traced from a vertex of the state."""
         state = self.state
         if len(state.faces) >= self.max_faces:
             return
@@ -557,7 +497,7 @@ class _Moves:
         if not state.faces:
             # The start state, the only faceless one: one face at its vertex.
             for rel in rels:
-                yield from (c for c, _, _ in self._single_faces(rel)[0])
+                yield from self._single_faces(rel)[0]
             return
         # Each later face raises chi by at most one.
         join_cap = euler_characteristic(state) + self.max_faces - len(state.faces) - 1
@@ -578,86 +518,47 @@ class _Moves:
                         if not (lx & ov or ox & lv):
                             yield from self._trace(rel, t, v, join_cap)
                             break
-        for x in range(state.vertex_count):
-            for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
-                for rel in rels:
-                    yield from self._grafts(rel, u, join_cap)
-
-    def ear_moves(self):
-        """One face-free ear: a folded path from a vertex of the state
-        through fresh vertices (possibly none), closed by an edge to any
-        vertex; it lowers chi by one.  Only from chi >= 2, so that the
-        result keeps chi >= 1."""
-        room = self.max_edges - len(self.edges)
-        if room < 1 or euler_characteristic(self.state) < 2:
-            return
-        for x in range(self.state.vertex_count):
-            for v in itertools.chain((x,), self._fresh_paths(x, room - 1)):
-                for g in range(self.n_gens):
-                    for forward in (True, False):
-                        if v * self.n_gens + g in (self.out if forward else self.into):
-                            continue
-                        far_slot = self.into if forward else self.out
-                        for w in range(self.vertex_count):
-                            if w * self.n_gens + g not in far_slot:
-                                self._attach(v, g, forward, w)
-                                yield self._snapshot()
-                                self._pop()
-
-    def leaf_moves(self):
-        """One face-free edge from a vertex of the state to a fresh vertex,
-        while room is left; it keeps chi."""
-        if len(self.edges) >= self.max_edges:
-            return
-        for x in range(self.state.vertex_count):
-            for _ in self._fresh_paths(x, 1):
-                yield self._snapshot()
 
 
 def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     """Candidates for the non-positive-immersion dichotomy within bounds.
 
-    Emits every immersion with chi >= 1 that does not collapse (see
-    :func:`collapsible`), one per isomorphism class, in canonical order,
-    each as its class's canonical representative.  An empty result means
-    every immersion within the bounds has chi <= 0 or collapses; a
-    candidate is evidence for inspection, never a refutation, since
-    collapsibility is sufficient but not necessary for contractibility.
-    The search is face-first; the module docstring gives the argument
-    that it misses no class.
+    Emits every fully faced immersion (a face crosses each edge) with
+    chi >= 1 that does not collapse (see :func:`collapsible`), one per
+    isomorphism class, in canonical order, each as its class's canonical
+    representative.  An empty result means every immersion within the
+    bounds has chi <= 0 or collapses; a candidate is evidence for
+    inspection, never a refutation, since collapsibility is sufficient but
+    not necessary for contractibility.  The search is face-first; the
+    module docstring gives the argument that it misses no fully faced
+    class, and that a bound with any candidate has a fully faced one.
     """
     _check_bounds(max_edges, max_faces)
     _require_valid(pres)
     n_gens = len(pres.generators)
     spelled = [_spell(rel) for rel in pres.relators]
     scan: dict[int, tuple] = {}
-
-    def explore(stack, moves, seen):
-        while stack:
-            state = stack.pop()
-            for child in moves(_Moves(state, spelled, n_gens, max_edges, max_faces, scan)):
-                canon = canonical_complex(child)
-                if canon not in seen:
-                    seen[canon] = child
-                    stack.append(child)
-
     start = TwoComplex(1, (), ())
     states = {canonical_complex(start): start}
-    explore([start], _Moves.face_moves, states)
-    explore(list(states.values()), _Moves.ear_moves, states)
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        for child in _Moves(state, spelled, n_gens, max_edges, max_faces, scan).face_moves():
+            canon = canonical_complex(child)
+            if canon not in states:
+                states[canon] = child
+                stack.append(child)
 
     # Graphs (no faces) with chi >= 1 are trees, which collapse.
-    found = {
-        canon: state for canon, state in states.items()
+    found = sorted(
+        canon for canon, state in states.items()
         if euler_characteristic(state) >= 1 and state.faces and not collapsible(state)
-    }
-    explore(list(found.values()), _Moves.leaf_moves, found)
-
-    reports = [
-        ImmersionReport(from_canonical(c), euler_characteristic(found[c])) for c in sorted(found)
-    ]
+    )
+    reports = [ImmersionReport(from_canonical(c), euler_characteristic(states[c])) for c in found]
     for r in reports:
         assert is_folded(r.complex) and is_connected(r.complex)
         assert link_injective(r.complex)
         check_faces(pres, r.complex)
+        faced = {e for _, path in r.complex.faces for e, _ in path}
+        assert len(faced) == len(r.complex.edges)
     return reports

@@ -1,14 +1,14 @@
 """Face moves that trace every relator from every position, kept as a
 differential oracle for ``complexes._Moves.face_moves``.
 
-These are the former ``face_moves`` and ``_trace`` verbatim: every
-rotation of every relator is traced from every vertex of the state, and a
-new blob's first face is traced again at each bridge end, confined to
-vertices from the bridge end on by ``low``.  The current moves trace each
-relator's single faces once per scan and start a state-vertex trace only
-at a corner whose first edge is missing and where one of those faces
-fits; the module docstring of ``complexes`` gives the argument that they
-reach the same classes.
+These are the former ``face_moves`` and ``_trace`` verbatim, less the
+traces from the ends of face-free bridge paths, which the scan no longer
+builds, and the ``low`` bound that confined those: every rotation of every
+relator is traced from every vertex of the state.  The current moves
+trace each relator's single faces once per scan and start a state-vertex
+trace only at a corner whose first edge is missing and where one of those
+faces fits; the module docstring of ``complexes`` gives the argument that
+they reach the same classes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ class OracleMoves(_Moves):
     """``_Moves`` with the former face moves; the per-scan tables it is
     handed go unused."""
 
-    def _trace(self, rel: int, start: int, v0: int, low: int, join_cap: int):
+    def _trace(self, rel: int, start: int, v0: int, join_cap: int):
         """Snapshots with one more face: relator ``rel`` read from position
         ``start`` at ``v0``.  An edge the word needs is followed if it
         exists; otherwise it is added, to a fresh vertex or, as a join, to
-        a vertex >= ``low`` (at most ``join_cap`` joins).  Existing edges
-        are followed only into vertices >= ``low``, the last step must land
-        on ``v0``, and no corner may repeat one of the state's."""
+        an existing one (at most ``join_cap`` joins).  The last step must
+        land on ``v0``, and no corner may repeat one of the state's."""
         spelled = self.spelled[rel]
         length = len(spelled)
         path = [None] * length
@@ -48,7 +47,7 @@ class OracleMoves(_Moves):
             if e is not None:
                 s, d, _ = self.edges[e]
                 w = d if forward else s
-                if w >= low and (w == v0 or not last):
+                if w == v0 or not last:
                     path[k] = (e, sign)
                     yield from step(k + 1, w, joins)
                 return
@@ -56,7 +55,7 @@ class OracleMoves(_Moves):
                 return
             far_slot = self.into if forward else self.out
             if joins < join_cap:
-                for w in (v0,) if last else range(low, self.vertex_count):
+                for w in (v0,) if last else range(self.vertex_count):
                     if w * self.n_gens + g not in far_slot:
                         path[k] = (self._attach(v, g, forward, w), sign)
                         yield from step(k + 1, w, joins + 1)
@@ -72,8 +71,7 @@ class OracleMoves(_Moves):
         yield from step(0, v0, 0)
 
     def face_moves(self):
-        """One new face traced from a vertex of the state, or from the end
-        of a new face-free bridge path, then inside a new blob only."""
+        """One new face traced from a vertex of the state."""
         state = self.state
         if len(state.faces) >= self.max_faces:
             return
@@ -82,13 +80,7 @@ class OracleMoves(_Moves):
         starts = [(rel, t) for rel, word in enumerate(self.spelled) for t in range(len(word))]
         for v in range(state.vertex_count):
             for rel, t in starts:
-                yield from self._trace(rel, t, v, 0, join_cap)
-        if not state.faces:
-            return  # a first blob grows from vertex 0 itself
-        for x in range(state.vertex_count):
-            for u in self._fresh_paths(x, self.max_edges - len(state.edges) - 1):
-                for rel, t in starts:
-                    yield from self._trace(rel, t, u, u, join_cap)
+                yield from self._trace(rel, t, v, join_cap)
 
 
 def oracle_npi_scan(pres, max_edges, max_faces):

@@ -17,7 +17,13 @@ chi >= 1.  It is the former
 ``max_faces >= 3`` path verbatim.  The former ``max_faces <= 2`` shortcut
 (minimum-degree-two cores plus pendant trees) is left out: it assumed that
 faces never cross a pendant edge, which fails for relators with a
-cancelling wrap pair.
+cancelling wrap pair.  It lists every candidate, fully faced or not; the
+scan now lists only the fully faced ones, so the tests compare the scan
+with that part of its list.
+
+``decorated_scan_oracle.decorated_npi_scan`` keeps the face-first scan as
+it was before it dropped the candidates with face-free edges: the tests
+check that the scan's list is exactly the fully faced part of that one.
 """
 
 from __future__ import annotations

@@ -849,21 +849,21 @@ def test_traced_benchmark_finds_the_names_it_reads():
 
 
 def test_closed_stdout_exits_1(tmp_path):
-    # ``npicheck immerse w.pres --bounds 6,2 | head -1``: the reader closes
-    # the pipe after the first line.  The ~148 kB of candidates do not fit
+    # ``npicheck immerse w.pres --bounds 10,4 | head -1``: the reader closes
+    # the pipe after the first line.  The ~113 kB of candidates do not fit
     # in the pipe, so a write fails: that is exit 1 with nothing on stderr,
     # not an internal check failure.
     pres = tmp_path / "w.pres"
     pres.write_text("gens: a b\nrel: a b^2 a^-1\n")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    argv = [sys.executable, "-m", "npicheck.cli", "immerse", str(pres), "--bounds", "6,2"]
+    argv = [sys.executable, "-m", "npicheck.cli", "immerse", str(pres), "--bounds", "10,4"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.wait(timeout=60)
-    assert first == b"candidates within bounds (6, 2): 759\n"
+    assert first == b"candidates within bounds (10, 4): 294\n"
     assert (proc.returncode, err) == (1, b"")
 
 

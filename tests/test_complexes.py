@@ -7,6 +7,7 @@ import pytest
 
 import collapse_oracle
 from npicheck import complexes
+from decorated_scan_oracle import decorated_npi_scan
 from face_moves_oracle import OracleMoves, oracle_npi_scan
 from npicheck.complexes import (
     TwoComplex,
@@ -271,15 +272,20 @@ def test_npi_scan_monotone_in_bounds():
     assert small <= bigger
 
 
+def _fully_faced(complex_):
+    """Whether a face crosses every edge: what the scan lists."""
+    _, edges, faces = complex_
+    return {e for _, path in faces for e, _ in path} == set(range(len(edges)))
+
+
 def test_npi_scan_agrees_with_full_enumeration():
-    # cross-check the core+decoration strategy against the plain enumerator
     pres = torsion_presentation()
     expected = []
     for y in enumerate_immersions(pres, 3, 2):
         if euler_characteristic(y) >= 1 and len(y.faces) + (
             len(y.edges) - y.vertex_count + 1
         ) > 0:
-            if not collapsible(y):
+            if not collapsible(y) and _fully_faced(y):
                 expected.append(canonical_complex(y))
     got = [canonical_complex(r.complex) for r in npi_scan(pres, 3, 2)]
     assert sorted(got) == sorted(expected)
@@ -324,7 +330,7 @@ def test_npi_scan_wrap_pair_relator():
     # of these at F <= 2: their faces cross the a-edge out and back.
     pres = parse_presentation(WRAP_TEXT)
     assert len(npi_scan(pres, 2, 2)) == len(npi_scan(pres, 2, 3)) == 1
-    assert len(npi_scan(pres, 3, 2)) == 5
+    assert len(npi_scan(pres, 3, 2)) == 1
     for max_e in range(5):
         for max_f in range(3):
             fewer = set(_scan_key(npi_scan(pres, max_e, max_f)))
@@ -365,30 +371,38 @@ def _differential_presentations():
             yield pres
 
 
-def _has_pendant_edge(complex_):
-    """Whether a face-free edge ends at a vertex of degree one: what leaf
-    moves add."""
-    faced = {e for _, path in complex_.faces for e, _ in path}
-    degree = Counter(v for s, d, _ in complex_.edges for v in (s, d))
-    return any(
-        i not in faced and 1 in (degree[s], degree[d])
-        for i, (s, d, _) in enumerate(complex_.edges)
-    )
-
-
 def test_npi_scan_matches_graph_first_oracle():
-    wraps = pendant = 0
+    # The scan lists the fully faced part of the exhaustive search.
+    wraps = dropped = 0
     for pres in _differential_presentations():
         wraps += any(len(r) > 1 and r[0] == -r[-1] for r in pres.relators)
         expected = _scan_key(oracle_scan(pres, 4, 3))
         for max_e in range(5):
             for max_f in range(4):
-                reports = npi_scan(pres, max_e, max_f)
-                got = _scan_key(reports)
-                assert got == _within(expected, max_e, max_f), (pres, max_e, max_f)
-                pendant += sum(_has_pendant_edge(r.complex) for r in reports)
+                within = _within(expected, max_e, max_f)
+                faced = [k for k in within if _fully_faced(k[0])]
+                got = _scan_key(npi_scan(pres, max_e, max_f))
+                assert got == faced, (pres, max_e, max_f)
+                dropped += len(within) - len(faced)
     assert wraps >= 5
-    assert pendant > 0
+    assert dropped > 0
+
+
+def test_npi_scan_is_the_fully_faced_part_of_the_decorated_scan():
+    # The former scan also grew face-free bridges, ears and pendant trees.
+    # Within the same bounds the scan lists exactly its fully faced
+    # candidates, and finds one exactly where it found one.
+    dropped = 0
+    for pres in _differential_presentations():
+        for max_e in range(7):
+            for max_f in range(4):
+                old = decorated_npi_scan(pres, max_e, max_f)
+                new = npi_scan(pres, max_e, max_f)
+                faced = [r for r in old if _fully_faced(r.complex)]
+                assert new == faced, (pres, max_e, max_f)
+                assert bool(new) == bool(old), (pres, max_e, max_f)
+                dropped += len(old) - len(new)
+    assert dropped > 0
 
 
 def _face_move_cases():
@@ -479,7 +493,7 @@ def test_corners_no_single_face_fits_trace_nothing():
                         if not (len(state.edges) < max_e if letter not in kinds else t == 0):
                             continue
                         fit = any(not (lx & others[v] or ox & loops[v]) for lx, ox in fits[t])
-                        assert fit == any(_fits_corner(c, t, kinds) for c, _, _ in singles)
+                        assert fit == any(_fits_corner(c, t, kinds) for c in singles)
                         if rel == 1 and (pres, max_e, max_f) == a52:
                             second[fit] += 1
                         if not fit:
@@ -506,22 +520,21 @@ def _new_face(state, snapshot):
 
 
 def test_traced_faces_are_never_repeated():
-    # A face through a vertex of the state is traced from its least corner
-    # only (grafted faces touch no vertex of the state), so no two snapshots
-    # of one state carry the same such face.
+    # Every face a move adds passes through a vertex of the state and is
+    # traced from its least corner only, so no two snapshots of one state
+    # carry the same face.
     traced = 0
     for pres, max_e, max_f in _face_move_cases():
         for state, children in _face_move_states(pres, max_e, max_f):
             faces = [_new_face(state, c) for c in children]
-            faces = [f for f in faces if min(f[1]) < state.vertex_count]
             assert len(faces) == len(set(faces)), (pres, max_e, max_f, state)
             traced += len(faces)
     assert traced > 1000
 
 
 def test_canonical_complex_matches_the_oracle_on_every_scanned_state(monkeypatch):
-    # Every complex the scan puts into canonical form: the children of face,
-    # ear and leaf moves.
+    # Every complex the scan puts into canonical form: the children of face
+    # moves.
     current = complexes.canonical_complex
     forms = []
 
@@ -532,8 +545,8 @@ def test_canonical_complex_matches_the_oracle_on_every_scanned_state(monkeypatch
 
     monkeypatch.setattr(complexes, "canonical_complex", checked)
     for pres in _differential_presentations():
-        npi_scan(pres, 5, 3)
-    npi_scan(sample_a(), 6, 2)
+        npi_scan(pres, 8, 3)
+    npi_scan(sample_a(), 10, 4)
     assert len(forms) > 4000
 
 
