@@ -72,6 +72,21 @@ to the right existing vertex or to a fresh one.
      edge, so a trace stops at such a corner before its own start.
    - Walk-only tails.  Once no room is left, the rest of the word is
      walked; the last step adds no fresh vertex, since it lands on v0.
+   - The core.  Let c be the number of letters that cancel across the
+     relator's end, so that positions c .. L - c - 1 are its cyclically
+     reduced core.  At a core position a trace adds a fresh vertex only
+     while a join and two edges of room remain.  A fresh vertex has one
+     edge end, and the next letter is not the inverse of this one (inside
+     the word it is freely reduced, and across the end c = 0 there), so
+     the next step adds an edge too.  Until the run of added edges makes
+     a join, the path stays in the tree of vertices it made fresh, and
+     turns back only where two letters cancel: across the word's end.
+     That walk back retraces only the c tail letters, to a vertex that
+     the run made fresh, and the next letter again needs a new edge.  So
+     the run ends only in a join (the last step's landing on v0 counts as
+     one), which needs an edge of room and a join of the cap.  A fresh
+     vertex at a tail position needs no join: the walk back across the
+     end may return from it to the state.
    - Canonical form.  Forms compare on their sorted edge triples first, so
      only starts whose triples tie for the least relabel faces.
 7. Corner fits.  The edges a new face crosses form a connected folded
@@ -91,7 +106,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .words import Presentation, letter_gen, validate
+from .words import Presentation, _wrap_length, letter_gen, validate
 
 SCAN_MAX_EDGES = 10
 SCAN_MAX_FACES = 5
@@ -329,14 +344,17 @@ class _Moves:
     ``into`` map the slot ``vertex * n_gens + label`` to the edge leaving
     or entering the vertex with that label, and ``corners[rel]`` holds
     ``vertex * len(relator) + position`` for the corners of the state's
-    faces of that relator.  A move pushes edges, yields a snapshot while
-    they are in place, and pops them again.  ``scan`` is the per-scan dict
-    of each relator's single faces and corner fits (``_single_faces``).
+    faces of that relator.  A move pushes edges, takes a snapshot while
+    they are in place, and pops them again.  ``wraps[rel]`` is the number
+    of letters of relator ``rel`` that cancel across its end
+    (``words._wrap_length``), and ``scan`` the per-scan dict of each
+    relator's single faces and corner fits (``_single_faces``).
     """
 
-    def __init__(self, state: TwoComplex, spelled, n_gens, max_edges, max_faces, scan):
+    def __init__(self, state: TwoComplex, spelled, wraps, n_gens, max_edges, max_faces, scan):
         self.state = state
         self.spelled = spelled
+        self.wraps = wraps
         self.n_gens = n_gens
         self.max_edges = max_edges
         self.max_faces = max_faces
@@ -368,7 +386,7 @@ class _Moves:
         faces = self.state.faces + (new_face,)
         return TwoComplex(self.vertex_count, tuple(self.edges), faces)
 
-    def _trace(self, rel: int, start: int, v0: int, join_cap: int):
+    def _trace(self, rel: int, start: int, v0: int, join_cap: int) -> list[TwoComplex]:
         """Snapshots with one more face: relator ``rel`` read from position
         ``start`` at ``v0``.  An edge the word needs is followed if it
         exists; otherwise it is added, as a join to an existing vertex (at
@@ -378,6 +396,8 @@ class _Moves:
         Otherwise the cuts of point 6 of the module docstring apply."""
         spelled = self.spelled[rel]
         length = len(spelled)
+        wrap = self.wraps[rel]
+        core_end = length - wrap  # positions wrap .. core_end - 1 are the core
         n = self.n_gens
         out, into, edges = self.out, self.into, self.edges
         corners = self.corners[rel]
@@ -385,6 +405,7 @@ class _Moves:
         state_edges = len(edges)
         g, forward = spelled[start]
         path = [None] * length
+        found: list[TwoComplex] = []
 
         def follow(k, v):
             # Follow existing edges from step k at v: the step and vertex
@@ -411,13 +432,13 @@ class _Moves:
 
         def snapshot():
             cut = (length - start) % length  # path[cut] is position 0
-            return self._snapshot((rel, tuple(path[cut:] + path[:cut])))
+            found.append(self._snapshot((rel, tuple(path[cut:] + path[:cut]))))
 
         if v0 * n + g in (out if forward else into):
             # From a corner whose edge exists the trace adds no edge: it walks.
             if follow(0, v0)[0] == length:
-                yield snapshot()
-            return
+                snapshot()
+            return found
 
         def step(k, v, joins):
             # Each open call below the first holds one pushed edge, popped
@@ -428,12 +449,13 @@ class _Moves:
             if k < 0:
                 return
             if k == length:
-                yield snapshot()
+                snapshot()
                 return
             room = self.max_edges - len(edges)
             if room < 1:
                 return
-            g, forward = spelled[(start + k) % length]
+            pos = (start + k) % length
+            g, forward = spelled[pos]
             sign = 1 if forward else -1
             last = k == length - 1
             if joins < join_cap:
@@ -448,32 +470,34 @@ class _Moves:
                     near[slot] = far[far_slot] = idx
                     edges.append((v, w, g) if forward else (w, v, g))
                     if not walk:
-                        yield from step(k + 1, w, joins + 1)
+                        step(k + 1, w, joins + 1)
                     elif follow(k + 1, w)[0] == length:
-                        yield snapshot()
+                        snapshot()
                     edges.pop()
                     del near[slot], far[far_slot]
-            if not last:
+            # A fresh vertex in the core needs a later join (point 6).
+            if not last and (joins < join_cap and room > 1 or not wrap <= pos < core_end):
                 w = self.vertex_count
                 self.vertex_count += 1
                 path[k] = (self._attach(v, g, forward, w), sign)
-                yield from step(k + 1, w, joins)
+                step(k + 1, w, joins)
                 self._pop()
                 self.vertex_count -= 1
 
-        yield from step(0, v0, 0)
+        step(0, v0, 0)
+        return found
 
     def _single_faces(self, rel: int):
         """Relator ``rel``'s single faces within the bounds and their corner
         fits, traced once per scan, on first use.  The faces are what
-        ``_trace`` yields from position 0 in the one-vertex start state (join
+        ``_trace`` returns from position 0 in the one-vertex start state (join
         cap ``max_faces``), the position-0 corner at vertex 0.  ``fits[t]``
         holds the least demanding (loop, other-edge) masks of their
         position-t corner vertices (point 7)."""
         if rel not in self.scan:
-            start = _Moves(TwoComplex(1, (), ()), self.spelled, self.n_gens,
+            start = _Moves(TwoComplex(1, (), ()), self.spelled, self.wraps, self.n_gens,
                            self.max_edges, self.max_faces, self.scan)
-            faces = list(start._trace(rel, 0, 0, self.max_faces))
+            faces = start._trace(rel, 0, 0, self.max_faces)
             corners = set()
             for c in faces:
                 loops, others = _slot_masks(c.vertex_count, c.edges)
@@ -537,13 +561,15 @@ def npi_scan(pres: Presentation, max_edges: int, max_faces: int):
     _require_valid(pres)
     n_gens = len(pres.generators)
     spelled = [_spell(rel) for rel in pres.relators]
+    wraps = [_wrap_length(rel) for rel in pres.relators]
     scan: dict[int, tuple] = {}
     start = TwoComplex(1, (), ())
     states = {canonical_complex(start): start}
     stack = [start]
     while stack:
         state = stack.pop()
-        for child in _Moves(state, spelled, n_gens, max_edges, max_faces, scan).face_moves():
+        moves = _Moves(state, spelled, wraps, n_gens, max_edges, max_faces, scan)
+        for child in moves.face_moves():
             canon = canonical_complex(child)
             if canon not in states:
                 states[canon] = child

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .minima import ConcatCertificate, _integer_profile, replay_certificate
-from .words import Presentation, is_proper_power, letter_gen
+from .words import Presentation, is_proper_power
 
 
 class CertificateMismatch(ValueError):
@@ -73,6 +73,29 @@ def build_cover_window(pres: Presentation, weights, lo: int, hi: int, spans=None
     return CoverWindow(pres, weights, lo, hi, tuple(cells))
 
 
+def _lift(pres: Presentation, weights, rel: int, level: int) -> list[tuple[int, int, int]]:
+    """The lift of relator ``rel`` whose minimum visited level is ``level``,
+    as one (lower endpoint, generator, direction) triple per letter.
+
+    The word is walked from level 0 and then shifted: every visited level
+    is an endpoint of a letter's edge, so the least lower endpoint is the
+    least visited level.  The lift of g from level j ends at j + w[g], so
+    its lower endpoint is j + min(w[g], 0)."""
+    out = []
+    at = 0
+    for x in pres.relators[rel]:
+        if x > 0:
+            w = weights[x - 1]
+            out.append((at + min(w, 0), x - 1, 1))
+            at += w
+        else:
+            w = weights[-x - 1]
+            at -= w
+            out.append((at + min(w, 0), -x - 1, -1))
+    shift = level - min((low for low, _, _ in out), default=level)
+    return [(low + shift, g, d) for low, g, d in out]
+
+
 def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEdge, int], ...]:
     """Edge path of the lifted relator: (edge, direction) per letter.
 
@@ -80,23 +103,8 @@ def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEd
     minimum visited level at cell.level, so projecting the path (dropping
     levels) reproduces the relator word exactly.
     """
-    pres, weights = window.presentation, window.weights
-    prof = _integer_profile(pres.relators[cell.relator], weights)
-    anchor = cell.level - min(prof + [0])
-    # The lift of g from level j ends at j + w[g]: its lower endpoint is
-    # j + min(w[g], 0).
-    drop = [min(w, 0) for w in weights]
-    out = []
-    level = anchor
-    for x in pres.relators[cell.relator]:
-        g = letter_gen(x)
-        if x > 0:
-            out.append((CoverEdge(level + drop[g], g), 1))
-            level += weights[g]
-        else:
-            level -= weights[g]
-            out.append((CoverEdge(level + drop[g], g), -1))
-    return tuple(out)
+    lift = _lift(window.presentation, window.weights, cell.relator, cell.level)
+    return tuple((CoverEdge(low, g), d) for low, g, d in lift)
 
 
 def edge_key(edge: CoverEdge, gen_priority) -> tuple[int, int]:
@@ -209,56 +217,66 @@ def verify_weak_slim_certificate(
         "conservativity of ordered targets",
     )
 
-    def lowest(path) -> CoverEdge:
-        return min((e for e, _ in path), key=lambda e: edge_key(e, priority))
+    # Lifts are (level, generator, direction) triples, and minima are taken
+    # on their edge_key (level, -priority) inline; CoverEdge and CoverCell
+    # records are built only for the text of a failure.
+    rels = range(len(pres.relators))
+    lifts = [_lift(window.presentation, window.weights, i, 0) for i in rels]
 
-    cells = [CoverCell(0, i) for i in range(len(pres.relators))]
-    boundary = {cell: lifted_boundary(window, cell) for cell in cells}
-    min_by_cell = {cell: lowest(path) for cell, path in boundary.items()}
+    def lowest(lift) -> tuple[int, int]:
+        level, _, g = min((low, -priority[g], g) for low, g, _ in lift)
+        return level, g
+
+    mins = [lowest(lift) for lift in lifts]
 
     failures = []
-    for cell in cells:
-        got = min_by_cell[cell]
-        want = CoverEdge(cell.level, slim.witness_by_relator[cell.relator])
-        if got != want:
-            failures.append(f"cell {cell}: min {got} != witness lift {want}")
+    for i in rels:
+        want = (0, slim.witness_by_relator[i])
+        if mins[i] != want:
+            failures.append(
+                f"cell {CoverCell(0, i)}: min {CoverEdge(*mins[i])} "
+                f"!= witness lift {CoverEdge(*want)}"
+            )
     record("min-edge-is-witness-lift", failures, f"{len(window.cells)} cells")
 
     failures = []
-    for cell in cells:
-        witness = slim.witness_by_relator[cell.relator]
-        target = CoverEdge(cell.level, witness)
-        signed = sum(d for e, d in boundary[cell] if e == target)
-        p, n = by_rel[cell.relator].counts.get(witness, (0, 0))
+    for i in rels:
+        witness = slim.witness_by_relator[i]
+        signed = sum(d for low, g, d in lifts[i] if low == 0 and g == witness)
+        p, n = by_rel[i].counts.get(witness, (0, 0))
         if signed != p - n or signed == 0:
-            failures.append(f"cell {cell}: signed count {signed}, expected {p - n} != 0")
+            failures.append(
+                f"cell {CoverCell(0, i)}: signed count {signed}, expected {p - n} != 0"
+            )
     record("witness-signed-traversal", failures, "all counts match pos - neg")
 
-    owners: dict[int, list[CoverCell]] = {}  # generator -> level-0 cells whose min lifts it
-    for cell, m in min_by_cell.items():
-        owners.setdefault(m.gen, []).append(cell)
+    owners: dict[int, list[int]] = {}  # generator -> relators whose level-0 min lifts it
+    for i, (_, g) in enumerate(mins):
+        owners.setdefault(g, []).append(i)
     failures = []
-    for cell in cells:
-        key_min = edge_key(min_by_cell[cell], priority)
-        for edge in dict.fromkeys(e for e, _ in boundary[cell]):
-            if edge_key(edge, priority) > key_min:
+    for i in rels:
+        level, gen = mins[i]
+        key_min = (level, -priority[gen])
+        for low, g in dict.fromkeys((low, g) for low, g, _ in lifts[i]):
+            if (low, -priority[g]) > key_min:
                 continue
-            for base in owners.get(edge.gen, ()):
-                other = CoverCell(edge.level - min_by_cell[base].level, base.relator)
-                if other != cell:
-                    failures.append(f"min edge of {other} appears on {cell} without larger key")
+            for j in owners.get(g, ()):
+                other = (low - mins[j][0], j)
+                if other != (0, i):
+                    failures.append(
+                        f"min edge of {CoverCell(*other)} appears on {CoverCell(0, i)} "
+                        "without larger key"
+                    )
     record("cross-boundary-minimality", failures, "all cross appearances larger")
 
     failures = []
-    for cell in cells:
-        shifted = CoverCell(cell.level + 1, cell.relator)
-        path = lifted_boundary(window, shifted)
-        moved = tuple((CoverEdge(e.level + 1, e.gen), d) for e, d in boundary[cell])
-        if moved != path:
-            failures.append(f"boundary of {cell} does not shift onto {shifted}")
-        a = min_by_cell[cell]
-        if CoverEdge(a.level + 1, a.gen) != lowest(path):
-            failures.append(f"min edge of {cell} does not shift onto {shifted}")
+    for i in rels:
+        lift = _lift(window.presentation, window.weights, i, 1)
+        if lift != [(low + 1, g, d) for low, g, d in lifts[i]]:
+            failures.append(f"boundary of {CoverCell(0, i)} does not shift onto {CoverCell(1, i)}")
+        level, g = mins[i]
+        if (level + 1, g) != lowest(lift):
+            failures.append(f"min edge of {CoverCell(0, i)} does not shift onto {CoverCell(1, i)}")
     record("deck-translation-equivariance", failures, "shift by +1 commutes")
 
     return SlimReport(all(c.ok for c in checks), tuple(checks))

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .homology import H1Structure, is_generalized_wirtinger
 from .orders import (
+    EQ,
     GT,
     LT,
     IntTarget,
@@ -74,16 +75,25 @@ def _extremal_counts(word, at) -> dict:
 
 def _extremal_multiset(rel: int, word, profile: list, target, mode) -> MinimaMultiset:
     """The multiset of relator ``rel`` (letters ``word``) from its prefix
-    profile, which ends at the identity.  Each prefix value is compared
-    with the extremum once."""
+    profile, which ends at the identity.
+
+    Each prefix value is compared once, with the extremum so far, and that
+    comparison also gives its flag.  A value compared before the last
+    strict improvement is strictly worse than the extremum, since every
+    improvement is strict; a value compared after it is the extremum iff
+    the comparison says equal."""
     if not profile:
         raise ValueError("empty relator has no extremal multiset")
     want = LT if mode == MIN else GT
     extremum = profile[0]
-    for v in profile[1:]:
-        if target.compare(v, extremum) == want:
-            extremum = v
-    at = [target.equals(v, extremum) for v in profile]
+    at = [True]
+    last = 0  # index of the last strict improvement
+    for t in range(1, len(profile)):
+        c = target.compare(profile[t], extremum)
+        if c == want:
+            extremum, last = profile[t], t
+        at.append(c == want or c == EQ)
+    at[:last] = [False] * last
     return MinimaMultiset(rel, mode, extremum, _extremal_counts(word, at))
 
 

@@ -2,9 +2,15 @@
 groups under the Dehornoy order or its opposite.
 
 Braid elements are carried as freely reduced words in the Artin generators
-(signed ints, sigma_i = i).  Comparison is by sigma-positivity after handle
-reduction: a reduced word is greater than the identity iff its lowest-index
-generator occurs only with positive exponent.
+(signed ints, sigma_i = i).  Comparison is by sigma-positivity: a word is
+greater than the identity iff it is sigma_i-positive for some i, that is,
+its lowest-index generator sigma_i occurs only with positive exponent.
+By Property A (Dehornoy, *A fast method for comparing braids*, Adv. Math.
+125, 1997) a sigma_i-positive word is never trivial, and the sign is a
+braid invariant, so a freely reduced word whose lowest generator occurs
+with one sign only has that sign as it stands.  Only a word whose lowest
+generator occurs with both signs goes through handle reduction, which
+ends in a word of the first kind or the empty word.
 """
 
 from __future__ import annotations
@@ -52,6 +58,15 @@ def _find_handle(word: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
+def _reduced_in_range(word, n_strands: int) -> Word:
+    """The freely reduced word, whose letters must be sigma_1..sigma_{n-1}."""
+    w = freely_reduce(word)
+    for x in w:
+        if not 1 <= abs(x) <= n_strands - 1:
+            raise ValueError(f"letter {x} outside sigma_1..sigma_{n_strands - 1}")
+    return w
+
+
 def handle_reduce(word, n_strands: int) -> Word:
     """Handle-free word representing the same braid in B_{n_strands}.
 
@@ -60,10 +75,7 @@ def handle_reduce(word, n_strands: int) -> Word:
     sigma_i^d sigma_{i+1}^e.  Termination is guaranteed for reduction of
     innermost handles; the cap turns a would-be loop into a loud error.
     """
-    w = freely_reduce(word)
-    for x in w:
-        if not 1 <= abs(x) <= n_strands - 1:
-            raise ValueError(f"letter {x} outside sigma_1..sigma_{n_strands - 1}")
+    w = _reduced_in_range(word, n_strands)
     for _ in range(HANDLE_REDUCTION_MAX_STEPS):
         found = _find_handle(w)
         if found is None:
@@ -82,15 +94,29 @@ def handle_reduce(word, n_strands: int) -> Word:
     raise HandleReductionBudget(f"no handle-free form within {HANDLE_REDUCTION_MAX_STEPS} steps")
 
 
+def _main_signs(w: Word) -> set[bool]:
+    """The signs with which the lowest generator of a nonempty word occurs."""
+    main = min(abs(x) for x in w)
+    return {x > 0 for x in w if abs(x) == main}
+
+
 def braid_sign(word, n_strands: int) -> str:
-    """Dehornoy trichotomy class of a braid word."""
-    w = handle_reduce(word, n_strands)
+    """Dehornoy trichotomy class of a braid word.
+
+    The word is handle reduced only when its lowest generator occurs with
+    both signs (Property A, see the module docstring), so
+    HandleReductionBudget is reached only by such words."""
+    w = _reduced_in_range(word, n_strands)
     if not w:
         return TRIVIAL
-    main = min(abs(x) for x in w)
-    signs = {x > 0 for x in w if abs(x) == main}
+    signs = _main_signs(w)
     if len(signs) != 1:
-        raise AssertionError("handle-free word with mixed main-generator signs")
+        w = handle_reduce(w, n_strands)
+        if not w:
+            return TRIVIAL
+        signs = _main_signs(w)
+        if len(signs) != 1:
+            raise AssertionError("handle-free word with mixed main-generator signs")
     return POSITIVE if signs.pop() else NEGATIVE
 
 
@@ -169,8 +195,9 @@ class LexTarget(OrderedTarget):
 class BraidTarget(OrderedTarget):
     """B_n under the Dehornoy order, optionally reversed.
 
-    Elements are freely reduced sigma-words; equality and comparison go
-    through handle reduction, so they depend only on the braid element.
+    Elements are freely reduced sigma-words; equality and comparison read
+    the sign of g^-1 h (``braid_sign``), so they depend only on the braid
+    element.
     """
 
     local_indicability = "assumed"

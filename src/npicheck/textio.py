@@ -9,6 +9,9 @@ where letter is ``name``, ``name^-1`` or ``name^<k>`` for nonzero k
 (expanding to |k| letters, at most ``MAX_TOKEN_LETTERS``).  LOG files use
 ``vertices:`` and ``edge: <initial> <label> <terminal>`` lines.  Numbers
 are written in ASCII digits.
+
+Lines are split with ``str.split()``, and a token's column is computed
+only when a ``ParseError`` is raised at it.
 """
 
 from __future__ import annotations
@@ -40,47 +43,50 @@ class UnknownVertex(ParseError):
 
 
 def _logical_lines(text: str):
+    """(line number, comment-free body, its tokens) for each line with a token."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        if body.strip():
-            yield lineno, body
+        tokens = body.split()
+        if tokens:
+            yield lineno, body, tokens
 
 
-def _tokens_with_columns(body: str):
-    for match in re.finditer(r"\S+", body):
-        yield match.start() + 1, match.group()
+def _column(body: str, index: int) -> int:
+    """1-based column of token ``index`` of ``body``: ``str.split()`` and
+    ``\\S+`` split on the same whitespace."""
+    return [m.start() for m in re.finditer(r"\S+", body)][index] + 1
 
 
 def _parse_file(text: str, header: str, noun: str, body: str, items: str, parse_body):
     """The names on the single ``header`` line (valid, pairwise distinct, at
-    least one), and ``parse_body(lineno, col0, tokens, names)`` for each
-    ``body`` line, which must come after it."""
-    names: list[str] | None = None
+    least one), and ``parse_body(lineno, line, tokens, index)`` for each
+    ``body`` line, which must come after it; ``index`` maps each name to
+    its position."""
+    index: dict[str, int] | None = None
     parsed = []
-    for lineno, line in _logical_lines(text):
-        tokens = list(_tokens_with_columns(line))
-        col0, head = tokens[0]
+    for lineno, line, tokens in _logical_lines(text):
+        head = tokens[0]
         if head == header:
-            if names is not None:
-                raise ParseError(lineno, col0, f"a single {header} line")
-            names = []
-            for col, tok in tokens[1:]:
+            if index is not None:
+                raise ParseError(lineno, _column(line, 0), f"a single {header} line")
+            index = {}
+            for i, tok in enumerate(tokens[1:], start=1):
                 if not GENERATOR_NAME.match(tok):
-                    raise ParseError(lineno, col, f"{noun} name")
-                if tok in names:
-                    raise ParseError(lineno, col, f"fresh name, {tok!r} repeats")
-                names.append(tok)
-            if not names:
-                raise ParseError(lineno, col0, f"at least one {noun}")
+                    raise ParseError(lineno, _column(line, i), f"{noun} name")
+                if tok in index:
+                    raise ParseError(lineno, _column(line, i), f"fresh name, {tok!r} repeats")
+                index[tok] = len(index)
+            if not index:
+                raise ParseError(lineno, _column(line, 0), f"at least one {noun}")
         elif head == body:
-            if names is None:
-                raise ParseError(lineno, col0, f"{header} line before {items}")
-            parsed.append(parse_body(lineno, col0, tokens, names))
+            if index is None:
+                raise ParseError(lineno, _column(line, 0), f"{header} line before {items}")
+            parsed.append(parse_body(lineno, line, tokens, index))
         else:
-            raise ParseError(lineno, col0, f"{header} or {body}")
-    if names is None:
+            raise ParseError(lineno, _column(line, 0), f"{header} or {body}")
+    if index is None:
         raise ParseError(1, 1, f"{header} line")
-    return tuple(names), tuple(parsed)
+    return tuple(index), tuple(parsed)
 
 
 def _bounded_int(digits: str) -> int | None:
@@ -93,20 +99,26 @@ def _bounded_int(digits: str) -> int | None:
     return -int(magnitude) if digits.startswith("-") else int(magnitude)
 
 
-def _parse_relator(lineno: int, col0: int, tokens, generators) -> Word:
+def _parse_relator(lineno: int, line: str, tokens, generators) -> Word:
     word: list[int] = []
-    for col, tok in tokens[1:]:
+    for i, tok in enumerate(tokens[1:], start=1):
+        base = generators.get(tok)
+        if base is not None:  # a bare generator name, the common token
+            word.append(base + 1)
+            continue
         m = _LETTER.match(tok)
         if not m:
-            raise ParseError(lineno, col, "letter name[^k]")
+            raise ParseError(lineno, _column(line, i), "letter name[^k]")
         name, k = m.group(1), _bounded_int(m.group(2) or "1")
         if name not in generators:
-            raise ParseError(lineno, col, f"known generator, got {name!r}")
+            raise ParseError(lineno, _column(line, i), f"known generator, got {name!r}")
         if k is None:
-            raise ParseError(lineno, col, f"at most {MAX_TOKEN_LETTERS} letters per token")
+            raise ParseError(
+                lineno, _column(line, i), f"at most {MAX_TOKEN_LETTERS} letters per token"
+            )
         if k == 0:
-            raise ParseError(lineno, col, "nonzero exponent")
-        base = generators.index(name) + 1
+            raise ParseError(lineno, _column(line, i), "nonzero exponent")
+        base = generators[name] + 1
         word.extend([base if k > 0 else -base] * abs(k))
     return tuple(word)
 
@@ -117,14 +129,14 @@ def parse_presentation(text: str) -> Presentation:
     )
 
 
-def _parse_log_edge(lineno: int, col0: int, tokens, vertices) -> tuple[int, int, int]:
+def _parse_log_edge(lineno: int, line: str, tokens, vertices) -> tuple[int, int, int]:
     if len(tokens) != 4:
-        raise ParseError(lineno, col0, "edge: <initial> <label> <terminal>")
+        raise ParseError(lineno, _column(line, 0), "edge: <initial> <label> <terminal>")
     triple = []
-    for col, tok in tokens[1:]:
+    for i, tok in enumerate(tokens[1:], start=1):
         if tok not in vertices:
-            raise UnknownVertex(lineno, col, tok)
-        triple.append(vertices.index(tok))
+            raise UnknownVertex(lineno, _column(line, i), tok)
+        triple.append(vertices[tok])
     return tuple(triple)
 
 
@@ -134,8 +146,8 @@ def parse_log(text: str) -> Log:
 
 def sniff_kind(text: str) -> str:
     """``presentation`` for gens:/rel: files, ``log`` for vertices:/edge: files."""
-    for _, body in _logical_lines(text):
-        head = body.split()[0]
+    for _, _, tokens in _logical_lines(text):
+        head = tokens[0]
         if head == "gens:":
             return "presentation"
         if head == "vertices:":

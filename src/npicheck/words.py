@@ -53,11 +53,23 @@ def rotate_word(word, k: int) -> Word:
     return tuple(word[k:] + word[:k])
 
 
-def is_proper_power(word) -> bool:
-    """True iff the cyclic word is s^m for some m >= 2."""
+def _wrap_length(word) -> int:
+    """The number c of letters that cancel across the end of ``word``:
+    word[i] is the inverse of word[-1 - i] for every i < c, with the two
+    ends kept apart.  On a freely reduced word, word[c:len - c] is its
+    cyclic reduction."""
     n = len(word)
-    if n == 0:
-        return False
+    c = 0
+    while c < n - 1 - c and word[c] == -word[n - 1 - c]:
+        c += 1
+    return c
+
+
+def is_proper_power(word) -> bool:
+    """True iff the cyclic reduction of the word is s^m for some m >= 2."""
+    c = _wrap_length(word)
+    word = word[c : len(word) - c]
+    n = len(word)
     for d in range(1, n):
         if n % d == 0 and all(word[t] == word[(t + d) % n] for t in range(n)):
             return True

@@ -35,6 +35,7 @@ from npicheck.complexes import (
     is_folded,
     link_injective,
 )
+from npicheck.words import _wrap_length
 
 
 class DecoratedMoves(_Moves):
@@ -75,7 +76,7 @@ class DecoratedMoves(_Moves):
         at v.  ``fits[t]`` holds the least demanding (loop, other-edge)
         masks of their position-t corner vertices (point 7)."""
         if rel not in self.scan:
-            start = _Moves(TwoComplex(1, (), ()), self.spelled, self.n_gens,
+            start = _Moves(TwoComplex(1, (), ()), self.spelled, self.wraps, self.n_gens,
                            self.max_edges, self.max_faces, self.scan)
             faces, corners = [], set()
             for c in start._trace(rel, 0, 0, self.max_faces):
@@ -190,12 +191,13 @@ def decorated_npi_scan(pres, max_edges: int, max_faces: int):
     _require_valid(pres)
     n_gens = len(pres.generators)
     spelled = [_spell(rel) for rel in pres.relators]
+    wraps = [_wrap_length(rel) for rel in pres.relators]
     scan: dict[int, tuple] = {}
 
     def explore(stack, moves, seen):
         while stack:
             state = stack.pop()
-            for child in moves(DecoratedMoves(state, spelled, n_gens, max_edges, max_faces, scan)):
+            for child in moves(DecoratedMoves(state, spelled, wraps, n_gens, max_edges, max_faces, scan)):
                 canon = canonical_complex(child)
                 if canon not in seen:
                     seen[canon] = child

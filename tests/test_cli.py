@@ -24,6 +24,7 @@ from npicheck.textio import (
     parse_presentation,
     sniff_kind,
 )
+import textio_oracle
 from helpers import find_weight_homomorphisms, format_log, format_presentation, lof_random
 from samples import (
     FOREST7R3_8_TEXT,
@@ -104,6 +105,106 @@ def test_roundtrip():
 def test_sniff_kind():
     assert sniff_kind(SAMPLE_A_TEXT) == "presentation"
     assert sniff_kind(LOT_SINGLE_EDGE_TEXT) == "log"
+
+
+# Whitespace that str.split() and \S+ both split on, including U+001F (a
+# space) and U+001C and U+000B (line breaks for splitlines).
+_FUZZ_SPACES = ["  ", "\t", "\x1f", "\u3000", "\xa0", "\t "]
+
+
+def _fuzz_space(rng):
+    r = rng.random()
+    if r < 0.01:
+        return rng.choice(["\x1c", "\x0b"])
+    return rng.choice(_FUZZ_SPACES) if r < 0.2 else " "
+
+
+_GOOD_EXPONENTS = ["", "", "", "^1", "^-1", "^2", "^-3", "^007", "^-0012", "^10000"]
+_BAD_EXPONENTS = [
+    "^", "^0", "^-0", "^10001", "^-99999", "^" + "0" * 30 + "5", "^" + "9" * 30, "^x", "^^2",
+]
+
+
+def _fuzz_line(rng, head, names, n_tokens, damage):
+    """``head`` and ``n_tokens`` tokens; each is damaged with probability
+    ``damage``: an unknown or invalid name, or a bad exponent."""
+    tokens = [head] if rng.random() >= damage / 4 else []
+    for _ in range(n_tokens):
+        tok = rng.choice(names)
+        if rng.random() < damage:
+            tok += rng.choice(_BAD_EXPONENTS)
+            if rng.random() < 0.4:
+                tok = rng.choice(["q", "1a", "a-b", "%"])
+        elif head == "rel:":
+            tok += rng.choice(_GOOD_EXPONENTS)
+        tokens.append(tok)
+    line = rng.choice(["", " ", "\t"])
+    for tok in tokens:
+        line += tok + _fuzz_space(rng)
+    if rng.random() < 0.2:
+        line += "# " + rng.choice(names) + "^0 " + head
+    return line
+
+
+def _fuzz_text(rng, header, body, names):
+    damage = rng.choice([0, 0, 0.03, 0.1, 0.3])
+    edge = body == "edge:"
+    lines = [
+        _fuzz_line(rng, body, names, 3 if edge and rng.random() >= damage else rng.randint(1, 5),
+                   damage)
+        for _ in range(rng.randint(0, 4))
+    ]
+    heads = 1 if rng.random() >= damage else rng.choice([0, 2])
+    for _ in range(heads):
+        decl = list(names)
+        if rng.random() < damage:
+            decl.append(rng.choice(names))  # a repeated name
+        if rng.random() < damage / 2:
+            decl = []
+        line = "".join(tok + _fuzz_space(rng) for tok in [header] + decl)
+        lines.insert(1 if lines and rng.random() < damage else 0, line)
+    if rng.random() < 0.2:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "# only a comment"]))
+    if rng.random() < damage:
+        lines.insert(rng.randint(0, len(lines)), "other: a")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc).__name__, exc.line, exc.col, str(exc), exc.expected
+
+
+def test_parser_matches_the_token_and_column_oracle():
+    # Lines are split with str.split(), and a column is computed only when a
+    # ParseError is raised.  Seeded presentation and LOG texts, fuzzed with
+    # tabs, comments, U+001C-style whitespace, zero, capped and zero-padded
+    # exponents, unknown and repeated names and missing header lines, give
+    # the former parser's value or its error type, line, column and text.
+    rng = random.Random(2030)
+    outcomes = Counter()
+    for _ in range(4000):
+        names = rng.sample(["a", "b", "c", "x1", "y_2", "Zz"], rng.randint(1, 4))
+        if rng.random() < 0.5:
+            text = _fuzz_text(rng, "gens:", "rel:", names)
+            parse, oracle = parse_presentation, textio_oracle.parse_presentation
+        else:
+            text = _fuzz_text(rng, "vertices:", "edge:", names)
+            parse, oracle = parse_log, textio_oracle.parse_log
+        got = _parsed_or_error(parse, text)
+        assert got == _parsed_or_error(oracle, text), text
+        assert sniff_kind(text) == textio_oracle.sniff_kind(text), text
+        if isinstance(got[0], str):
+            outcomes[got[0]] += 1
+            outcomes[got[4].split()[0].rstrip(",")] += 1  # the first word expected
+        else:
+            outcomes[parse.__name__] += 1
+    assert outcomes["parse_presentation"] > 500 and outcomes["parse_log"] > 500
+    assert outcomes["ParseError"] > 1000 and outcomes["UnknownVertex"] > 100
+    for expected in ("nonzero", "at", "letter", "known", "fresh", "a", "gens:", "vertices:"):
+        assert outcomes[expected] > 10, (expected, outcomes)
 
 
 # Equal block lengths, graph I a forest: NPI by Thm 4.1.

@@ -25,7 +25,7 @@ from npicheck.complexes import (
     npi_scan,
 )
 from npicheck.textio import parse_presentation
-from npicheck.words import letter_gen, rotate_word, validate
+from npicheck.words import _wrap_length, letter_gen, rotate_word, validate
 from helpers import flip_generator, make_presentation, presentation_complex
 from samples import sample_a, sample_b, sample_braid, torsion_presentation
 from scan_oracle import enumerate_immersions, oracle_canonical_complex, oracle_scan
@@ -416,6 +416,7 @@ def _face_move_cases():
 def _face_move_states(pres, max_e, max_f):
     """Every state the face moves reach, with the snapshots of its moves."""
     spelled = [_spell(rel) for rel in pres.relators]
+    wraps = [_wrap_length(rel) for rel in pres.relators]
     n_gens = len(pres.generators)
     scan = {}
     start = TwoComplex(1, (), ())
@@ -423,7 +424,7 @@ def _face_move_states(pres, max_e, max_f):
     stack = [start]
     while stack:
         state = stack.pop()
-        children = list(_Moves(state, spelled, n_gens, max_e, max_f, scan).face_moves())
+        children = list(_Moves(state, spelled, wraps, n_gens, max_e, max_f, scan).face_moves())
         yield state, children
         for child in children:
             canon = canonical_complex(child)
@@ -437,12 +438,13 @@ def test_face_moves_match_trace_everywhere_oracle():
     # the same classes, so they reach the same states; the scans agree.
     for pres, max_e, max_f in _face_move_cases():
         spelled = [_spell(rel) for rel in pres.relators]
+        wraps = [_wrap_length(rel) for rel in pres.relators]
         n_gens = len(pres.generators)
         for state, children in _face_move_states(pres, max_e, max_f):
             got = {canonical_complex(c) for c in children}
             want = {
                 canonical_complex(c)
-                for c in OracleMoves(state, spelled, n_gens, max_e, max_f, {}).face_moves()
+                for c in OracleMoves(state, spelled, wraps, n_gens, max_e, max_f, {}).face_moves()
             }
             assert got == want, (pres, max_e, max_f, state)
         assert npi_scan(pres, max_e, max_f) == oracle_npi_scan(pres, max_e, max_f)
@@ -473,12 +475,13 @@ def test_corners_no_single_face_fits_trace_nothing():
     second = Counter()  # fits at the starts of sample A's second relator at (5, 2)
     for pres, max_e, max_f in _face_move_cases():
         spelled = [_spell(rel) for rel in pres.relators]
+        wraps = [_wrap_length(rel) for rel in pres.relators]
         n_gens = len(pres.generators)
         scan = {}
         for state, _ in _face_move_states(pres, max_e, max_f):
             if not state.faces or len(state.faces) >= max_f:
                 continue
-            moves = _Moves(state, spelled, n_gens, max_e, max_f, scan)
+            moves = _Moves(state, spelled, wraps, n_gens, max_e, max_f, scan)
             join_cap = euler_characteristic(state) + max_f - len(state.faces) - 1
             loops, others = _slot_masks(state.vertex_count, state.edges)
             for v in range(state.vertex_count):

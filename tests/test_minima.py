@@ -11,6 +11,8 @@ from npicheck.minima import (
     ConcatFailure,
     MinimaMultiset,
     WitnessStep,
+    _extremal_counts,
+    _extremal_multiset,
     _integer_multisets,
     _integer_profile,
     _ordered_multisets,
@@ -23,9 +25,11 @@ from npicheck.minima import (
 )
 from npicheck.homology import NoSurjection
 from npicheck.logs import log_to_presentation
-from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
+from npicheck import minima
+from npicheck.orders import BraidTarget, IntTarget, LexTarget, TargetAssignment
 from npicheck.textio import parse_presentation
 from npicheck.words import exponent_sum, freely_reduce, rotate_word
+import braid_order_oracle
 from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
 from flip_frame_oracle import flip_all, in_flipped_frame
@@ -626,3 +630,44 @@ def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
             got = check_assignment(pres, hyps, Z, assignment, mode, outcomes)
             want = check_assignment_oracle(pres, hyps, Z, assignment, mode)
             _assert_same_verdict(in_flipped_frame(pres, got), want)
+
+
+def test_extremal_multiset_matches_the_two_pass_oracle(monkeypatch):
+    # Each prefix value is compared once, and its flag read from that
+    # comparison.  Seeded profiles on braid:3, braid:4 and braid:5, each with
+    # and without :opp, and on zlex:2, in both modes: the same extremum and
+    # the same flags as the former two passes.  Values repeat as different
+    # words of one braid, so ties are compared, not matched by identity.
+    flags = {}
+    for module in (minima, braid_order_oracle):
+        def capture(word, at, module=module):
+            flags[module] = list(at)
+            return _extremal_counts(word, at)
+
+        monkeypatch.setattr(module, "_extremal_counts", capture)
+    rng = random.Random(2029)
+    targets = [BraidTarget(n, opp) for n in (3, 4, 5) for opp in (False, True)]
+    targets.append(LexTarget(2))
+    ties = late = 0
+    for target in targets:
+        for _ in range(300):
+            if isinstance(target, LexTarget):
+                values = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
+            else:
+                n = target.n_strands
+                pool = [
+                    tuple(rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(length))
+                    for length in (rng.randint(0, 3) for _ in range(4))
+                ]
+                # (s1 s2 s1)(s2 s1 s2)^-1 is trivial: a second word for pool[0].
+                values = pool + [pool[0] + (1, 2, 1, -2, -1, -2)]
+            profile = [rng.choice(values) for _ in range(rng.randint(1, 9))]
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, 3) for _ in profile)
+            for mode in (MIN, MAX):
+                got = _extremal_multiset(0, word, profile, target, mode)
+                want = braid_order_oracle.extremal_multiset(0, word, profile, target, mode)
+                assert got == want, (target.name, mode, profile)
+                assert flags[minima] == flags[braid_order_oracle], (target.name, mode, profile)
+                ties += sum(flags[minima]) > 1
+                late += not flags[minima][0]
+    assert ties > 1000 and late > 1000

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from npicheck import orders
 from npicheck.orders import (
+    EQ,
     GT,
     LT,
     NEGATIVE,
@@ -20,6 +22,7 @@ from npicheck.orders import (
     handle_reduce,
     parse_target_spec,
 )
+import braid_order_oracle
 from helpers import evaluate_word, verify_assignment
 from samples import B4_RELATORS, sample_a, sample_braid
 
@@ -86,6 +89,52 @@ def test_braid_trichotomy():
             assert s_inv == TRIVIAL
         else:
             assert {s, s_inv} == {POSITIVE, NEGATIVE}
+
+
+def _sign_or_error(sign, word, n):
+    try:
+        return sign(word, n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_braid_sign_matches_the_handle_reduction_oracle():
+    # The sign is read without handle reduction when the lowest generator
+    # occurs with one sign only.  Seeded words on 3, 4 and 5 strands: random
+    # ones, conjugates of a short word by a relator-stuffed one (trivial when
+    # the short word is empty), and some with a letter outside
+    # sigma_1..sigma_{n-1}, which must raise the same error.  compare on
+    # braid:n and braid:n:opp reads the same sign.
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for n in (3, 4, 5):
+        relators = [r for r in B4_RELATORS if max(map(abs, r)) < n]
+        braids = [BraidTarget(n), BraidTarget(n, opposite=True)]
+        for _ in range(1500):
+            w = random_braid_word(rng, n, 10)
+            kind = rng.randrange(4)
+            if kind == 1 and relators:
+                pos = rng.randrange(len(w) + 1)
+                stuffed = w[:pos] + rng.choice(relators) + w[pos:]
+                w = tuple(-x for x in reversed(stuffed)) + random_braid_word(rng, n, 2) + w
+            elif kind == 2 and w:
+                pos = rng.randrange(len(w))
+                w = w[:pos] + (rng.choice([0, n, -n, n + 1]),) + w[pos + 1 :]
+            got = _sign_or_error(braid_sign, w, n)
+            want = _sign_or_error(braid_order_oracle.braid_sign, w, n)
+            assert got == want, (w, n)
+            reduced = orders.freely_reduce(w)
+            mixed = bool(reduced) and len(orders._main_signs(reduced)) == 2
+            outcomes[want.split(":")[0], mixed] += 1
+            if not want.startswith("ValueError"):
+                g = random_braid_word(rng, n, 4)
+                h = orders.freely_reduce(g + w)
+                for braid in braids:
+                    base = {POSITIVE: LT, NEGATIVE: GT, TRIVIAL: EQ}[want]
+                    assert braid.compare(g, h) == (-base if braid.opposite else base)
+    assert outcomes[POSITIVE, False] > 300 and outcomes[NEGATIVE, False] > 300
+    assert outcomes[POSITIVE, True] > 300 and outcomes[NEGATIVE, True] > 300
+    assert outcomes[TRIVIAL, True] > 100 and outcomes["ValueError", False] > 100
 
 
 def test_compare_examples():

@@ -129,11 +129,38 @@ def test_diagnostics_are_data():
     assert "relator 0" in str(d)
 
 
+def literal_power(word):
+    """Whether the literal word is s^m for some m >= 2, by every period."""
+    n = len(word)
+    return any(n % d == 0 and word == word[d:] + word[:d] for d in range(1, n))
+
+
 def test_is_proper_power():
     assert is_proper_power((1, 1))
     assert is_proper_power((1, 2, 1, 2))
     assert not is_proper_power((1, 2))
     assert not is_proper_power(())
+    # The cyclic reduction is read: b a^-2 b^-1 is cyclically a^-2, and
+    # c^-1 b^-1 (a b)^2 b c, whose two letters cancel across the end,
+    # cyclically (a b)^2; b a b^-1 is cyclically a.
+    assert is_proper_power((2, -1, -1, -2))
+    assert is_proper_power((-3, -2, 1, 2, 1, 2, 2, 3))
+    assert not is_proper_power((2, 1, -2))
+    assert not is_proper_power((-3, -2, 1, 1, 2, 1, 2, 3))
+    # Seeded: a freely reduced word is a proper power iff its cyclic
+    # reduction literally is one, and a conjugate of s^m always is.
+    rng = random.Random(11)
+    powers = 0
+    for _ in range(2000):
+        word = freely_reduce(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(0, 12)))
+        s = cyclically_reduce(word)[0]
+        assert is_proper_power(word) == literal_power(s), word
+        if s:
+            u = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(0, 3)))
+            conj = freely_reduce(u + s * rng.randint(2, 3) + tuple(-x for x in reversed(u)))
+            assert is_proper_power(conj), conj
+            powers += conj[0] == -conj[-1]
+    assert powers > 100
 
 
 def test_presentation_str():
