@@ -10,6 +10,11 @@ validity, without running the routes; ``phi``, ``minima`` and ``concat``
 print the report's attempts; ``cover`` its cover section; ``report`` and
 ``lot`` the whole document.  So every view tries the report's maps in its
 order, stops where it stops and shares its checks.
+Every subcommand but ``lot`` reads the input kind its file names, as
+``report`` does; ``lot`` reads a LOG only.  The first-stage views read a
+LOG as its presentation (:func:`logs.log_to_presentation`).  The LOG route
+tries the all-ones map over Z in min mode only, so on a LOG any other
+``--phi``, ``--target`` or ``--mode`` is a usage error.
 Exit codes: 0 a verdict was computed (whatever it is), 1 the reader
 closed standard output, 2 parse or usage error, 3 any other failure (an
 internal check).
@@ -22,13 +27,14 @@ import os
 import sys
 
 from .complexes import _check_bounds
-from .logs import adian_check
+from .logs import log_to_presentation
 from .minima import MAX, MIN, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
     VERDICT_LABELS,
     BadPhiSpec,
     ReportOptions,
+    _adian_section,
     _scan_section,
     full_report,
     render_text,
@@ -154,16 +160,18 @@ def _print_attempts(doc: dict, command: str, name_maps: bool) -> None:
         verdict = doc["verdict"]
         print(f"{VERDICT_LABELS[verdict['status']]}: {verdict['detail']}")
     for attempt in doc["attempts"]:
+        # A LOG report's one attempt is the all-ones map that its phi names.
+        weights = attempt["weights"] if "weights" in attempt else doc["phi"]["weights"]
         if command == "phi":
             # The generators of negative weight, which the check flips;
             # an attempt stopped by a hypothesis records no flips.
-            weights = ", ".join(f"{n}={w}" for n, w in attempt["weights"].items())
-            flips = sorted(n for n, w in attempt["weights"].items() if w < 0)
-            print(f"weights: {weights}  (flips: {', '.join(flips) or 'none'})")
+            images = ", ".join(f"{n}={w}" for n, w in weights.items())
+            flips = sorted(n for n, w in weights.items() if w < 0)
+            print(f"weights: {images}  (flips: {', '.join(flips) or 'none'})")
             continue
         label = ATTEMPT_LABELS[attempt["status"]]
         if name_maps:
-            print("phi: " + ", ".join(f"{n}={w}" for n, w in attempt["weights"].items()))
+            print("phi: " + ", ".join(f"{n}={w}" for n, w in weights.items()))
         if command == "minima" and "multisets" in attempt:
             for m in attempt["multisets"]:
                 counts = ", ".join(f"{g}:(+{p},-{n})" for g, (p, n) in m["counts"].items())
@@ -211,10 +219,15 @@ def _print_rows(hyps) -> None:
 def _dispatch(args) -> int:
     text = _read(args.file)
     command = args.command
+    # ``lot`` reads a LOG; every other view reads the kind the file names.
+    log = command == "lot" or sniff_kind(text) == "log"
+    source = parse_log(text) if log else parse_presentation(text)
 
     if command in REPORT_VIEWS:
-        log = command == "lot" or (command == "report" and sniff_kind(text) == "log")
-        source = parse_log(text) if log else parse_presentation(text)
+        # The LOG route certifies the all-ones map over Z in min mode only.
+        if log and (args.phi, args.target.name, args.mode) != ("auto", "z", MIN):
+            print("error: LOG input takes no --phi, --target or --mode", file=sys.stderr)
+            return 2
         options = ReportOptions(args.target, phi_spec=args.phi, mode=args.mode, scan_bounds=args.scan)
         doc = full_report(source, options, input_text=text)
         if command in ("report", "lot"):
@@ -226,7 +239,7 @@ def _dispatch(args) -> int:
         return 0
 
     # The first stage of every report: validity, then H1 free of rank n - k.
-    pres = parse_presentation(text)
+    pres = log_to_presentation(source) if log else source
     hyps, h1 = presentation_hypotheses(pres)
     if command == "validate":
         _print_rows(hyps[:1])
@@ -241,11 +254,12 @@ def _dispatch(args) -> int:
             return 2
         _print_scan(_scan_section(pres, args.scan))
     elif command == "adian":
-        verdict = adian_check(pres, hyps)
+        doc = {}
+        verdict = _adian_section(doc, pres, hyps)
         _print_rows(verdict.hypotheses)
-        if verdict.t_forest is not None:
-            print(f"graph T forest: {verdict.t_forest.ok}")
-            print(f"graph I forest: {verdict.i_forest.ok}")
+        if doc["adian"]["graph_t_forest"] is not None:  # shown as in the report
+            print(f"graph T forest: {doc['adian']['graph_t_forest']}")
+            print(f"graph I forest: {doc['adian']['graph_i_forest']}")
         label = {"npi": "NPI", "not-decided": "NotDecided", "hypothesis-failure": "HypothesisFailure"}
         print(f"verdict: {label[verdict.status]}")
     else:

@@ -96,21 +96,6 @@ def _lift(pres: Presentation, weights, rel: int, level: int) -> list[tuple[int, 
     return [(low + shift, g, d) for low, g, d in out]
 
 
-def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEdge, int], ...]:
-    """Edge path of the lifted relator: (edge, direction) per letter.
-
-    The stored rotation is walked from the anchor level that puts the
-    minimum visited level at cell.level, so projecting the path (dropping
-    levels) reproduces the relator word exactly.
-    """
-    lift = _lift(window.presentation, window.weights, cell.relator, cell.level)
-    return tuple((CoverEdge(low, g), d) for low, g, d in lift)
-
-
-def edge_key(edge: CoverEdge, gen_priority) -> tuple[int, int]:
-    return (edge.level, -gen_priority[edge.gen])
-
-
 class SlimCertificate(NamedTuple):
     """Concatenability certificate plus the induced reindexing data."""
 
@@ -218,7 +203,7 @@ def verify_weak_slim_certificate(
     )
 
     # Lifts are (level, generator, direction) triples, and minima are taken
-    # on their edge_key (level, -priority) inline; CoverEdge and CoverCell
+    # on the edge key (level, -priority) inline; CoverEdge and CoverCell
     # records are built only for the text of a failure.
     rels = range(len(pres.relators))
     lifts = [_lift(window.presentation, window.weights, i, 0) for i in rels]

@@ -8,6 +8,14 @@ For an equal-length Adian presentation with all-ones weights the Min-mode
 multiset support of a relator is exactly its T-edge and the Max-mode
 support its I-edge, so a T-forest certifies Min-mode concatenability and
 an I-forest Max-mode concatenability.
+
+The letter graphs have one builder, from the Adian form, and one caller,
+:func:`adian_check`, which decides both right after the form and its
+block lengths pass, before the H1 row.  A LOG edge's relator is
+u v^-1 with u = i lambda and v = lambda t, so its flags come from the
+same form.  The report shows the flags in its ``adian`` section only
+when every Adian hypothesis holds; its ``lot`` section reads them for
+every reduced LOG.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ def underlying_forest(log: Log) -> bool:
         len(log.vertices),
         tuple(tuple(sorted((i, t))) for i, _, t in log.edges),
     )
-    return is_forest(graph).ok
+    return is_forest(graph)
 
 
 class AdianPair(NamedTuple):
@@ -105,35 +113,23 @@ class Multigraph(NamedTuple):
     edges: tuple[tuple[int, int], ...]  # sorted vertex pairs
 
 
-def _letter_graph(source: AdianForm | Log, end: int) -> Multigraph:
-    """Edges join the letters of u and v at index ``end`` of each block.  A
-    LOG edge's relator t^-1 lambda^-1 i lambda is u v^-1 with u = i lambda
-    and v = lambda t, so a LOG needs no normalizing."""
-    if isinstance(source, Log):
-        ends = [((i, lam)[end], (lam, t)[end]) for i, lam, t in source.edges]
-        count = len(source.vertices)
-    else:
-        ends = [(letter_gen(p.u[end]), letter_gen(p.v[end])) for p in source.pairs]
-        count = len(source.generators)
-    return Multigraph(count, tuple(tuple(sorted(pair)) for pair in ends))
+def _letter_graph(form: AdianForm, end: int) -> Multigraph:
+    """Edges join the letters of u and v at index ``end`` of each block."""
+    ends = [(letter_gen(p.u[end]), letter_gen(p.v[end])) for p in form.pairs]
+    return Multigraph(len(form.generators), tuple(tuple(sorted(pair)) for pair in ends))
 
 
-def graph_I(source: AdianForm | Log) -> Multigraph:
+def graph_I(form: AdianForm) -> Multigraph:
     """Edges join the last letters of u and v (for a LOG edge: {lambda, t})."""
-    return _letter_graph(source, -1)
+    return _letter_graph(form, -1)
 
 
-def graph_T(source: AdianForm | Log) -> Multigraph:
+def graph_T(form: AdianForm) -> Multigraph:
     """Edges join the first letters of u and v (for a LOG edge: {i, lambda})."""
-    return _letter_graph(source, 0)
+    return _letter_graph(form, 0)
 
 
-class ForestCheck(NamedTuple):
-    ok: bool
-    cycle: tuple[tuple[int, int], ...] | None  # witness edges when not a forest
-
-
-def is_forest(graph: Multigraph) -> ForestCheck:
+def is_forest(graph: Multigraph) -> bool:
     """Union-find acyclicity; loops and parallel edges count as cycles."""
     parent = list(range(graph.vertex_count))
 
@@ -143,47 +139,19 @@ def is_forest(graph: Multigraph) -> ForestCheck:
             x = parent[x]
         return x
 
-    adjacency: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for edge in graph.edges:
-        a, b = edge
-        if a == b:
-            return ForestCheck(False, (edge,))
+    for a, b in graph.edges:
         ra, rb = find(a), find(b)
-        if ra == rb:
-            # walk the accepted forest from a to b for the witness path
-            path = _forest_path(adjacency, a, b)
-            return ForestCheck(False, tuple(path + [edge]))
+        if ra == rb:  # a loop, or an edge within one tree
+            return False
         parent[ra] = rb
-        adjacency.setdefault(a, []).append((b, edge))
-        adjacency.setdefault(b, []).append((a, edge))
-    return ForestCheck(True, None)
-
-
-def _forest_path(adjacency, start: int, goal: int) -> list[tuple[int, int]]:
-    prev: dict[int, tuple[int, tuple[int, int]]] = {start: (start, (start, start))}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if v == goal:
-            break
-        for w, edge in adjacency.get(v, []):
-            if w not in prev:
-                prev[w] = (v, edge)
-                queue.append(w)
-    path = []
-    v = goal
-    while v != start:
-        v, edge = prev[v]
-        path.append(edge)
-    path.reverse()
-    return path
+    return True
 
 
 class AdianVerdict(NamedTuple):
     status: str  # "npi" | "not-decided" | "hypothesis-failure"
     hypotheses: tuple[HypothesisResult, ...]
-    t_forest: ForestCheck | None
-    i_forest: ForestCheck | None
+    t_forest: bool | None  # None when the form or its block lengths fail
+    i_forest: bool | None
     min_check: CheckVerdict | None
     max_check: CheckVerdict | None
 
@@ -201,7 +169,9 @@ def adian_check(
     Requires an Adian decomposition with len(u) = len(v) everywhere, a
     valid presentation and H1 free abelian of rank n - k; then a T-forest
     forces Min-mode weak concatenability with all-ones weights and an
-    I-forest Max-mode.  The
+    I-forest Max-mode.  Both letter graphs are tested once the form and
+    its block lengths pass, so the verdict carries both flags whenever
+    the form exists, also when the H1 row then fails.  The
     concatenability run is a mandatory internal cross-check: it must
     succeed whenever the corresponding forest test does.
     """
@@ -223,27 +193,27 @@ def adian_check(
         return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)
     hyps.append(HypothesisResult("equal-block-lengths", "pass", "len(u) = len(v) throughout"))
 
+    t_forest = is_forest(graph_T(form))
+    i_forest = is_forest(graph_I(form))
     hyps.append(pres_hyps[-1])
     if pres_hyps[-1].status == "fail":
-        return AdianVerdict("hypothesis-failure", tuple(hyps), None, None, None, None)
+        return AdianVerdict("hypothesis-failure", tuple(hyps), t_forest, i_forest, None, None)
 
-    t_check = is_forest(graph_T(form))
-    i_check = is_forest(graph_I(form))
     assignment = TargetAssignment.all_ones(pres)
     target = IntTarget()
     min_verdict = None
     max_verdict = None
-    if t_check.ok:
+    if t_forest:
         min_verdict = check_assignment(pres, pres_hyps, target, assignment, MIN, outcomes)
         if min_verdict.status != "concatenable":
             raise AssertionError(
                 "T-forest without Min-mode concatenability: internal cross-check failed"
             )
-    if i_check.ok:
+    if i_forest:
         max_verdict = check_assignment(pres, pres_hyps, target, assignment, MAX, outcomes)
         if max_verdict.status != "concatenable":
             raise AssertionError(
                 "I-forest without Max-mode concatenability: internal cross-check failed"
             )
-    status = "npi" if (t_check.ok or i_check.ok) else "not-decided"
-    return AdianVerdict(status, tuple(hyps), t_check, i_check, min_verdict, max_verdict)
+    status = "npi" if (t_forest or i_forest) else "not-decided"
+    return AdianVerdict(status, tuple(hyps), t_forest, i_forest, min_verdict, max_verdict)

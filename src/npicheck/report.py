@@ -37,9 +37,6 @@ from .logs import (
     AdianVerdict,
     Log,
     adian_check,
-    graph_I,
-    graph_T,
-    is_forest,
     log_is_reduced,
     log_to_presentation,
     underlying_forest,
@@ -320,12 +317,15 @@ def _first_failure(entries: list[dict]) -> str:
 
 
 def _adian_section(doc: dict, pres: Presentation, pres_hyps, outcomes=None) -> AdianVerdict:
-    """Run the equal-length Adian route and record it in ``adian``."""
+    """Run the equal-length Adian route and record it in ``adian``, whose
+    flags are shown only when no hypothesis stopped the route.  The CLI's
+    ``adian`` view prints the flags of this section."""
     verdict = adian_check(pres, pres_hyps, outcomes)
+    shown = verdict.status != "hypothesis-failure"
     doc["adian"] = {
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
-        "graph_t_forest": verdict.t_forest.ok if verdict.t_forest else None,
-        "graph_i_forest": verdict.i_forest.ok if verdict.i_forest else None,
+        "graph_t_forest": verdict.t_forest if shown else None,
+        "graph_i_forest": verdict.i_forest if shown else None,
     }
     return verdict
 
@@ -445,7 +445,7 @@ def _presentation_route(
         return "not-decided", "", "not weakly concatenable for this assignment"
     adian = _adian_section(doc, pres, pres_hyps, outcomes)
     if adian.status == "npi":
-        branch = "T-forest (min mode)" if adian.t_forest.ok else "I-forest (max mode)"
+        branch = "T-forest (min mode)" if adian.t_forest else "I-forest (max mode)"
         return (
             "npi-certified",
             CITATIONS["adian-equal-lengths"],
@@ -469,7 +469,10 @@ def _log_route(
     relator makes its two endpoints equal in H1, so H1 of a reduced LOG is
     free of rank c, the number of components of the underlying graph.  That
     is n - k only for a forest; otherwise the H1 hypothesis of the Adian
-    route fails first.
+    route fails first.  A reduced LOG edge's relator is u v^-1 with
+    u = i lambda and v = lambda t, so the Adian form and its block lengths
+    always pass, and :func:`adian_check` decides both letter graphs for the
+    ``lot`` section whether or not the H1 row then fails.
     """
     reduced, diags = log_is_reduced(log)
     doc["lot"] = {
@@ -490,10 +493,8 @@ def _log_route(
             "the LOG is not reduced; the forest criteria require reduced input",
         )
     verdict = _adian_section(doc, pres, pres_hyps)
-    forests = (verdict.i_forest, verdict.t_forest)
-    if verdict.t_forest is None:  # a hypothesis stopped the Adian route first
-        forests = (is_forest(graph_I(log)), is_forest(graph_T(log)))
-    doc["lot"]["graph_i_forest"], doc["lot"]["graph_t_forest"] = (f.ok for f in forests)
+    doc["lot"]["graph_i_forest"] = verdict.i_forest
+    doc["lot"]["graph_t_forest"] = verdict.t_forest
     _merge_hypotheses(doc, doc["adian"]["hypotheses"])
     if verdict.status == "hypothesis-failure":
         return "hypothesis-failure", "", _first_failure(doc["hypotheses"])
@@ -507,7 +508,7 @@ def _log_route(
     doc["phi"] = {"target": "z", "weights": {name: 1 for name in pres.generators}, "flips": []}
     if verdict.min_check:
         doc["cover"] = cover_section(pres, verdict.min_check)
-    branch = "T" if verdict.t_forest.ok else "I"
+    branch = "T" if verdict.t_forest else "I"
     return (
         "npi-certified",
         CITATIONS["reduced-lof-forest"],

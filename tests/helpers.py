@@ -2,17 +2,18 @@
 text writers for presentations and LOGs, presentations built from words,
 generator flips, cyclic reduction of words, the integer kernel basis of a
 matrix, the weight search as a list, prefix profiles and multisets of
-minima or maxima of one relator, the image of a word, the strictly
-minimal edge of a lifted 2-cell, the Adian route with its own hypotheses,
-seeded random reduced forests, the standard 2-complex of a presentation
-and the well-definedness check of an assignment.  The package reaches
-these only through the report, so it does not ship them.
+minima or maxima of one relator, the image of a word, the boundary path
+of a lifted 2-cell with its edge keys and its strictly minimal edge, the
+Adian route with its own hypotheses, seeded random reduced forests, the
+standard 2-complex of a presentation and the well-definedness check of
+an assignment.  The package reaches these only through the report, so it
+does not ship them.
 """
 
 from __future__ import annotations
 
 from npicheck.complexes import TwoComplex
-from npicheck.cover import CoverCell, CoverEdge, CoverWindow, edge_key, lifted_boundary
+from npicheck.cover import CoverCell, CoverEdge, CoverWindow, _lift
 from npicheck.homology import WeightHom, _kernel_basis, _weight_stream, h1_structure, smith_normal_form
 from npicheck.logs import AdianVerdict, Log, Multigraph, adian_check, is_forest
 from npicheck.minima import (
@@ -164,6 +165,21 @@ def evaluate_word(target: OrderedTarget, assignment: TargetAssignment, word):
     return profile[-1] if profile else target.identity()
 
 
+def lifted_boundary(window: CoverWindow, cell: CoverCell) -> tuple[tuple[CoverEdge, int], ...]:
+    """Edge path of the lifted relator: (edge, direction) per letter.
+
+    The stored rotation is walked from the anchor level that puts the
+    minimum visited level at cell.level, so projecting the path (dropping
+    levels) reproduces the relator word exactly.
+    """
+    lift = _lift(window.presentation, window.weights, cell.relator, cell.level)
+    return tuple((CoverEdge(low, g), d) for low, g, d in lift)
+
+
+def edge_key(edge: CoverEdge, gen_priority) -> tuple[int, int]:
+    return (edge.level, -gen_priority[edge.gen])
+
+
 def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
     """Strictly minimal boundary edge under the (level, priority) key.
 
@@ -200,7 +216,7 @@ def lof_random(n_vertices: int, n_edges: int, rng) -> Log:
     all_pairs = [(a, b) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
     while True:
         pairs = rng.sample(all_pairs, n_edges) if n_edges else []
-        if not is_forest(Multigraph(n_vertices, tuple(pairs))).ok:
+        if not is_forest(Multigraph(n_vertices, tuple(pairs))):
             continue
         edges = []
         ok = True

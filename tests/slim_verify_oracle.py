@@ -16,12 +16,10 @@ from npicheck.cover import (
     SlimCertificate,
     SlimCheckEntry,
     SlimReport,
-    edge_key,
-    lifted_boundary,
 )
 from npicheck.minima import replay_certificate
 from npicheck.words import Presentation, is_proper_power
-from helpers import min_edge
+from helpers import edge_key, lifted_boundary, min_edge
 
 
 def oracle_verify_weak_slim_certificate(

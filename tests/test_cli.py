@@ -16,7 +16,7 @@ from npicheck.complexes import npi_scan
 from npicheck.logs import Log, log_to_presentation
 from npicheck.minima import check_presentation
 from npicheck.orders import IntTarget, TargetAssignment, parse_target_spec
-from npicheck.report import ReportOptions, full_report, report_json
+from npicheck.report import ReportOptions, full_report, render_text, report_json
 from npicheck.textio import (
     ParseError,
     UnknownVertex,
@@ -248,7 +248,7 @@ def test_cli_report_verdicts(files, capsys):
     assert "NPI-certified(Cor 4.3)" in out
 
     # A reduced LOG whose underlying graph has a cycle fails the H1
-    # hypothesis before the letter graphs are looked at.
+    # hypothesis, so the forest criteria do not apply.
     assert run(["lot", files["cycle.log"]]) == 0
     out = capsys.readouterr().out
     assert "verdict: HypothesisFailure -- H1 rank 2 != n - k = 1" in out
@@ -300,6 +300,13 @@ def test_cli_minima_and_cover(files, capsys):
             "   fail  adian-form: relator 1 is not cyclically (positive block)(negative block)",
             "verdict: HypothesisFailure",
         ]),
+        # The letter graphs are decided, but a failed hypothesis hides them.
+        (["adian", "cycle.log"], [
+            "   pass  adian-form: all relators are u v^-1",
+            "   pass  equal-block-lengths: len(u) = len(v) throughout",
+            "   fail  h1-free-abelian-rank-n-k: H1 rank 2 != n - k = 1",
+            "verdict: HypothesisFailure",
+        ]),
         (["concat", "a.pres"], [
             "phi: a=1, b=1, c=1",
             "  Concatenable: ordering (r0, r1); witnesses (a, c)",
@@ -311,7 +318,7 @@ def test_cli_minima_and_cover(files, capsys):
             "   pass  h1-free-abelian-rank-n-k: H1 free abelian of rank 1",
         ]),
     ],
-    ids=["adian-npi", "adian-not-adian", "concat", "cover-no-certificate", "h1"],
+    ids=["adian-npi", "adian-not-adian", "adian-h1-fails", "concat", "cover-no-certificate", "h1"],
 )
 def test_cli_views_print(files, capsys, argv, expected):
     assert run([files.get(arg, arg) for arg in argv]) == 0
@@ -344,6 +351,62 @@ def test_report_negative_weight_in_both_modes(tmp_path, capsys, mode):
         "verdict: NPI-certified(Thm 3.4) -- weakly concatenable over the integers; "
         "certificate replayed and cover checks passed",
     ])
+
+
+@pytest.mark.parametrize("name", ["lot.log", "cycle.log"])
+@pytest.mark.parametrize(
+    "command", ["validate", "h1", "adian", "immerse", "phi", "minima", "concat", "cover", "report"]
+)
+def test_every_view_but_lot_reads_a_log_file(files, tmp_path, capsys, command, name):
+    # Every subcommand reads the input kind its file names, as report does.
+    # The first-stage views print the rows of the LOG's presentation; the
+    # report views print parts of the LOG's report.
+    text = Path(files[name]).read_text()
+    assert run([command, files[name]]) == 0
+    out = capsys.readouterr().out
+    if command in ("validate", "h1", "adian", "immerse"):
+        pres = tmp_path / "log.pres"
+        pres.write_text(format_presentation(log_to_presentation(parse_log(text))))
+        assert run([command, str(pres)]) == 0
+        assert out == capsys.readouterr().out
+    else:
+        doc = full_report(parse_log(text), ReportOptions(IntTarget()), input_text=text)
+        verdict = doc["verdict"]["status"]
+        assert verdict == ("npi-certified" if name == "lot.log" else "hypothesis-failure")
+        if command == "report":
+            assert run(["lot", files[name]]) == 0
+            assert out == capsys.readouterr().out == render_text(doc)
+        elif command == "cover":
+            cover = doc["cover"]
+            assert out.startswith(f"window {cover['window']}: " if cover else "no cover: ")
+        elif not doc["attempts"]:
+            assert out == f"HypothesisFailure: {doc['verdict']['detail']}\n"
+        elif command == "phi":
+            assert out == "weights: a=1, b=1, c=1  (flips: none)\n"
+
+
+def test_lot_reads_a_log_only(files, capsys):
+    assert run(["lot", files["a.pres"]]) == 2
+    assert "expected vertices:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concat", "--mode", "max"],
+        ["minima", "--target", "zlex:2"],
+        ["cover", "--phi", "a=1,b=1,c=1"],
+        ["report", "--phi", "named", "--target", "braid:4"],
+    ],
+)
+def test_log_input_refuses_options_its_route_ignores(files, capsys, argv):
+    # The LOG route tries the all-ones map over Z in min mode only.
+    assert run([argv[0], files["lot.log"], *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: LOG input takes no --phi, --target or --mode\n"
+    # The defaults, spelled out, are what the route runs.
+    assert run([argv[0], files["lot.log"], "--phi", "auto"]) == 0
 
 
 def test_cli_immerse(files, capsys):

@@ -11,8 +11,6 @@ from npicheck.cover import (
     CoverEdge,
     build_cover_window,
     build_slim_certificate,
-    edge_key,
-    lifted_boundary,
     relator_span,
     verify_weak_slim_certificate,
 )
@@ -31,8 +29,10 @@ from npicheck.orders import IntTarget, TargetAssignment
 from npicheck.report import _verdict_to_entry, cover_section
 from npicheck.words import letter_gen
 from helpers import (
+    edge_key,
     find_weight_homomorphisms,
     flip_generator,
+    lifted_boundary,
     lof_random,
     make_presentation,
     min_edge,

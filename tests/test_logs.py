@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from npicheck.textio import parse_presentation
 from npicheck.words import rotate_word, validate
 from helpers import adian_npi_check, lof_random, make_presentation
 from adian_normalize_oracle import adian_normalize_oracle
+from letter_graph_oracle import forest_check, log_graph_I, log_graph_T
 
 
 def test_log_to_presentation():
@@ -43,35 +45,51 @@ def test_log_is_reduced():
 
 
 def test_graphs_from_log_and_artin():
-    log = Log(("a", "b", "c"), ((0, 1, 2),))
-    assert graph_I(log).edges == ((1, 2),)
-    assert graph_T(log).edges == ((0, 1),)
+    form = adian_normalize(log_to_presentation(Log(("a", "b", "c"), ((0, 1, 2),))))
+    assert graph_I(form).edges == ((1, 2),)
+    assert graph_T(form).edges == ((0, 1),)
     artin = adian_normalize(make_presentation(["s", "t"], [(1, 2, 1, -2, -1, -2)]))
     assert graph_I(artin).edges == graph_T(artin).edges == ((0, 1),)
-    empty = Log(("a", "b"), ())
-    assert graph_I(empty).edges == () and graph_T(empty).edges == ()
+    empty = adian_normalize(log_to_presentation(Log(("a", "b"), ())))
+    assert graph_I(empty) == graph_T(empty) == Multigraph(2, ())
 
 
 def test_log_letter_graphs_match_the_normalized_presentation():
-    # A LOG's letter graphs are read off its edges without normalizing;
-    # they are those of its Adian form, reduced or not.
+    # A LOG's letter graphs read off its edges without normalizing (the
+    # oracle) are those of its Adian form, reduced or not.
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randint(1, 5)
         edges = tuple(tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 6)))
         log = Log(tuple("abcde"[:n]), edges)
         form = adian_normalize(log_to_presentation(log))
-        assert graph_I(log) == graph_I(form) and graph_T(log) == graph_T(form), log
+        assert log_graph_I(log) == graph_I(form) and log_graph_T(log) == graph_T(form), log
 
 
 def test_is_forest():
-    assert is_forest(Multigraph(3, ((0, 1), (1, 2)))).ok
-    loop = is_forest(Multigraph(1, ((0, 0),)))
-    assert not loop.ok and loop.cycle == ((0, 0),)
-    parallel = is_forest(Multigraph(2, ((0, 1), (0, 1))))
-    assert not parallel.ok and parallel.cycle is not None
-    triangle = is_forest(Multigraph(3, ((0, 1), (1, 2), (0, 2))))
-    assert not triangle.ok and len(triangle.cycle) == 3
+    assert is_forest(Multigraph(3, ((0, 1), (1, 2))))
+    assert not is_forest(Multigraph(1, ((0, 0),)))  # a loop
+    assert not is_forest(Multigraph(2, ((0, 1), (0, 1))))  # parallel edges
+    assert not is_forest(Multigraph(3, ((0, 1), (1, 2), (0, 2))))
+    assert is_forest(Multigraph(0, ()))
+    # Seeded multigraphs: the same answer as the witness oracle, whose
+    # cycle is a closed walk on edges of the graph.
+    rng = random.Random(67)
+    cyclic = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        edges = tuple(
+            tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(rng.randint(0, 7))
+        )
+        want = forest_check(Multigraph(n, edges))
+        assert is_forest(Multigraph(n, edges)) == want.ok, edges
+        if want.ok:
+            continue
+        cyclic += 1
+        assert Counter(want.cycle) <= Counter(edges)
+        degree = Counter(v for edge in want.cycle for v in edge)
+        assert all(d % 2 == 0 for d in degree.values()), want.cycle
+    assert cyclic >= 500
 
 
 def test_adian_normalize():
@@ -113,7 +131,7 @@ def test_adian_npi_check_examples():
     lot = log_to_presentation(Log(("a", "b", "c"), ((0, 1, 2),)))
     verdict = adian_npi_check(lot)
     assert verdict.status == "npi"
-    assert verdict.t_forest.ok and verdict.i_forest.ok
+    assert verdict.t_forest and verdict.i_forest
     assert verdict.min_check.status == "concatenable"
     assert verdict.max_check.status == "concatenable"
 
@@ -130,13 +148,17 @@ def test_adian_npi_check_examples():
     )
     verdict = adian_npi_check(cyclic)
     assert verdict.status == "not-decided"
-    assert not verdict.t_forest.ok and not verdict.i_forest.ok
+    assert verdict.t_forest is verdict.i_forest is False
 
 
 def test_artin_even_label_fails_rank_check():
     # s t = t s: H1 has rank 2, not n - k = 1.
     even = parse_presentation("gens: s t\nrel: s t s^-1 t^-1\n")
-    assert adian_npi_check(even).status == "hypothesis-failure"
+    verdict = adian_npi_check(even)
+    assert verdict.status == "hypothesis-failure"
+    # The letter graphs are decided before the H1 row: each is one edge.
+    assert verdict.t_forest is verdict.i_forest is True
+    assert verdict.min_check is verdict.max_check is None
 
 
 def test_lof_random_golden_and_degenerate():
@@ -177,10 +199,10 @@ def test_forest_modes_cross_check():
         pres = log_to_presentation(log)
         verdict = adian_npi_check(pres)
         ones = TargetAssignment.all_ones(pres)
-        if verdict.t_forest.ok:
+        if verdict.t_forest:
             seen_t += 1
             assert check_presentation(pres, z, ones, MIN).status == "concatenable"
-        if verdict.i_forest.ok:
+        if verdict.i_forest:
             seen_i += 1
             assert check_presentation(pres, z, ones, MAX).status == "concatenable"
     assert seen_t and seen_i
@@ -191,8 +213,8 @@ def test_non_forest_letter_graph_breaks_matching_mode():
     # Min mode fails, while I stays a path and Max mode succeeds.
     log = Log(("a", "b", "c", "d"), ((0, 1, 2), (0, 1, 3)))
     pres = log_to_presentation(log)
-    assert not is_forest(graph_T(log)).ok
-    assert is_forest(graph_I(log)).ok
+    assert not is_forest(log_graph_T(log))
+    assert is_forest(log_graph_I(log))
     z = IntTarget()
     ones = TargetAssignment.all_ones(pres)
     assert check_presentation(pres, z, ones, MIN).status == "not-concatenable"

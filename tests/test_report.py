@@ -14,13 +14,17 @@ from attempt_entry_oracle import fresh_attempts
 from conftest import oracle_json
 from flip_frame_oracle import swap_flipped
 from helpers import lof_random, verify_assignment
+from letter_graph_oracle import forest_check, log_graph_I, log_graph_T
 from npicheck import homology, logs, minima, report
-from npicheck.logs import adian_normalize, graph_I, graph_T, is_forest, log_to_presentation
+from npicheck.logs import Log, adian_normalize, is_forest, log_is_reduced, log_to_presentation
 from npicheck.minima import (
+    MAX,
+    MIN,
     ConcatCertificate,
     HypothesisResult,
     MinimaMultiset,
     check_presentation,
+    replay_stuck_core,
     weak_concatenability,
 )
 from npicheck.orders import IntTarget, TargetAssignment
@@ -424,7 +428,7 @@ def test_one_smith_form_per_report(text, detail, monkeypatch):
     [
         (LOT_SINGLE_EDGE_TEXT, 2, "npi-certified"),
         # The underlying graph has a cycle, so the H1 hypothesis stops the
-        # Adian route before its forest tests.
+        # Adian route, after its forest tests.
         ("vertices: a b c\nedge: a b c\nedge: c b a\n", 2, "hypothesis-failure"),
         ("vertices: a b\nedge: a a b\n", 0, "hypothesis-failure"),
     ],
@@ -432,7 +436,7 @@ def test_one_smith_form_per_report(text, detail, monkeypatch):
 )
 def test_log_report_normalizes_once(text, forest_tests, status, monkeypatch):
     # A reduced LOG's report normalizes its presentation once, in the Adian
-    # route, and tests each letter graph for a forest once.
+    # route, and tests each letter graph for a forest once, there too.
     normalized, tested = [], []
 
     def normalizing(pres):
@@ -444,8 +448,7 @@ def test_log_report_normalizes_once(text, forest_tests, status, monkeypatch):
         return is_forest(graph)
 
     monkeypatch.setattr(logs, "adian_normalize", normalizing)
-    for module in (logs, report):
-        monkeypatch.setattr(module, "is_forest", testing)
+    monkeypatch.setattr(logs, "is_forest", testing)
     doc = full_report(parse_log(text), ReportOptions(target=IntTarget()), input_text=text)
     assert doc["verdict"]["status"] == status
     assert len(normalized) == (forest_tests > 0)
@@ -453,7 +456,54 @@ def test_log_report_normalizes_once(text, forest_tests, status, monkeypatch):
     lot = doc["lot"]
     if forest_tests:
         log = parse_log(text)
-        assert lot["graph_i_forest"] == is_forest(graph_I(log)).ok
-        assert lot["graph_t_forest"] == is_forest(graph_T(log)).ok
+        assert lot["graph_i_forest"] == forest_check(log_graph_I(log)).ok
+        assert lot["graph_t_forest"] == forest_check(log_graph_T(log)).ok
     else:
         assert lot["graph_i_forest"] is lot["graph_t_forest"] is None
+
+
+def test_log_flags_are_decided_once_from_the_adian_form():
+    # Seeded LOGs, half drawn as any edge triples (loops, parallel edges,
+    # underlying cycles, unreduced edges) and half as reduced forests.  The
+    # lot flags of a reduced LOG are the oracle's forest tests on the
+    # letter graphs read off its edges; the adian section shows them
+    # exactly when its hypotheses hold; and a false flag under those
+    # hypotheses is witnessed by the all-ones attempt in its mode: not
+    # concatenable, with a stuck core that replays and holds the oracle's
+    # cycle.
+    rng = random.Random(29)
+    z = IntTarget()
+    seen = Counter()
+    for draw in range(1200):
+        n = rng.randint(3, 7)
+        if draw % 2:
+            log = lof_random(n, rng.randrange(1, n), rng)
+        else:
+            triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 6))]
+            log = Log(tuple("abcdefg"[:n]), tuple(triples))
+        doc = full_report(log, ReportOptions(target=z))
+        lot, adian = doc["lot"], doc["adian"]
+        if not log_is_reduced(log)[0]:
+            assert lot["graph_t_forest"] is lot["graph_i_forest"] is adian is None
+            seen["not reduced"] += 1
+            continue
+        failed = any(h["status"] == "fail" for h in adian["hypotheses"])
+        seen["hypothesis fails" if failed else "hypotheses hold"] += 1
+        pres = log_to_presentation(log)
+        ones = TargetAssignment.all_ones(pres)
+        for key, graph, mode in (
+            ("graph_t_forest", log_graph_T(log), MIN),
+            ("graph_i_forest", log_graph_I(log), MAX),
+        ):
+            want = forest_check(graph)
+            assert lot[key] is want.ok, log
+            assert adian[key] is (None if failed else want.ok), log
+            if failed or want.ok:
+                continue
+            seen[f"{mode} cycle"] += 1
+            verdict = check_presentation(pres, z, ones, mode)
+            assert verdict.status == "not-concatenable", log
+            core = verdict.failure.stuck_core
+            assert replay_stuck_core(core, verdict.multisets)[0], log
+            assert Counter(want.cycle) <= Counter(graph.edges[i] for i in core), log
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
