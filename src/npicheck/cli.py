@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
-from .complexes import _check_bounds
+from . import complexes
 from .logs import log_to_presentation
 from .minima import MAX, MIN, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
@@ -61,7 +62,7 @@ def _scan_bounds(text: str) -> tuple[int, int]:
             f"expected E,F (two integers), got {text!r}"
         ) from None
     try:
-        _check_bounds(*bounds)
+        complexes._check_bounds(*bounds)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return bounds
@@ -120,11 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The file as UTF-8 text, without a leading byte-order mark.  A byte
+    that is not UTF-8 is a parse error at the line and column where the
+    parser would meet it."""
     try:
-        with open(path) as f:
-            return f.read()
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            # As "utf-8-sig" would, without importing that codec in every process.
+            text = f.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(0, 0, f"readable file ({exc})")
+    bad = re.search("[\udc80-\udcff]", text)  # where surrogateescape kept a bad byte
+    if bad:
+        lines = (text[: bad.start()] + "x").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), "UTF-8 text")
+    return text
 
 
 def run(argv) -> int:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
+from . import complexes
 from . import cover as cover_mod
-from .complexes import npi_scan
 from .homology import H1Structure, NoSurjection, _weight_stream
 from .logs import (
     AdianVerdict,
@@ -279,7 +279,7 @@ def _scan_section(pres: Presentation, bounds: tuple[int, int]) -> dict:
     """The ``oracle_scan`` section: the bounded immersion scan of a valid
     presentation.  The CLI's ``immerse`` prints this section alone."""
     max_e, max_f = bounds
-    reports = npi_scan(pres, max_e, max_f)
+    reports = complexes.npi_scan(pres, max_e, max_f)
     return {
         "bounds": [max_e, max_f],
         "count": len(reports),

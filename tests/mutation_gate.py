@@ -127,6 +127,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "scan layer run when the package is imported",
+        "src/npicheck/__init__.py",
+        'complexes = _register_lazily(f"{__name__}.complexes")\n',
+        'complexes = _register_lazily(f"{__name__}.complexes")\nfrom .complexes import npi_scan\n',
+        (
+            "tests/test_cli.py::test_only_a_scan_runs_the_scan_layer",
+            "tests/test_api.py::test_package_exports_the_report_api",
+        ),
+    ),
+    Mutant(
         "cover check (d) forced to pass",
         "src/npicheck/cover.py",
         'record("deck-translation-equivariance", failures, "shift by +1 commutes")',

@@ -1034,9 +1034,9 @@ def test_closed_stdout_exits_1(tmp_path):
 def test_cli_start_up_imports():
     # What every CLI process pays at start-up: no dataclass code generation,
     # no pathlib (the CLI reads its file with open) and no random (the
-    # package draws no random numbers), and every
-    # layer loaded at import, since the traced benchmark reads them from
-    # sys.modules once npicheck.cli is imported.
+    # package draws no random numbers), and every layer in sys.modules once
+    # npicheck.cli is imported, where the traced benchmark reads them (the
+    # scan layer registered unrun: see test_only_a_scan_runs_the_scan_layer).
     root = Path(__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
@@ -1053,3 +1053,98 @@ def test_cli_start_up_imports():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"unwanted": [], "missing": []}
+
+
+def _fresh(body: str, *args: str) -> tuple[str, bool]:
+    """Standard output of ``body`` run in a fresh interpreter with ``args``
+    as ``sys.argv[1:]``, and whether it ran the scan layer: until its first
+    attribute read, ``npicheck.complexes`` is a lazy module, not a plain one."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import atexit, runpy, sys, types\n"
+        "atexit.register(lambda: print(type(sys.modules['npicheck.complexes'])"
+        " is types.ModuleType, file=sys.stderr))\n"
+    ) + body
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.splitlines()[-1] == "True"
+
+
+def test_only_a_scan_runs_the_scan_layer(files):
+    # complexes.py is compiled and run on the first read of one of its
+    # names.  A report without --scan, on a presentation or a LOG, and
+    # importing the package leave it unrun; every way into the scan runs
+    # it, and prints what the in-process report holds.
+    def report(name, target="z", phi="auto", scan=None):
+        text = Path(files[name]).read_text()
+        source = parse_log(text) if sniff_kind(text) == "log" else parse_presentation(text)
+        opts = ReportOptions(parse_target_spec(target), phi_spec=phi, scan_bounds=scan)
+        return full_report(source, opts, input_text=text)
+
+    cli = "runpy.run_module('npicheck.cli', run_name='__main__', alter_sys=True)\n"
+    parse = (
+        "from npicheck import parse_presentation\n"
+        "pres = parse_presentation(open(sys.argv[1]).read())\n"
+    )
+    show = "print([(r.chi, r.complex.to_dict(pres)) for r in scan(pres, 4, 2)])\n"
+    scanned = report("torsion.pres", scan=(4, 2))
+    section = scanned["oracle_scan"]
+    assert section["count"] == 2
+    immerse = f"candidates within bounds (4, 2): {section['count']}\n" + "".join(
+        f"  chi={c['chi']} {c['complex']}\n" for c in section["candidates"]
+    )
+    candidates = str([(c["chi"], c["complex"]) for c in section["candidates"]]) + "\n"
+    cases = [
+        (cli, ["report", "--json", files["a.pres"]], report_json(report("a.pres")), False),
+        (cli, ["report", "--json", files["b.pres"]], report_json(report("b.pres")), False),
+        (cli, ["report", "--json", files["braid.pres"], "--target", "braid:4:opp", "--phi", "named"],
+         report_json(report("braid.pres", "braid:4:opp", "named")), False),
+        (cli, ["report", "--json", files["lot.log"]], report_json(report("lot.log")), False),
+        ("import npicheck\n", [], "", False),
+        (cli, ["report", "--json", files["torsion.pres"], "--scan", "4,2"], report_json(scanned),
+         True),
+        (cli, ["immerse", files["torsion.pres"]], immerse, True),
+        ("from npicheck import npi_scan as scan\n" + parse + show, [files["torsion.pres"]],
+         candidates, True),
+        ("import npicheck.complexes\n" + parse + "scan = npicheck.complexes.npi_scan\n" + show,
+         [files["torsion.pres"]], candidates, True),
+    ]
+    for body, args, out, runs in cases:
+        assert _fresh(body, *args) == (out, runs), (body, args)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # A Latin-1 e-acute ends a relator token.
+        (b"gens: a b\nrel: a b\xe9\n", "line 2, column 9"),
+        # Lines end in CRLF; a stray 0xff starts a relator.
+        (b"gens: a b\r\nrel: \xff a\r\n", "line 2, column 6"),
+        # A column counts characters: a UTF-8 e-acute is one, before the bad byte.
+        (b"# \xc3\xa9\xff\ngens: a\n", "line 1, column 4"),
+        # A byte-order mark is dropped before columns are counted.
+        (b"\xef\xbb\xbf# \xff\ngens: a\n", "line 1, column 3"),
+    ],
+    ids=["latin-1", "crlf", "after-utf8", "after-bom"],
+)
+def test_a_byte_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.pres"
+    path.write_bytes(data)
+    assert run(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}: expected UTF-8 text\n"
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys):
+    # The report of a BOM-prefixed file is the report of the file without it.
+    for name, text in [("a.pres", SAMPLE_A_TEXT), ("lot.log", LOT_SINGLE_EDGE_TEXT)]:
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = []
+        for path in (plain, marked):
+            assert run(["report", "--json", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], name
