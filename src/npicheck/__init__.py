@@ -8,13 +8,16 @@ with :class:`ReportOptions`, and print it with :func:`render_text` or
 :func:`report_json`.  :func:`npi_scan` is the immersion oracle the
 report's ``--scan`` runs.  The layers stay importable as submodules.
 Importing the package puts every one of them in ``sys.modules``, since
-``report`` imports them all, but it registers the scan layer
-``complexes`` through :class:`importlib.util.LazyLoader`: that module is
-compiled and run on its first attribute read, which only a scan makes,
-so a report without ``--scan`` never pays for it.  ``report`` and
-``cli`` reach it through the module (``complexes.npi_scan``), and the
-package resolves ``npi_scan`` on demand.  On Python 3.10 and 3.11 that
-first load is not thread-safe; npicheck starts no threads.
+``report`` imports them all, but it registers three layers through
+:class:`importlib.util.LazyLoader`: each is compiled and run on the
+first read of one of its attributes, so a process never pays for a
+layer its route does not use.  The scan layer ``complexes`` runs only in
+a scan, ``cover`` only when an integer certificate is verified on the
+cyclic cover, and ``logs`` only on LOG input, in the ``adian`` view and
+on the report's Adian fallback.  ``report``, ``textio`` and ``cli``
+reach them through the module (``complexes.npi_scan``, ``logs.Log``),
+and the package resolves ``npi_scan`` on demand.  On Python 3.10 and
+3.11 that first load is not thread-safe; npicheck starts no threads.
 
 The result types are immutable ``typing.NamedTuple`` records.  Being
 tuples, records of different types with equal fields compare equal, so
@@ -36,8 +39,10 @@ def _register_lazily(name: str):
     return module
 
 
-# Registered before ``report`` imports it, so that the import finds it.
+# Registered before ``report`` imports them, so that the imports find them.
 complexes = _register_lazily(f"{__name__}.complexes")
+cover = _register_lazily(f"{__name__}.cover")
+logs = _register_lazily(f"{__name__}.logs")
 
 from .orders import parse_target_spec
 from .report import ReportOptions, full_report, render_text, report_json

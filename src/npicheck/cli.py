@@ -15,6 +15,8 @@ Every subcommand but ``lot`` reads the input kind its file names, as
 LOG as its presentation (:func:`logs.log_to_presentation`).  The LOG route
 tries the all-ones map over Z in min mode only, so on a LOG any other
 ``--phi``, ``--target`` or ``--mode`` is a usage error.
+:func:`run` builds the parser of the subcommand that ``argv`` names
+alone; help, an empty ``argv`` or an unknown name build all ten.
 Exit codes: 0 a verdict was computed (whatever it is), 1 the reader
 closed standard output, 2 parse or usage error, 3 any other failure (an
 internal check).
@@ -27,8 +29,7 @@ import os
 import re
 import sys
 
-from . import complexes
-from .logs import log_to_presentation
+from . import complexes, logs  # lazy modules: read through the module
 from .minima import MAX, MIN, presentation_hypotheses
 from .orders import BadTargetSpec, IntTarget, parse_target_spec
 from .report import (
@@ -46,6 +47,20 @@ from .textio import ParseError, parse_log, parse_presentation, sniff_kind
 # How minima and concat name the status of one attempt.
 ATTEMPT_LABELS = {"concatenable": "Concatenable", "not-concatenable": "NotConcatenable",
                   "hypothesis-failure": "HypothesisFailure"}
+
+# The subcommands, in the order of the help, and what each prints.
+SUBCOMMANDS = {
+    "validate": "report presentation diagnostics",
+    "h1": "first homology and the free-abelian rank check",
+    "phi": "list the weight maps the report tries",
+    "minima": "multisets of minima",
+    "concat": "weak concatenability verdict",
+    "lot": "labelled oriented graph pipeline",
+    "adian": "equal-length Adian pipeline",
+    "cover": "build and verify the cyclic-cover certificate",
+    "immerse": "bounded immersion scan",
+    "report": "full pipeline with verdict",
+}
 
 # The subcommands that print part of a full report; the rest print its first stage.
 REPORT_VIEWS = ("report", "lot", "phi", "minima", "concat", "cover")
@@ -79,45 +94,47 @@ def _target(text: str):
         ) from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``only`` alone.
+    Either way the top-level usage names every subcommand: argparse prints
+    it when an argument is left unrecognized."""
     parser = argparse.ArgumentParser(
         prog="npicheck",
         description="certified sufficient conditions for non-positive immersions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A metavar also renames the argument in argparse's messages, which a
+    # single-subcommand parser never prints: its one choice is given.
+    every = "{" + ",".join(SUBCOMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, help_ in SUBCOMMANDS.items():
+        if only in (None, name):
+            _add_subcommand(sub, name, help_)
+    return parser
 
-    def add(name, help_):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("file", help="input file")
-        if name in REPORT_VIEWS:  # the options a view lacks take the report's defaults
-            p.set_defaults(json=False, phi="auto", target=IntTarget(), mode=MIN, scan=None)
-        return p
 
-    add("validate", "report presentation diagnostics")
-    add("h1", "first homology and the free-abelian rank check")
-    add("phi", "list the weight maps the report tries")
-    for name in ("minima", "concat"):
-        p = add(name, "multisets of minima" if name == "minima" else "weak concatenability verdict")
+def _add_subcommand(sub, name: str, help_: str) -> None:
+    p = sub.add_parser(name, help=help_)
+    p.add_argument("file", help="input file")
+    if name in REPORT_VIEWS:  # the options a view lacks take the report's defaults
+        p.set_defaults(json=False, phi="auto", target=IntTarget(), mode=MIN, scan=None)
+    if name in ("minima", "concat"):
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
         p.add_argument(
             "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
         )
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    add("lot", "labelled oriented graph pipeline")
-    add("adian", "equal-length Adian pipeline")
-    p = add("cover", "build and verify the cyclic-cover certificate")
-    p.add_argument("--phi", default="auto")
-    p = add("immerse", "bounded immersion scan")
-    p.add_argument("--bounds", dest="scan", type=_scan_bounds, default="4,2", metavar="E,F",
-                   help="edge and face bounds")
-    p = add("report", "full pipeline with verdict")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--phi", default="auto")
-    p.add_argument("--target", type=_target, default="z")
-    p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
-    p.add_argument("--scan", type=_scan_bounds, default=None, metavar="E,F",
-                   help="immersion scan edge and face bounds")
-    return parser
+    elif name == "cover":
+        p.add_argument("--phi", default="auto")
+    elif name == "immerse":
+        p.add_argument("--bounds", dest="scan", type=_scan_bounds, default="4,2", metavar="E,F",
+                       help="edge and face bounds")
+    elif name == "report":
+        p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        p.add_argument("--phi", default="auto")
+        p.add_argument("--target", type=_target, default="z")
+        p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
+        p.add_argument("--scan", type=_scan_bounds, default=None, metavar="E,F",
+                       help="immersion scan edge and face bounds")
 
 
 def _read(path: str) -> str:
@@ -138,7 +155,8 @@ def _read(path: str) -> str:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    # A run uses one subcommand; help, no argument or an unknown name get all.
+    parser = _build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -249,7 +267,7 @@ def _dispatch(args) -> int:
         return 0
 
     # The first stage of every report: validity, then H1 free of rank n - k.
-    pres = log_to_presentation(source) if log else source
+    pres = logs.log_to_presentation(source) if log else source
     hyps, h1 = presentation_hypotheses(pres)
     if command == "validate":
         _print_rows(hyps[:1])

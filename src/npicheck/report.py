@@ -27,20 +27,14 @@ violated (hypothesis-failure).
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 from typing import NamedTuple
 
-from . import complexes
+# ``complexes``, ``cover`` and ``logs`` are lazy modules (see the package
+# docstring): each is read through the module, so that it runs on first use.
+from . import complexes, logs
 from . import cover as cover_mod
 from .homology import H1Structure, NoSurjection, _weight_stream
-from .logs import (
-    AdianVerdict,
-    Log,
-    adian_check,
-    log_is_reduced,
-    log_to_presentation,
-    underlying_forest,
-)
 from .minima import (
     MAX,
     MIN,
@@ -252,16 +246,18 @@ def cover_section(pres: Presentation, verdict: CheckVerdict) -> dict:
 
 
 def full_report(
-    source: Presentation | Log,
+    source: Presentation | logs.Log,
     options: ReportOptions,
     input_text: str = "",
 ) -> dict:
     """Run the route for the input kind, then finish the report: assert
     that its cover checks pass, scan a valid presentation when ``--scan``
     asks for it, and write the verdict."""
-    pres = log_to_presentation(source) if isinstance(source, Log) else source
+    # Dispatched on Presentation, so that a presentation never loads ``logs``.
+    log = not isinstance(source, Presentation)
+    pres = logs.log_to_presentation(source) if log else source
     pres_hyps, h1 = presentation_hypotheses(pres)
-    if isinstance(source, Log):
+    if log:
         doc = _base_doc("log", pres, input_text)
         status, citation, detail = _log_route(doc, source, pres, pres_hyps, options)
     else:
@@ -316,11 +312,11 @@ def _first_failure(entries: list[dict]) -> str:
     return next((h["detail"] for h in entries if h["status"] == "fail"), "")
 
 
-def _adian_section(doc: dict, pres: Presentation, pres_hyps, outcomes=None) -> AdianVerdict:
+def _adian_section(doc: dict, pres: Presentation, pres_hyps, outcomes=None) -> logs.AdianVerdict:
     """Run the equal-length Adian route and record it in ``adian``, whose
     flags are shown only when no hypothesis stopped the route.  The CLI's
     ``adian`` view prints the flags of this section."""
-    verdict = adian_check(pres, pres_hyps, outcomes)
+    verdict = logs.adian_check(pres, pres_hyps, outcomes)
     shown = verdict.status != "hypothesis-failure"
     doc["adian"] = {
         "hypotheses": _hypothesis_dicts(verdict.hypotheses),
@@ -460,7 +456,7 @@ def _presentation_route(
 
 
 def _log_route(
-    doc: dict, log: Log, pres: Presentation, pres_hyps, options: ReportOptions
+    doc: dict, log: logs.Log, pres: Presentation, pres_hyps, options: ReportOptions
 ) -> tuple[str, str, str]:
     """A reduced LOG through the forest criteria on its letter graphs
     (Cor 4.3).
@@ -474,11 +470,11 @@ def _log_route(
     always pass, and :func:`adian_check` decides both letter graphs for the
     ``lot`` section whether or not the H1 row then fails.
     """
-    reduced, diags = log_is_reduced(log)
+    reduced, diags = logs.log_is_reduced(log)
     doc["lot"] = {
         "reduced": reduced,
         "diagnostics": [{"edge": i, "code": code} for i, code in diags],
-        "underlying_forest": underlying_forest(log),
+        "underlying_forest": logs.underlying_forest(log),
         "graph_i_forest": None,
         "graph_t_forest": None,
     }

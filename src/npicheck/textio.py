@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .logs import Log
+from . import logs  # a lazy module: read only when a LOG is parsed
 from .words import GENERATOR_NAME, Presentation, Word
 
 _LETTER = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?\Z")
@@ -140,8 +140,8 @@ def _parse_log_edge(lineno: int, line: str, tokens, vertices) -> tuple[int, int,
     return tuple(triple)
 
 
-def parse_log(text: str) -> Log:
-    return Log(*_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_log_edge))
+def parse_log(text: str) -> logs.Log:
+    return logs.Log(*_parse_file(text, "vertices:", "vertex", "edge:", "edges", _parse_log_edge))
 
 
 def sniff_kind(text: str) -> str:

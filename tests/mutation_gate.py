@@ -137,6 +137,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "cover layer run when the package is imported",
+        "src/npicheck/__init__.py",
+        'cover = _register_lazily(f"{__name__}.cover")\n',
+        'cover = _register_lazily(f"{__name__}.cover")\nfrom .cover import build_cover_window\n',
+        (
+            "tests/test_cli.py::test_only_a_scan_runs_the_scan_layer",
+            "tests/test_api.py::test_package_exports_the_report_api",
+        ),
+    ),
+    Mutant(
+        "logs layer run when the package is imported",
+        "src/npicheck/__init__.py",
+        'logs = _register_lazily(f"{__name__}.logs")\n',
+        'logs = _register_lazily(f"{__name__}.logs")\nfrom .logs import adian_check\n',
+        (
+            "tests/test_cli.py::test_only_a_scan_runs_the_scan_layer",
+            "tests/test_api.py::test_package_exports_the_report_api",
+        ),
+    ),
+    Mutant(
         "cover check (d) forced to pass",
         "src/npicheck/cover.py",
         'record("deck-translation-equivariance", failures, "shift by +1 commutes")',

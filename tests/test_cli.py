@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from npicheck import logs as logs_mod
-from npicheck import minima, orders, words
+from npicheck import cli, minima, orders, words
 from npicheck import report as report_mod
 from npicheck.cli import run
 from npicheck.complexes import npi_scan
@@ -24,6 +24,7 @@ from npicheck.textio import (
     parse_presentation,
     sniff_kind,
 )
+import cli_parser_oracle
 import textio_oracle
 from helpers import find_weight_homomorphisms, format_log, format_presentation, lof_random
 from samples import (
@@ -991,6 +992,55 @@ def test_usage_errors_name_the_option(files, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        *[[name, "--help"] for name in ("validate", "h1", "phi", "minima", "concat", "lot",
+                                        "adian", "cover", "immerse", "report")],
+        ["bogus", "a.pres"],
+        ["report"],
+        ["report", "a.pres", "--mode", "bogus"],
+        ["report", "a.pres", "--scan=-1,2"],
+        ["phi", "a.pres", "--phi", "all-ones"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argument",
+)
+def test_cli_text_matches_the_all_subparser_oracle(files, capsys, argv):
+    # The CLI builds the subparser that argv names alone; what argparse
+    # prints (help, usage, errors) and the exit code are those of the
+    # parser that built all ten.  Compared in process, so that the check
+    # holds on every Python's argparse formatting.
+    argv = [files.get(arg, arg) for arg in argv]
+    code = run(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        cli_parser_oracle.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (got.out, got.err, code) == (want.out, want.err, 2 if stop.value.code else 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "a.pres"],
+        ["concat", "a.pres", "--mode", "max", "--target", "zlex:2", "--phi", "a=1:0,b=1:0,c=1:0"],
+        ["cover", "a.pres", "--phi", "all-ones"],
+        ["immerse", "a.pres"],
+        ["report", "braid.pres", "--json", "--target", "braid:4:opp", "--phi", "named",
+         "--scan", "4,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_parses_as_the_all_subparser_oracle(files, argv):
+    def parsed(parser):
+        args = vars(parser.parse_args([files.get(arg, arg) for arg in argv]))
+        return {key: getattr(value, "name", value) for key, value in args.items()}
+
+    assert parsed(cli._build_parser(argv[0])) == parsed(cli_parser_oracle.build_parser())
+
+
 def test_traced_benchmark_finds_the_names_it_reads():
     # perfbench/run.py reads some call counts by function name, and the
     # ring-k16 probe of perfbench/probes.py imports names from npicheck.minima;
@@ -1036,7 +1086,8 @@ def test_cli_start_up_imports():
     # no pathlib (the CLI reads its file with open) and no random (the
     # package draws no random numbers), and every layer in sys.modules once
     # npicheck.cli is imported, where the traced benchmark reads them (the
-    # scan layer registered unrun: see test_only_a_scan_runs_the_scan_layer).
+    # three lazy layers registered unrun: see
+    # test_only_a_scan_runs_the_scan_layer).
     root = Path(__file__).resolve().parent.parent
     code = (
         "import json, sys\n"
@@ -1055,34 +1106,72 @@ def test_cli_start_up_imports():
     assert json.loads(proc.stdout) == {"unwanted": [], "missing": []}
 
 
-def _fresh(body: str, *args: str) -> tuple[str, bool]:
-    """Standard output of ``body`` run in a fresh interpreter with ``args``
-    as ``sys.argv[1:]``, and whether it ran the scan layer: until its first
-    attribute read, ``npicheck.complexes`` is a lazy module, not a plain one."""
+def _fresh(body: str, *args: str) -> tuple[str, str]:
+    """Standard output of ``body`` run in a fresh interpreter without
+    ``site`` and with ``args`` as ``sys.argv[1:]``, and what it ran that a
+    route may skip, space-separated: each of the three lazy layers it ran
+    (until its first attribute read, a lazy layer is a lazy module, not a
+    plain one), then ``json`` if it imported the json package."""
     root = Path(__file__).resolve().parent.parent
     code = (
         "import atexit, runpy, sys, types\n"
-        "atexit.register(lambda: print(type(sys.modules['npicheck.complexes'])"
-        " is types.ModuleType, file=sys.stderr))\n"
+        "def ran():\n"
+        "    layers = [layer for layer in ('complexes', 'cover', 'logs')\n"
+        "              if type(sys.modules['npicheck.' + layer]) is types.ModuleType]\n"
+        "    print(*layers, *(['json'] if 'json' in sys.modules else []), file=sys.stderr)\n"
+        "atexit.register(ran)\n"
     ) + body
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout, proc.stderr.splitlines()[-1] == "True"
+    return proc.stdout, proc.stderr.splitlines()[-1]
 
 
-def test_only_a_scan_runs_the_scan_layer(files):
-    # complexes.py is compiled and run on the first read of one of its
-    # names.  A report without --scan, on a presentation or a LOG, and
-    # importing the package leave it unrun; every way into the scan runs
-    # it, and prints what the in-process report holds.
+# Reduced LOGs whose underlying graph is a forest.  Graph I is a forest and
+# graph T is not: Cor 4.3 in max mode, which has no cover to verify.
+I_FOREST_LOG_TEXT = "vertices: a b c d\nedge: a b c\nedge: b a d\n"
+# Both letter graphs have a cycle: not decided.
+NOT_DECIDED_LOG_TEXT = "vertices: a b c d e\nedge: a b c\nedge: b a d\nedge: e c b\n"
+
+
+def test_only_a_scan_runs_the_scan_layer(files, tmp_path, capsys):
+    # complexes.py, cover.py and logs.py are each compiled and run on the
+    # first read of one of their names.  A report without --scan leaves
+    # the scan layer unrun; only an integer certificate runs the cover
+    # layer, and only LOG input, the adian view and the report's Adian
+    # fallback run the LOG layer.  Every way into the scan runs it.  Each
+    # report prints what the library's report holds, immerse what the
+    # report's scan section holds, and the other views what the CLI prints
+    # in process; no process imports the json package.
+    for name, text in [("iforest.log", I_FOREST_LOG_TEXT), ("undecided.log", NOT_DECIDED_LOG_TEXT),
+                       ("forest7r3-8.pres", FOREST7R3_8_TEXT)]:
+        (tmp_path / name).write_text(text)
+        files[name] = str(tmp_path / name)
+
     def report(name, target="z", phi="auto", scan=None):
         text = Path(files[name]).read_text()
         source = parse_log(text) if sniff_kind(text) == "log" else parse_presentation(text)
         opts = ReportOptions(parse_target_spec(target), phi_spec=phi, scan_bounds=scan)
         return full_report(source, opts, input_text=text)
+
+    def printed(*argv):
+        assert run(list(argv)) == 0
+        return capsys.readouterr().out
+
+    verdicts = {
+        name: (doc["verdict"]["citation"], doc["cover"] is not None)
+        for name in ("lot.log", "iforest.log", "undecided.log", "forest7r3-8.pres")
+        for doc in [report(name)]
+    }
+    assert verdicts == {
+        "lot.log": ("Cor 4.3", True),  # graph T a forest: min mode, verified on the cover
+        "iforest.log": ("Cor 4.3", False),
+        "undecided.log": ("", False),
+        "forest7r3-8.pres": ("Thm 4.1", False),
+    }
 
     cli = "runpy.run_module('npicheck.cli', run_name='__main__', alter_sys=True)\n"
     parse = (
@@ -1098,22 +1187,26 @@ def test_only_a_scan_runs_the_scan_layer(files):
     )
     candidates = str([(c["chi"], c["complex"]) for c in section["candidates"]]) + "\n"
     cases = [
-        (cli, ["report", "--json", files["a.pres"]], report_json(report("a.pres")), False),
-        (cli, ["report", "--json", files["b.pres"]], report_json(report("b.pres")), False),
+        (cli, ["report", "--json", files["a.pres"]], report_json(report("a.pres")), "cover"),
+        (cli, ["report", "--json", files["b.pres"]], report_json(report("b.pres")), "cover"),
         (cli, ["report", "--json", files["braid.pres"], "--target", "braid:4:opp", "--phi", "named"],
-         report_json(report("braid.pres", "braid:4:opp", "named")), False),
-        (cli, ["report", "--json", files["lot.log"]], report_json(report("lot.log")), False),
-        ("import npicheck\n", [], "", False),
+         report_json(report("braid.pres", "braid:4:opp", "named")), ""),
+        (cli, ["report", "--json", files["lot.log"]], report_json(report("lot.log")), "cover logs"),
+        *[(cli, ["report", "--json", files[name]], report_json(report(name)), "logs")
+          for name in ("iforest.log", "undecided.log", "forest7r3-8.pres")],
+        *[(cli, [view, files["a.pres"]], printed(view, files["a.pres"]), layers)
+          for view, layers in [("validate", ""), ("h1", ""), ("adian", "logs")]],
+        ("import npicheck\n", [], "", ""),
         (cli, ["report", "--json", files["torsion.pres"], "--scan", "4,2"], report_json(scanned),
-         True),
-        (cli, ["immerse", files["torsion.pres"]], immerse, True),
+         "complexes"),
+        (cli, ["immerse", files["torsion.pres"]], immerse, "complexes"),
         ("from npicheck import npi_scan as scan\n" + parse + show, [files["torsion.pres"]],
-         candidates, True),
+         candidates, "complexes"),
         ("import npicheck.complexes\n" + parse + "scan = npicheck.complexes.npi_scan\n" + show,
-         [files["torsion.pres"]], candidates, True),
+         [files["torsion.pres"]], candidates, "complexes"),
     ]
-    for body, args, out, runs in cases:
-        assert _fresh(body, *args) == (out, runs), (body, args)
+    for body, args, out, layers in cases:
+        assert _fresh(body, *args) == (out, layers), (body, args)
 
 
 @pytest.mark.parametrize(
