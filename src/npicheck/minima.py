@@ -14,6 +14,7 @@ multisets under phi are the Min-mode multisets under -phi.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import NamedTuple
 
@@ -181,50 +182,27 @@ def replay_stuck_core(core, multisets) -> tuple[bool, str]:
     return True, "stuck core replays"
 
 
-def _stuck(usable, supports, rest, blocked) -> set[int]:
-    """What is left of the relator indices ``rest`` when peeling stops.
-
-    A relator peels when it has a usable generator that is neither blocked
-    nor in the support of another remaining relator, so it can go last.
-    Placing a relator after a set S only needs a witness outside the
-    supports of S, and shrinking S never blocks it; so peeling a relator
-    that can go last loses no ordering, and ``rest`` can be ordered after
-    ``blocked`` iff nothing is left.  Sets with no peelable member are
-    closed under union, so what is left is the unique maximal one.
-    """
-    left = set(rest)
-    holders: dict[int, set[int]] = {}
-    for i in left:
-        for g in supports[i]:
-            holders.setdefault(g, set()).add(i)
-    queue = [
-        i for i in left if any(g not in blocked and len(holders[g]) == 1 for g in usable[i])
-    ]
-    while queue:
-        i = queue.pop()
-        if i not in left:
-            continue
-        left.remove(i)
-        for g in supports[i]:
-            holders[g].discard(i)
-            if len(holders[g]) == 1 and g not in blocked:
-                (j,) = holders[g]
-                if g in usable[j]:
-                    queue.append(j)
-    return left
-
-
 # Public for the ring-k16 probe (perfbench/probes.py), which calls it directly.
 def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
-    """Decide weak concatenability by peeling.
+    """Decide weak concatenability by peeling, and read the certificate or
+    the stuck core off the one pass.
 
     A relator i can be placed after a set S of relators iff it has a
     witness generator outside the supports of S with unequal positive and
-    negative copies.  The multisets are concatenable iff every relator
-    peels (see ``_stuck``).  The certificate is built forward with
-    deterministic tie-breaking, lowest relator index first and then lowest
-    generator index, taking a placement only when the rest still peels;
-    otherwise the stuck core is returned.
+    negative copies.  A relator peels when it has such a witness in no
+    other remaining relator's support, so it can go last among them.
+    Shrinking S never blocks a placement, so peeling a relator that can go
+    last loses no ordering: the multisets are concatenable iff every
+    relator peels.  Sets with no peelable member are closed under union,
+    so what is left when peeling stops is the unique maximal one, the
+    stuck core.
+
+    Otherwise the reverse of the peeling order is the certificate, with
+    the witness each relator peeled with as its step: the relators before
+    i in it are the ones still remaining when i peeled, and its witness
+    lies in none of their supports.  The highest ready relator index peels
+    first, with its lowest witness.  A ready relator keeps its witness
+    until it peels, since it stays the witness's only holder.
     """
     k = len(multisets)
     if k == 0:
@@ -233,32 +211,38 @@ def weak_concatenability(multisets) -> ConcatCertificate | ConcatFailure:
         raise ValueError("all multisets must share one mode")
     supports = [m.support() for m in multisets]
     usable = [_usable(m) for m in multisets]
-    core = _stuck(usable, supports, range(k), frozenset())
-    if core:
-        failure = ConcatFailure(tuple(sorted(multisets[i].relator for i in core)))
+    holders: dict[int, set[int]] = {}
+    for i, support in enumerate(supports):
+        for g in support:
+            holders.setdefault(g, set()).add(i)
+    ready = [-i for i in range(k) if any(len(holders[g]) == 1 for g in usable[i])]
+    heapq.heapify(ready)  # a max-heap of relator indices
+    left = set(range(k))
+    peeled: list[tuple[int, int]] = []  # (relator index, witness), in peeling order
+    while ready:
+        i = -heapq.heappop(ready)
+        if i not in left:
+            continue
+        left.remove(i)
+        peeled.append((i, next(g for g in usable[i] if len(holders[g]) == 1)))
+        for g in supports[i]:
+            holders[g].discard(i)
+            if len(holders[g]) == 1:
+                (j,) = holders[g]
+                if g in usable[j]:
+                    heapq.heappush(ready, -j)
+    if left:
+        failure = ConcatFailure(tuple(sorted(multisets[i].relator for i in left)))
         ok, why = replay_stuck_core(failure.stuck_core, multisets)
         if not ok:
             raise AssertionError(f"stuck core does not replay: {why}")
         return failure
 
-    ordering: list[int] = []
-    witnesses: list[WitnessStep] = []
-    rest = set(range(k))
-    blocked: set[int] = set()
-    while rest:
-        for i in sorted(rest):
-            g = next((g for g in usable[i] if g not in blocked), None)
-            if g is None or _stuck(usable, supports, rest - {i}, blocked | supports[i]):
-                continue
-            p, n = multisets[i].counts[g]
-            ordering.append(multisets[i].relator)
-            witnesses.append(WitnessStep(g, p, n))
-            rest.remove(i)
-            blocked |= supports[i]
-            break
-        else:
-            raise AssertionError("no placement keeps the remaining relators peelable")
-    cert = ConcatCertificate(tuple(ordering), tuple(witnesses))
+    peeled.reverse()
+    cert = ConcatCertificate(
+        tuple(multisets[i].relator for i, _ in peeled),
+        tuple(WitnessStep(g, *multisets[i].counts[g]) for i, g in peeled),
+    )
     ok, why = replay_certificate(cert, multisets)
     if not ok:
         raise AssertionError(f"constructed certificate does not replay: {why}")

@@ -62,6 +62,16 @@ MUTANTS = (
         ("tests/test_minima.py::test_extremal_multiset_matches_the_two_pass_oracle",),
     ),
     Mutant(
+        "peeling witness taken without checking that no other relator holds it",
+        "src/npicheck/minima.py",
+        "peeled.append((i, next(g for g in usable[i] if len(holders[g]) == 1)))",
+        "peeled.append((i, usable[i][0]))",
+        (
+            "tests/test_minima.py::test_certificate_read_off_the_peeling_matches_the_forward_search",
+            "tests/test_minima.py::test_peeling_matches_subset_dp",
+        ),
+    ),
+    Mutant(
         "braid sign shortcut without its range check",
         "src/npicheck/orders.py",
         "    w = _reduced_in_range(word, n_strands)\n    if not w:\n        return TRIVIAL\n",

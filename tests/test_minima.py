@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ import braid_order_oracle
 from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
 from flip_frame_oracle import flip_all, in_flipped_frame
+from forward_certificate_oracle import forward_weak_concatenability
 from helpers import (
     NonVanishingRelatorWeight,
     find_weight_homomorphisms,
@@ -274,7 +276,9 @@ def test_peeling_matches_subset_dp():
         expected = dp_weak_concatenability(multisets)
         outcomes[isinstance(expected, ConcatCertificate)] += 1
         if isinstance(expected, ConcatCertificate):
-            assert got == expected
+            assert isinstance(got, ConcatCertificate)
+            ok, why = replay_certificate(got, multisets)
+            assert ok, why
             continue
         assert isinstance(got, ConcatFailure)
         core = got.stuck_core
@@ -284,6 +288,77 @@ def test_peeling_matches_subset_dp():
             smaller = tuple(r for r in core if r != drop)
             assert not replay_stuck_core(smaller, multisets)[0]
     assert min(outcomes.values()) > 1000
+
+
+def planted_family(rng, k):
+    """k multisets with a certificate by construction: the relator at
+    step s of a shuffled order gets witness ``pool + s``, which no relator
+    before it holds.  Half of the time a few relators then take a balanced
+    copy of each other's usable generators, so that they are stuck."""
+    pool = rng.randrange(1, k + 1)
+    steps = list(range(k))
+    rng.shuffle(steps)
+    multisets = []
+    for i, step in enumerate(steps):
+        counts = {pool + step: rng.choice([(1, 0), (0, 1), (2, 1), (0, 2)])}
+        for g in rng.sample(range(pool + step), min(pool + step, rng.randrange(0, 4))):
+            counts[g] = (rng.randrange(0, 3), rng.randrange(0, 3))
+        multisets.append(make_multiset(i, counts))
+    if rng.random() < 0.5:
+        stuck = rng.sample(range(k), rng.randrange(2, 5))
+        usable = {g for i in stuck for g, (p, n) in multisets[i].counts.items() if p != n}
+        for i in stuck:
+            counts = dict(multisets[i].counts)
+            for g in usable - set(counts):
+                counts[g] = (1, 1)
+            multisets[i] = make_multiset(i, counts)
+    return multisets
+
+
+@pytest.mark.parametrize("sizes", ["small", "large"])
+def test_certificate_read_off_the_peeling_matches_the_forward_search(sizes):
+    """Against the forward placement search: the same outcome, the same
+    stuck core, and a certificate that replays.  Small families come from
+    ``random_family`` with k <= 8; large ones are planted, 9 <= k <= 60."""
+    rng = random.Random(36)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000 if sizes == "small" else 300):
+        if sizes == "small":
+            k = rng.randrange(1, 9)
+            multisets = random_family(rng, k, rng.randrange(2, 2 * k + 3))
+        else:
+            multisets = planted_family(rng, rng.randrange(9, 61))
+        got = weak_concatenability(multisets)
+        expected = forward_weak_concatenability(multisets)
+        assert type(got) is type(expected)
+        certified = isinstance(got, ConcatCertificate)
+        outcomes[certified] += 1
+        if certified:
+            assert replay_certificate(got, multisets)[0]
+            assert replay_certificate(expected, multisets)[0]
+        else:
+            assert got.stuck_core == expected.stuck_core
+    assert min(outcomes.values()) > 100
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        lambda i: {i: (1, 0), i + 1: (0, 1)},
+        lambda i: {i: (1, 1), i + 1: (1, 0)},
+    ],
+    ids=["chain", "reversed-chain"],
+)
+def test_certificate_in_one_pass_on_a_long_chain(counts):
+    """One peeling pass per decision: 20,000 chained relators certify in
+    well under 5 s, where a peeling per placement (the forward search)
+    grows as k^2 and takes minutes."""
+    multisets = [make_multiset(i, counts(i)) for i in range(20000)]
+    start = time.perf_counter()
+    cert = weak_concatenability(multisets)
+    assert time.perf_counter() - start < 5
+    assert isinstance(cert, ConcatCertificate)
+    assert replay_certificate(cert, multisets)[0]
 
 
 def test_stuck_core_replay_rejects_bad_cores():
