@@ -90,7 +90,7 @@ def _target(text: str):
     except BadTargetSpec as exc:
         why = f" ({exc.__cause__})" if exc.__cause__ else ""
         raise argparse.ArgumentTypeError(
-            f"expected z | zlex:<d> | braid:<n>[:opp], got {text!r}{why}"
+            f"expected z | braid:<n>[:opp], got {text!r}{why}"
         ) from None
 
 
@@ -119,9 +119,7 @@ def _add_subcommand(sub, name: str, help_: str) -> None:
         p.set_defaults(json=False, phi="auto", target=IntTarget(), mode=MIN, scan=None)
     if name in ("minima", "concat"):
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
-        p.add_argument(
-            "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
-        )
+        p.add_argument("--target", type=_target, default="z", help="z | braid:<n>[:opp]")
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
     elif name == "cover":
         p.add_argument("--phi", default="auto")

@@ -1,5 +1,5 @@
-"""Left-ordered target groups: the integers, lexicographic Z^d, and braid
-groups under the Dehornoy order or its opposite.
+"""Left-ordered target groups: the integers, and braid groups under the
+Dehornoy order or its opposite.
 
 Braid elements are carried as freely reduced words in the Artin generators
 (signed ints, sigma_i = i).  Comparison is by sigma-positivity: a word is
@@ -128,7 +128,6 @@ class OrderedTarget:
     """
 
     name = "abstract"
-    local_indicability = "assumed"
 
     def identity(self):
         raise NotImplementedError
@@ -153,7 +152,6 @@ class IntTarget(OrderedTarget):
     """The integers with the usual order."""
 
     name = "z"
-    local_indicability = "known"
 
     def identity(self) -> int:
         return 0
@@ -168,30 +166,6 @@ class IntTarget(OrderedTarget):
         return LT if g < h else GT if g > h else EQ
 
 
-class LexTarget(OrderedTarget):
-    """Z^d with componentwise addition and lexicographic order."""
-
-    local_indicability = "known"
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self.name = f"zlex:{dim}"
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
-    def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
-
-    def inverse(self, g):
-        return tuple(-a for a in g)
-
-    def compare(self, g, h) -> int:
-        return LT if g < h else GT if g > h else EQ
-
-
 class BraidTarget(OrderedTarget):
     """B_n under the Dehornoy order, optionally reversed.
 
@@ -199,8 +173,6 @@ class BraidTarget(OrderedTarget):
     the sign of g^-1 h (``braid_sign``), so they depend only on the braid
     element.
     """
-
-    local_indicability = "assumed"
 
     def __init__(self, n_strands: int, opposite: bool = False):
         if n_strands < 2:
@@ -267,15 +239,10 @@ class TargetAssignment(NamedTuple):
 
 
 def parse_target_spec(spec: str) -> OrderedTarget:
-    """Target spec strings: ``z``, ``zlex:<d>``, ``braid:<n>[:opp]``."""
+    """Target spec strings: ``z``, ``braid:<n>[:opp]``."""
     parts = spec.split(":")
     if parts == ["z"]:
         return IntTarget()
-    if parts[0] == "zlex" and len(parts) == 2:
-        try:
-            return LexTarget(int(parts[1]))
-        except ValueError as exc:
-            raise BadTargetSpec(spec) from exc
     if parts[0] == "braid" and len(parts) in (2, 3):
         if len(parts) == 3 and parts[2] != "opp":
             raise BadTargetSpec(spec)

@@ -47,7 +47,6 @@ from .orders import (
     BraidTarget,
     HandleReductionBudget,
     IntTarget,
-    LexTarget,
     OrderedTarget,
     TargetAssignment,
 )
@@ -97,10 +96,10 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
     """Assignment spec: ``all-ones`` | ``auto`` | ``named`` | comma list.
 
     Returns None for ``auto`` (search over kernel combinations, integer
-    targets only).  Comma lists map generator names to integers (weights
-    for z, nonzero signed Artin indices for braid targets) or to
-    colon-separated vectors for zlex targets.  Every BadPhiSpec names
-    ``--phi``, and the generator when one value is at fault.
+    targets only).  Comma lists map generator names to integers: weights
+    for z, nonzero signed Artin indices for braid targets.  Every
+    BadPhiSpec names ``--phi``, and the generator when one value is at
+    fault.
     """
     if spec == "auto":
         if not isinstance(target, IntTarget):
@@ -132,10 +131,6 @@ def parse_phi_spec(spec: str, pres: Presentation, target: OrderedTarget):
         try:
             if isinstance(target, IntTarget):
                 image = int(value)
-            elif isinstance(target, LexTarget):
-                image = tuple(int(x) for x in value.split(":"))
-                if len(image) != target.dim:
-                    raise ValueError
             elif isinstance(target, BraidTarget):
                 idx = int(value)
                 image = target.generator(abs(idx), 1 if idx > 0 else -1)

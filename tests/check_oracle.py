@@ -1,6 +1,7 @@
 """The integer path of ``check_assignment`` before it read each relator in
-one pass, kept verbatim (but for its name, and for the presentation its
-verdict no longer carries) as a differential oracle for
+one pass, kept verbatim (but for its name, for the presentation its verdict no
+longer carries, and for the target's local indicability, which no target
+knows any more: the row is always "assumed") as a differential oracle for
 :func:`npicheck.minima.check_assignment`.
 
 It flips one generator at a time with :func:`words.flip_generator` and
@@ -130,13 +131,7 @@ def check_assignment_oracle(
                 "map-surjective", "assumed", "not checked for non-integer targets"
             )
         )
-        hyps.append(
-            HypothesisResult(
-                "target-locally-indicable",
-                "pass" if target.local_indicability == "known" else "assumed",
-                target.name,
-            )
-        )
+        hyps.append(HypothesisResult("target-locally-indicable", "assumed", target.name))
 
     profiles = [_profile(r, target, work_assignment) for r in work_pres.relators]
     ident = target.identity()

@@ -37,9 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("minima", "concat"):
         p = add(name, "multisets of minima" if name == "minima" else "weak concatenability verdict")
         p.add_argument("--phi", default="auto", help="all-ones | auto | named | name=value list")
-        p.add_argument(
-            "--target", type=_target, default="z", help="z | zlex:<d> | braid:<n>[:opp]"
-        )
+        p.add_argument("--target", type=_target, default="z", help="z | braid:<n>[:opp]")
         p.add_argument("--mode", choices=[MIN, MAX], default=MIN)
     add("lot", "labelled oriented graph pipeline")
     add("adian", "equal-length Adian pipeline")

@@ -72,6 +72,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "stuck-core replay round keeps counting the relators it removed",
+        "src/npicheck/minima.py",
+        "            held.subtract(support[rel])\n",
+        "",
+        (
+            "tests/test_minima.py::test_stuck_core_replay_matches_the_union_rebuilding_oracle",
+            "tests/test_minima.py::test_stuck_core_replay_on_a_long_reversed_chain",
+        ),
+    ),
+    Mutant(
+        "stuck-core replay finds no member of the core free to go last",
+        "src/npicheck/minima.py",
+        "free = [g for g in usable[rel] if held[g] == 1]",
+        "free = [g for g in usable[rel] if held[g] == 0]",
+        (
+            "tests/test_minima.py::test_stuck_core_replay_matches_the_union_rebuilding_oracle",
+            "tests/test_minima.py::test_stuck_core_replay_rejects_bad_cores",
+        ),
+    ),
+    Mutant(
         "braid sign shortcut without its range check",
         "src/npicheck/orders.py",
         "    w = _reduced_in_range(word, n_strands)\n    if not w:\n        return TRIVIAL\n",

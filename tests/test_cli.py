@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from npicheck.textio import (
 )
 import cli_parser_oracle
 import textio_oracle
+from lex_target_oracle import lexicographic_weights
 from helpers import find_weight_homomorphisms, format_log, format_presentation, lof_random
 from samples import (
     FOREST7R3_8_TEXT,
@@ -395,7 +397,7 @@ def test_lot_reads_a_log_only(files, capsys):
     "argv",
     [
         ["concat", "--mode", "max"],
-        ["minima", "--target", "zlex:2"],
+        ["minima", "--target", "braid:4"],
         ["cover", "--phi", "a=1,b=1,c=1"],
         ["report", "--phi", "named", "--target", "braid:4"],
     ],
@@ -491,21 +493,13 @@ def test_report_json_fields_stable():
 
 
 def test_report_lex_target(files, capsys):
-    assert (
-        run(
-            [
-                "report",
-                files["a.pres"],
-                "--target",
-                "zlex:2",
-                "--phi",
-                "a=1:0,b=1:0,c=1:0",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "NPI-certified(Thm 3.6)" in out
+    # zlex:<d> is gone: a lexicographic map is written as its integer map
+    # (docs/file-formats.md), so the target is a usage error like any other.
+    argv = ["report", files["a.pres"], "--target", "zlex:2", "--phi", "a=1:0,b=1:0,c=1:0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --target: expected z | braid:<n>[:opp], got 'zlex:2'" in captured.err
 
 
 def test_report_free_presentation(tmp_path, capsys):
@@ -560,9 +554,10 @@ def _random_words(rng: random.Random) -> str:
 
 
 def test_report_never_exits_3(tmp_path, capsys):
-    # Both modes, on seeded forests and random words, with integer weights
-    # and with an explicit lexicographic map.  A max-mode certificate is
-    # verified on the cover of its mirror.
+    # Both modes, on seeded forests and random words, with the weight search,
+    # with a random map to Z^2 under the lexicographic order written as its
+    # integer map (the former zlex:2 variant), and with a random braid map.
+    # A max-mode certificate is verified on the cover of its mirror.
     rng = random.Random(2024)
     texts = [
         format_presentation(log_to_presentation(lof_random(n, n - rank, rng)))
@@ -576,9 +571,13 @@ def test_report_never_exits_3(tmp_path, capsys):
         path = tmp_path / f"p{i}.pres"
         path.write_text(text)
         pres = parse_presentation(text)
-        lex = ",".join(f"{g}={rng.randint(-1, 1)}:{rng.randint(-1, 1)}" for g in pres.generators)
+        lex = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in pres.generators]
+        psi = lexicographic_weights(pres.relators, lex)
+        gcd = math.gcd(*psi) or 1
+        weights = ",".join(f"{g}={w // gcd}" for g, w in zip(pres.generators, psi))
+        braid = ",".join(f"{g}={rng.choice([1, -1]) * rng.randint(1, 3)}" for g in pres.generators)
         for mode in ("min", "max"):
-            for extra in ([], ["--target", "zlex:2", "--phi", lex]):
+            for extra in ([], ["--phi", weights], ["--target", "braid:4", "--phi", braid]):
                 code = run(["report", "--json", str(path), "--mode", mode, *extra])
                 out = capsys.readouterr().out
                 if code:
@@ -964,7 +963,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
     [
         (["report", "a.pres", "--phi", "a=1,b=1,c=x"], "--phi: generator c: 'x'"),
         (["report", "a.pres", "--target", "zlex:2", "--phi", "a=1,b=1:0,c=1:0"],
-         "--phi: generator a: '1'"),
+         "argument --target: expected z | braid:<n>[:opp], got 'zlex:2'"),
         (["concat", "braid.pres", "--target", "braid:4", "--phi", "x=0,y=1,z=2"],
          "--phi: generator x: '0'"),
         (["report", "a.pres", "--phi", "a=1,b=1"], "--phi: missing images for generators c"),
@@ -982,7 +981,7 @@ def test_log_report_with_scan_validates_once(files, monkeypatch, capsys):
         (["cover", "a.pres", "--window", "-4,4"], "unrecognized arguments: --window -4,4"),
     ],
     ids=[
-        "phi-z", "phi-zlex", "phi-braid", "phi-missing", "phi-twice", "target-braid", "target-q", "bound-gone",
+        "phi-z", "target-zlex", "phi-braid", "phi-missing", "phi-twice", "target-braid", "target-q", "bound-gone",
         "scan-cap", "bounds-cap", "scan-negative", "phi-named", "immerse-invalid",
         "report-window-gone", "cover-window-gone",
     ],
@@ -1025,7 +1024,7 @@ def test_cli_text_matches_the_all_subparser_oracle(files, capsys, argv):
     "argv",
     [
         ["validate", "a.pres"],
-        ["concat", "a.pres", "--mode", "max", "--target", "zlex:2", "--phi", "a=1:0,b=1:0,c=1:0"],
+        ["concat", "braid.pres", "--mode", "max", "--target", "braid:4", "--phi", "named"],
         ["cover", "a.pres", "--phi", "all-ones"],
         ["immerse", "a.pres"],
         ["report", "braid.pres", "--json", "--target", "braid:4:opp", "--phi", "named",

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 import math
 import random
 import time
@@ -24,10 +25,10 @@ from npicheck.minima import (
     replay_stuck_core,
     weak_concatenability,
 )
-from npicheck.homology import NoSurjection
+from npicheck.homology import NoSurjection, exponent_matrix
 from npicheck.logs import log_to_presentation
 from npicheck import minima
-from npicheck.orders import BraidTarget, IntTarget, LexTarget, TargetAssignment
+from npicheck.orders import BraidTarget, IntTarget, TargetAssignment
 from npicheck.textio import parse_presentation
 from npicheck.words import exponent_sum, freely_reduce, rotate_word
 import braid_order_oracle
@@ -35,9 +36,12 @@ from check_oracle import check_assignment_oracle
 from concat_dp_oracle import dp_weak_concatenability
 from flip_frame_oracle import flip_all, in_flipped_frame
 from forward_certificate_oracle import forward_weak_concatenability
+from lex_target_oracle import LexTarget, lexicographic_weights
+from stuck_core_replay_oracle import replay_stuck_core_oracle
 from helpers import (
     NonVanishingRelatorWeight,
     find_weight_homomorphisms,
+    integer_kernel_basis,
     lof_random,
     make_presentation,
     maxima_multiset,
@@ -371,6 +375,52 @@ def test_stuck_core_replay_rejects_bad_cores():
     pa = sample_a()
     msa = [minima_multiset(pa, i, Z, ones(pa)) for i in range(2)]
     assert not replay_stuck_core((0, 1), msa)[0]
+
+
+def test_stuck_core_replay_matches_the_union_rebuilding_oracle():
+    """Against the replay that rebuilt the union of the other supports for
+    every candidate: the same (ok, message) on the stuck cores of seeded
+    families, and on cores corrupted by dropping, adding or repeating a
+    member, naming a relator that does not exist, or drawing a random
+    subset in random order.  Every branch of the replay is reached."""
+    rng = random.Random(37)
+    kinds = Counter()
+    for _ in range(2000):
+        if rng.random() < 0.5:
+            k = rng.randrange(1, 9)
+            multisets = random_family(rng, k, rng.randrange(2, 2 * k + 3))
+        else:
+            multisets = planted_family(rng, rng.randrange(9, 41))
+        k = len(multisets)
+        outcome = weak_concatenability(multisets)
+        core = list(outcome.stuck_core) if isinstance(outcome, ConcatFailure) else []
+        rng.shuffle(core)
+        outside = sorted(set(range(k)) - set(core))
+        cores = [core, core + [k], core + core[:1], rng.sample(range(k), rng.randrange(k + 1))]
+        if core:
+            cores.append([j for j in core if j != rng.choice(core)])
+        if outside:
+            cores.append(core + [rng.choice(outside)])
+        for candidate in cores:
+            got = replay_stuck_core(candidate, multisets)
+            assert got == replay_stuck_core_oracle(candidate, multisets), (candidate, multisets)
+            kinds[got[1].split()[0] if not got[0] else "replays"] += 1
+    assert set(kinds) == {"an", "core", "relator", "relators", "replays"}
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_stuck_core_replay_on_a_long_reversed_chain():
+    """2,000 chained relators that peel one per round, highest first,
+    behind a stuck pair: the decision replays its stuck core well within
+    10 s, since a holder count makes each round linear.  Rebuilding the
+    union of supports per candidate took 1.5 s at 400 relators."""
+    k = 2000
+    multisets = [make_multiset(i, {i: (1, 1), i + 1: (1, 0)}) for i in range(k)]
+    multisets += [make_multiset(k, {k + 1: (1, 0)}), make_multiset(k + 1, {k + 1: (0, 1)})]
+    start = time.perf_counter()
+    outcome = weak_concatenability(multisets)
+    assert time.perf_counter() - start < 10
+    assert outcome == ConcatFailure((k, k + 1))
 
 
 def _certified_families():
@@ -746,3 +796,46 @@ def test_extremal_multiset_matches_the_two_pass_oracle(monkeypatch):
                 ties += sum(flags[minima]) > 1
                 late += not flags[minima][0]
     assert ties > 1000 and late > 1000
+
+
+def test_lexicographic_maps_are_their_integer_maps():
+    # The zlex:<d> target is gone: on the prefix vectors of a presentation,
+    # the lexicographic order is the order of psi(x) = sum N^(d-i) x_i, and
+    # psi/gcd keeps it.  Seeded LOFs of H1 rank 2 and 3, maps to Z^2 and Z^3
+    # whose coordinates are kernel combinations, both modes: the oracle
+    # target and the integer map give the same status, the same multiset
+    # counts and the same certificate or stuck core.  Maps whose psi has a
+    # gcd above 1 are not onto Z^d, and are lowered all the same.
+    rng = random.Random(5)
+    pairs, statuses, not_onto = 0, Counter(), 0
+    while pairs < 3000:
+        n = rng.randint(4, 8)
+        pres = log_to_presentation(lof_random(n, n - rng.choice((2, 3)), rng))
+        hyps = presentation_hypotheses(pres)[0]
+        if hyps[-1].status == "fail":
+            continue
+        basis = integer_kernel_basis(exponent_matrix(pres), n)
+        for dim in (2, 3):
+            coeffs = [[rng.randint(-2, 2) for _ in basis] for _ in range(dim)]
+            images = [
+                tuple(sum(c * b[j] for c, b in zip(row, basis)) for row in coeffs)
+                for j in range(n)
+            ]
+            psi = lexicographic_weights(pres.relators, images)
+            gcd = math.gcd(*psi)
+            if not gcd:
+                continue
+            not_onto += gcd > 1
+            lex = LexTarget(dim)
+            lex_map = TargetAssignment(lex, dict(enumerate(images)))
+            int_map = TargetAssignment.from_weights(pres, [w // gcd for w in psi])
+            for mode in (MIN, MAX):
+                got = check_assignment(pres, hyps, Z, int_map, mode)
+                want = check_assignment(pres, hyps, lex, lex_map, mode)
+                assert got.status == want.status, (pres, images, mode)
+                assert [m.counts for m in got.multisets] == [m.counts for m in want.multisets]
+                assert (got.certificate, got.failure) == (want.certificate, want.failure)
+                statuses[got.status] += 1
+                pairs += 1
+    assert statuses["concatenable"] > 1000 and statuses["not-concatenable"] > 100
+    assert not_onto >= 100

@@ -15,7 +15,6 @@ from npicheck.orders import (
     BraidTarget,
     HandleReductionBudget,
     IntTarget,
-    LexTarget,
     TargetAssignment,
     UnassignedGenerator,
     braid_sign,
@@ -23,6 +22,7 @@ from npicheck.orders import (
     parse_target_spec,
 )
 import braid_order_oracle
+from lex_target_oracle import LexTarget
 from helpers import evaluate_word, verify_assignment
 from samples import B4_RELATORS, sample_a, sample_braid
 
@@ -209,11 +209,10 @@ def test_verify_assignment():
 
 def test_parse_target_spec():
     assert isinstance(parse_target_spec("z"), IntTarget)
-    lex = parse_target_spec("zlex:3")
-    assert isinstance(lex, LexTarget) and lex.dim == 3
     braid = parse_target_spec("braid:4:opp")
     assert isinstance(braid, BraidTarget) and braid.opposite
     assert not parse_target_spec("braid:5").opposite
-    for bad in ("q", "zlex:x", "braid:4:rev", "braid:one"):
+    # zlex:<d> is gone: a lexicographic map is written as its integer map.
+    for bad in ("q", "zlex:3", "zlex:x", "braid:4:rev", "braid:one"):
         with pytest.raises(BadTargetSpec):
             parse_target_spec(bad)
