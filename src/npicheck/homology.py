@@ -5,6 +5,34 @@ entries can grow without overflow.  Fixed-width arithmetic is deliberately
 avoided: a silent wraparound here would corrupt a verdict.  A matrix with
 no rows does not know its column count; the functions that may receive
 one take the count as an argument.
+
+A generator that no relator mentions (a *free* generator) adds a circle
+by a wedge: X = X' v S^1, where X' has the other generators and the same
+relators.  It adds 1 to both the generator count and the H1 rank, so the
+H1 hypothesis holds for X exactly when it holds for X'.  No prefix of any
+relator reads its weight, so every multiset, and so every certificate
+and stuck core, depends only on a map's projection to the generators
+the relators use.  Those projections are the kernel lattice of the
+*relator part*, the exponent matrix without the free columns (which are
+zero).  So :func:`h1_structure` takes the one Smith form of the relator
+part and adds the free generators to the free rank, and the weight
+search walks the coefficient box of the relator part alone, giving each
+free generator weight 1, which makes every map onto Z.  An input without
+a free generator has the same matrix as before, so the same maps in the
+same order.
+
+The *zero projection*, a map that is zero on every relator letter and
+nonzero only on free generators, is never tried.  Under it every prefix
+is an extremum, so each multiset counts every letter.  The paper's
+abstract does not settle whether Thm 3.4 admits such a map, so skipping
+it is the conservative choice.  It is also what makes the status,
+citation and attempts of a report invariant under X -> X v S^1.  An
+input whose relator part has no nonzero weight map, such as
+<a, b | a>, is therefore a ``weights-surjective`` failure, as its X'
+<a | a> is an H1 failure.  A presentation with no relator letter at all
+(a free group) has no multiset to count letters in; its one map is
+all-ones, so it certifies as before, and only the point X' = < | >, an
+H1 failure, breaks the invariance.
 """
 
 from __future__ import annotations
@@ -212,14 +240,17 @@ def integer_det(matrix: list[list[int]]) -> int:
 class H1Structure(NamedTuple):
     """Free rank and invariant factors of the abelianized group.
 
-    ``smith`` is the Smith form of the exponent matrix they were read
-    from, kept so that the weight search reads its kernel basis from the
-    same form; it takes no part in comparisons or hashing.
+    ``smith`` is the Smith form of the relator part they were read from
+    (the exponent matrix without the columns of ``free``, the 0-based
+    generators no relator mentions), kept so that the weight search reads
+    its kernel basis from the same form.  Neither takes part in
+    comparisons or hashing.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
     smith: SmithForm
+    free: tuple[int, ...]
 
     def __eq__(self, other):
         return isinstance(other, H1Structure) and self[:2] == other[:2]
@@ -232,10 +263,18 @@ class H1Structure(NamedTuple):
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
+    """H1 from the Smith form of the relator part; each free generator
+    adds 1 to the free rank (see the module docstring)."""
     n = len(pres.generators)
-    snf = smith_normal_form(exponent_matrix(pres), n)
+    mat = exponent_matrix(pres)
+    mentioned = {abs(x) for rel in pres.relators for x in rel}
+    free = tuple(j for j in range(n) if j + 1 not in mentioned)
+    if free:
+        used = [j for j in range(n) if j + 1 in mentioned]
+        mat = [[row[j] for j in used] for row in mat]
+    snf = smith_normal_form(mat, n - len(free))
     diag = [x for x in snf.diagonal() if x != 0]
-    return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf)
+    return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf, free)
 
 
 class WirtingerCheck(NamedTuple):
@@ -283,15 +322,16 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _weight_stream(snf: SmithForm, coeff_bound: int = 3) -> Iterator[WeightHom]:
-    """The primitive weight vectors of the kernel-combination search box,
-    built only as far as the caller reads; ``snf`` is the Smith form of the
-    exponent matrix (see :class:`H1Structure`).
+def _weight_stream(h1: H1Structure, coeff_bound: int = 3) -> Iterator[WeightHom]:
+    """The primitive weight vectors of the relator part's search box,
+    each with weight 1 on every free generator, built only as far as the
+    caller reads (see the module docstring).
 
-    Combinations of the kernel basis with coefficients in
+    Combinations of the relator part's kernel basis with coefficients in
     [-coeff_bound, coeff_bound] are divided by their gcd and deduplicated
     up to global sign; the all-ones vector, when present, comes first and
-    the rest follow in lexicographic order.
+    the rest follow in lexicographic order.  The zero projection is not
+    among them.
 
     At the call only the kernel basis is read, and NoSurjection is raised
     exactly when it is empty.  A nonempty basis always gives a map, since
@@ -300,10 +340,25 @@ def _weight_stream(snf: SmithForm, coeff_bound: int = 3) -> Iterator[WeightHom]:
     hold all-ones; so a report that certifies on the all-ones map never
     builds it.
     """
-    basis = _kernel_basis(snf)
+    if not h1.smith.right and h1.free:
+        # No relator letter at all: there is no multiset to count letters
+        # in, and the one map is all-ones.
+        return iter([WeightHom((1,) * len(h1.free))])
+    basis = _kernel_basis(h1.smith)
     if not basis:
         raise NoSurjection("no primitive kernel vector in the search box")
-    return _weight_maps(snf.matrix, basis, coeff_bound)
+    maps = _weight_maps(h1.smith.matrix, basis, coeff_bound)
+    return _with_free_weights(maps, h1.free) if h1.free else maps
+
+
+def _with_free_weights(maps: Iterator[WeightHom], free: tuple[int, ...]) -> Iterator[WeightHom]:
+    """Each map of the relator part with weight 1 inserted at every free
+    generator (0-based, ascending).  Kept private like :func:`_weight_maps`."""
+    for hom in maps:
+        weights = list(hom.weights)
+        for j in free:
+            weights.insert(j, 1)
+        yield WeightHom(tuple(weights))
 
 
 def _all_ones_coordinates(mat: list[list[int]], basis: list[tuple[int, ...]]):

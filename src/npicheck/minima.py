@@ -149,7 +149,8 @@ def _usable(m: MinimaMultiset) -> list[int]:
 
 
 def replay_stuck_core(core, multisets) -> tuple[bool, str]:
-    """Check a stuck core against raw multisets, by plain rounds of peeling.
+    """Check a stuck core against raw multisets, by peeling what is
+    outside it.
 
     A nonempty core whose every member has all its usable generators inside
     the supports of the other members rules out every ordering: the member
@@ -159,9 +160,15 @@ def replay_stuck_core(core, multisets) -> tuple[bool, str]:
     A count of holders per generator stands for the union of the other
     relators' supports: a usable generator of a relator lies in its own
     support, so it lies in another's iff more than one relator holds it.
-    Each round removes every relator outside the core that holds one of
-    its usable generators alone; removing one never stops another, so what
-    is left when no relator peels is the same in every order.
+    A relator outside the core peels when it holds one of its usable
+    generators alone; removing one never stops another, so what is left
+    when no relator peels is the same in every order.  A relator can
+    become able to peel only when the count of a generator it holds drops
+    to 1, so a worklist of those relators, with every relator outside the
+    core on it at the start, finds every peel.  Each generator drops to 1
+    at most once, so a relator is looked at once more at most per
+    generator it holds: for supports of bounded size the replay is linear
+    in the number of relators.
     """
     by_rel = {m.relator: m for m in multisets}
     support = {rel: m.support() for rel, m in by_rel.items()}
@@ -177,14 +184,22 @@ def replay_stuck_core(core, multisets) -> tuple[bool, str]:
         if free:
             return False, f"relator {rel} can go last in the core with witness {free[0]}"
     outside = set(by_rel) - set(core)
-    held.update(g for rel in outside for g in support[rel])
-    while outside:
-        peel = [rel for rel in outside if any(held[g] == 1 for g in usable[rel])]
-        if not peel:
-            return False, f"relators {sorted(outside)} outside the core do not peel"
-        for rel in peel:
+    holders: dict[int, list[int]] = {}  # generator -> relators outside the core
+    for rel in outside:
+        for g in support[rel]:
+            held[g] += 1
+            holders.setdefault(g, []).append(rel)
+    work = list(outside)
+    while work:
+        rel = work.pop()
+        if rel in outside and any(held[g] == 1 for g in usable[rel]):
             outside.remove(rel)
-            held.subtract(support[rel])
+            for g in support[rel]:
+                held[g] -= 1
+                if held[g] == 1:
+                    work += holders[g]
+    if outside:
+        return False, f"relators {sorted(outside)} outside the core do not peel"
     return True, "stuck core replays"
 
 

@@ -341,28 +341,35 @@ def _presentation_route(
     target = options.target
     integer = isinstance(target, IntTarget)
     # The map a named spec gives, or for ``auto`` every weight map in the
-    # order of homology._weight_stream: all-ones first when the coefficient
-    # box holds it, then the rest of the box in sorted order.  Only the
-    # kernel basis is read here, from the Smith form of the H1 check,
-    # raising NoSurjection when it is empty.  The box is built only when a
-    # map after all-ones is asked for, so a run that stops at a
-    # concatenable all-ones map never builds it.
+    # order of homology._weight_stream: the maps of the relator part's
+    # coefficient box, all-ones first when the box holds it, then the rest
+    # in sorted order, each with weight 1 on every generator no relator
+    # uses.  Only the kernel basis is read here, from the Smith form of the
+    # H1 check, raising NoSurjection when it is empty.  The box is built
+    # only when a map after all-ones is asked for, so a run that stops at
+    # a concatenable all-ones map never builds it.
     assignment = parse_phi_spec(options.phi_spec, pres, target)
     try:
         candidates = iter([assignment]) if assignment is not None else (
             TargetAssignment.from_weights(pres, h.weights)
-            for h in _weight_stream(h1.smith)
+            for h in _weight_stream(h1)
         )
     except NoSurjection as exc:
         doc["hypotheses"] += _hypothesis_dicts(
             [HypothesisResult("weights-surjective", "fail", str(exc))]
         )
-        return (
-            "hypothesis-failure",
-            "",
-            f"no surjection to the integers (H1 rank {h1.free_rank}, "
-            f"torsion {list(h1.torsion)})",
-        )
+        if h1.free:
+            free = ", ".join(pres.generators[j] for j in h1.free)
+            detail = (
+                "every surjection to the integers is zero on every relator letter "
+                f"(unused generators: {free}; torsion {list(h1.torsion)})"
+            )
+        else:
+            detail = (
+                f"no surjection to the integers (H1 rank {h1.free_rank}, "
+                f"torsion {list(h1.torsion)})"
+            )
+        return "hypothesis-failure", "", detail
 
     # Thm 3.4 needs one concatenable map: stop at the first.  A named spec
     # gives one map and every auto map is primitive, so a failed

@@ -24,7 +24,7 @@ def fresh_attempts(pres: Presentation, mode: str) -> list[dict]:
     target = IntTarget()
     outcomes: dict = {}
     attempts = []
-    for h in _weight_stream(h1.smith):
+    for h in _weight_stream(h1):
         cand = TargetAssignment.from_weights(pres, h.weights)
         verdict = check_assignment(pres, pres_hyps, target, cand, mode, outcomes)
         entry = _verdict_to_entry(pres, verdict)

@@ -1,8 +1,9 @@
 """Functions that only the tests call, built on the package's own layers:
 text writers for presentations and LOGs, presentations built from words,
-generator flips, cyclic reduction of words, the integer kernel basis of a
-matrix, the weight search as a list, prefix profiles and multisets of
-minima or maxima of one relator, the image of a word, the boundary path
+generators that no relator uses inserted or dropped, generator flips,
+cyclic reduction of words, the integer kernel basis of a matrix, the
+weight search as a list, prefix profiles and multisets of minima or
+maxima of one relator, the image of a word, the boundary path
 of a lifted 2-cell with its edge keys and its strictly minimal edge, the
 Adian route with its own hypotheses, seeded random reduced forests, the
 standard 2-complex of a presentation and the well-definedness check of
@@ -45,6 +46,37 @@ def flip_generator(pres: Presentation, gen: int) -> Presentation:
         tuple(-x if abs(x) == target else x for x in r) for r in pres.relators
     )
     return Presentation(pres.generators, new_rels)
+
+
+def insert_free_generators(pres: Presentation, count: int, rng) -> Presentation:
+    """``pres`` with ``count`` generators that no relator uses, named
+    w0, w1, ... by their index, at positions drawn from ``rng``, a
+    :class:`random.Random`.  The relators are the same words on the same
+    generator names.  Geometrically a wedge with ``count`` circles."""
+    n = len(pres.generators)
+    slots = set(rng.sample(range(n + count), count))
+    names: list[str] = []
+    index = {}  # old 1-based generator -> new 1-based generator
+    for slot in range(n + count):
+        if slot in slots:
+            names.append(f"w{slot}")
+        else:
+            index[len(index) + 1] = slot + 1
+            names.append(pres.generators[len(index) - 1])
+    relators = tuple(
+        tuple(index[x] if x > 0 else -index[-x] for x in rel) for rel in pres.relators
+    )
+    return Presentation(tuple(names), relators)
+
+
+def relator_part(pres: Presentation) -> Presentation:
+    """``pres`` without the generators that no relator uses."""
+    used = sorted({abs(x) for rel in pres.relators for x in rel})
+    column = {g: i + 1 for i, g in enumerate(used)}
+    return Presentation(
+        tuple(pres.generators[g - 1] for g in used),
+        tuple(tuple(column[x] if x > 0 else -column[-x] for x in rel) for rel in pres.relators),
+    )
 
 
 def format_presentation(pres: Presentation) -> str:
@@ -110,7 +142,7 @@ def integer_kernel_basis(matrix: list[list[int]], ncols: int = 0) -> list[tuple[
 
 def find_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[WeightHom]:
     """Every map of the weight search, in the order ``--phi auto`` tries them."""
-    return list(_weight_stream(h1_structure(pres).smith, coeff_bound))
+    return list(_weight_stream(h1_structure(pres), coeff_bound))
 
 
 class NonVanishingRelatorWeight(ValueError):

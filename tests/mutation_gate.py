@@ -72,9 +72,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "stuck-core replay round keeps counting the relators it removed",
+        "stuck-core replay keeps counting the relators it removed",
         "src/npicheck/minima.py",
-        "            held.subtract(support[rel])\n",
+        "                held[g] -= 1\n",
         "",
         (
             "tests/test_minima.py::test_stuck_core_replay_matches_the_union_rebuilding_oracle",
@@ -90,6 +90,34 @@ MUTANTS = (
             "tests/test_minima.py::test_stuck_core_replay_matches_the_union_rebuilding_oracle",
             "tests/test_minima.py::test_stuck_core_replay_rejects_bad_cores",
         ),
+    ),
+    Mutant(
+        "stuck-core replay never revisits a relator whose holder count fell",
+        "src/npicheck/minima.py",
+        "                    work += holders[g]\n",
+        "                    pass\n",
+        (
+            "tests/test_minima.py::test_stuck_core_replay_matches_the_union_rebuilding_oracle",
+            "tests/test_minima.py::test_stuck_core_replay_on_a_long_reversed_chain",
+        ),
+    ),
+    Mutant(
+        "free generator given weight 0",
+        "src/npicheck/homology.py",
+        "            weights.insert(j, 1)\n",
+        "            weights.insert(j, 0)\n",
+        (
+            "tests/test_wedge.py::test_all_ones_certifies_a_forest_with_an_isolated_vertex_as_its_log_does",
+        ),
+    ),
+    Mutant(
+        "zero projection kept as the last map",
+        "src/npicheck/homology.py",
+        "    return _with_free_weights(maps, h1.free) if h1.free else maps\n",
+        "    if h1.free:\n"
+        "        maps = (*maps, WeightHom((0,) * len(h1.smith.right)))\n"
+        "    return _with_free_weights(maps, h1.free) if h1.free else maps\n",
+        ("tests/test_wedge.py::test_a_report_is_invariant_under_a_wedge_with_circles",),
     ),
     Mutant(
         "braid sign shortcut without its range check",

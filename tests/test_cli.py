@@ -30,6 +30,8 @@ import textio_oracle
 from lex_target_oracle import lexicographic_weights
 from helpers import find_weight_homomorphisms, format_log, format_presentation, lof_random
 from samples import (
+    BOX_FOREST_A_TEXT,
+    BOX_FOREST_C_TEXT,
     FOREST7R3_8_TEXT,
     LOT_SINGLE_EDGE_TEXT,
     SAMPLE_A_TEXT,
@@ -632,13 +634,9 @@ def test_report_chain_beyond_twenty_relators(tmp_path, capsys):
     assert doc["verdict"]["citation"] == "Thm 3.4"
 
 
-# H1 rank 3; none of its 145 weight maps is weakly concatenable.
-NOT_DECIDED_TEXT = (
-    "gens: v0 v1 v2 v3 v4 v5\n"
-    "rel: v1^-1 v0^-1 v4 v0\n"
-    "rel: v0^-1 v3^-1 v1 v3\n"
-    "rel: v0^-1 v1^-1 v3 v1\n"
-)
+# H1 rank 3 and every generator in a relator; none of its 145 weight maps
+# is weakly concatenable.
+NOT_DECIDED_TEXT = BOX_FOREST_C_TEXT
 
 
 def test_weight_route_stops_at_first_certificate():
@@ -829,7 +827,7 @@ def test_immerse_runs_no_weight_attempt(files, tmp_path, capsys, monkeypatch):
     # immerse reads the report's first stage and its scan section: no
     # route runs, although the forest's report tries 145 weight maps.
     forest = tmp_path / "forest.pres"
-    forest.write_text(FOREST7R3_8_TEXT)
+    forest.write_text(BOX_FOREST_A_TEXT)
     files = dict(files, **{"forest.pres": str(forest)})
     calls = Counter()
     for module in (report_mod, logs_mod):

@@ -49,6 +49,8 @@ from helpers import (
     prefix_profile,
 )
 from samples import (
+    BOX_FOREST_A_TEXT,
+    BOX_FOREST_C_TEXT,
     FOREST7R3_2_TEXT,
     FOREST7R3_8_TEXT,
     sample_a,
@@ -410,16 +412,18 @@ def test_stuck_core_replay_matches_the_union_rebuilding_oracle():
 
 
 def test_stuck_core_replay_on_a_long_reversed_chain():
-    """2,000 chained relators that peel one per round, highest first,
+    """2,000 chained relators that peel one at a time, highest first,
     behind a stuck pair: the decision replays its stuck core well within
-    10 s, since a holder count makes each round linear.  Rebuilding the
-    union of supports per candidate took 1.5 s at 400 relators."""
+    1 s (about 0.015 s on a 2-vCPU host), since the replay's worklist
+    makes it linear.  Plain rounds of peeling took 0.9 s here, and
+    rebuilding the union of supports per candidate 1.5 s at 400
+    relators."""
     k = 2000
     multisets = [make_multiset(i, {i: (1, 1), i + 1: (1, 0)}) for i in range(k)]
     multisets += [make_multiset(k, {k + 1: (1, 0)}), make_multiset(k + 1, {k + 1: (0, 1)})]
     start = time.perf_counter()
     outcome = weak_concatenability(multisets)
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1
     assert outcome == ConcatFailure((k, k + 1))
 
 
@@ -742,12 +746,18 @@ def test_check_assignment_matches_the_generic_oracle():
     }, statuses
 
 
-@pytest.mark.parametrize("text", [FOREST7R3_2_TEXT, FOREST7R3_8_TEXT], ids=["2", "8"])
-def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text):
+@pytest.mark.parametrize(
+    "text, maps",
+    [(FOREST7R3_2_TEXT, 1), (FOREST7R3_8_TEXT, 16), (BOX_FOREST_A_TEXT, 145), (BOX_FOREST_C_TEXT, 145)],
+    ids=["2", "8", "box-a", "box-c"],
+)
+def test_check_assignment_matches_the_oracle_on_the_145_attempt_forests(text, maps):
+    # forest7r3-2 and -8 leave generators unused, so they walk a smaller
+    # box; the box forests use every generator.
     pres = parse_presentation(text)
     hyps, _ = presentation_hypotheses(pres)
     homs = find_weight_homomorphisms(pres)
-    assert len(homs) == 145
+    assert len(homs) == maps
     outcomes: dict = {}
     for hom in homs:
         assignment = TargetAssignment.from_weights(pres, hom.weights)

@@ -32,6 +32,9 @@ from npicheck.report import ReportOptions, full_report, report_json
 from npicheck.textio import parse_log, parse_presentation
 from npicheck.words import Diagnostic
 from samples import (
+    BOX_FOREST_A_TEXT,
+    BOX_FOREST_B_TEXT,
+    BOX_FOREST_C_TEXT,
     FOREST7R3_2_TEXT,
     FOREST7R3_3_TEXT,
     FOREST7R3_8_TEXT,
@@ -58,10 +61,16 @@ def test_writer_matches_the_goldens(name):
     assert report_json(doc) == oracle_json(doc) == golden
 
 
-@pytest.mark.parametrize("text", [FOREST7R3_2_TEXT, FOREST7R3_8_TEXT], ids=["2", "8"])
-def test_writer_matches_on_the_145_attempt_forests(text):
+@pytest.mark.parametrize(
+    "text, attempts",
+    [(FOREST7R3_2_TEXT, 1), (FOREST7R3_8_TEXT, 16), (BOX_FOREST_A_TEXT, 145), (BOX_FOREST_B_TEXT, 145)],
+    ids=["2", "8", "box-a", "box-b"],
+)
+def test_writer_matches_on_the_145_attempt_forests(text, attempts):
+    # forest7r3-2 and -8 leave generators unused, so they walk a smaller
+    # box; the box forests walk all 145 maps.
     doc = _report(text)
-    assert len(doc["attempts"]) == 145
+    assert len(doc["attempts"]) == attempts
     assert report_json(doc) == oracle_json(doc)
 
 
@@ -274,13 +283,15 @@ def _seeded_forests(plan, seed: int) -> list:
 
 
 def _family() -> list:
-    """Seeded LOTs and forests of H1 rank 2 to 4 as presentation text (14
-    of the 58 try more than one map, one of them 145), and the two
-    145-attempt forests."""
+    """Seeded LOTs and forests of H1 rank 2 to 4 as presentation text,
+    forest7r3-2 and -8 (1 and 16 attempts), and the two box forests that
+    walk all 145 maps in min mode."""
     plan = ((4, 1, 4), (6, 1, 4), (5, 2, 6), (6, 3, 12), (7, 3, 12), (6, 4, 12), (8, 4, 8))
     return _seeded_forests(plan, 2026) + [
         pytest.param(FOREST7R3_2_TEXT, id="forest7r3-2"),
         pytest.param(FOREST7R3_8_TEXT, id="forest7r3-8"),
+        pytest.param(BOX_FOREST_A_TEXT, id="box-a"),
+        pytest.param(BOX_FOREST_B_TEXT, id="box-b"),
     ]
 
 
@@ -325,28 +336,37 @@ def test_the_145_attempt_forests_decide_few_tuples(monkeypatch):
         return original(multisets)
 
     monkeypatch.setattr(minima, "weak_concatenability", counting)
-    for text in (FOREST7R3_2_TEXT, FOREST7R3_8_TEXT):
+    for text in (BOX_FOREST_A_TEXT, BOX_FOREST_B_TEXT):
         del calls[:]
         doc = _report(text)
         distinct = {_key(_multisets(a, doc["input"]["generators"])) for a in doc["attempts"]}
         assert len(doc["attempts"]) == 145
-        assert len(distinct) < 10
+        assert len(distinct) == 13
         assert len(calls) <= len(distinct) + 2  # + the Adian min and max checks
 
 
 # -- one entry body per distinct outcome --------------------------------
 
 @pytest.mark.parametrize(
-    "text, mode, bodies, status",
+    "text, mode, count, bodies, status",
     [
-        (FOREST7R3_8_TEXT, "min", 9, "npi-certified"),
-        (FOREST7R3_2_TEXT, "min", 6, "npi-certified"),
-        (FOREST7R3_3_TEXT, "min", 9, "not-decided"),
-        (FOREST7R3_3_TEXT, "max", 9, "not-decided"),
+        # The forest7r3 inputs leave generators unused, so they walk a
+        # smaller box; the box forests walk all 145 maps.
+        (FOREST7R3_8_TEXT, "min", 16, 4, "npi-certified"),
+        (FOREST7R3_2_TEXT, "min", 1, 1, "npi-certified"),
+        (FOREST7R3_3_TEXT, "min", 16, 4, "not-decided"),
+        (FOREST7R3_3_TEXT, "max", 16, 4, "not-decided"),
+        (BOX_FOREST_A_TEXT, "min", 145, 13, "npi-certified"),
+        (BOX_FOREST_B_TEXT, "min", 145, 13, "npi-certified"),
+        (BOX_FOREST_C_TEXT, "min", 145, 13, "not-decided"),
+        (BOX_FOREST_C_TEXT, "max", 145, 13, "not-decided"),
     ],
-    ids=["forest7r3-8", "forest7r3-2", "forest7r3-3-min", "forest7r3-3-max"],
+    ids=[
+        "forest7r3-8", "forest7r3-2", "forest7r3-3-min", "forest7r3-3-max",
+        "box-a", "box-b", "box-c-min", "box-c-max",
+    ],
 )
-def test_the_145_attempt_forests_build_few_bodies(text, mode, bodies, status, monkeypatch):
+def test_the_145_attempt_forests_build_few_bodies(text, mode, count, bodies, status, monkeypatch):
     built = []
     original = report._verdict_to_entry
 
@@ -358,12 +378,12 @@ def test_the_145_attempt_forests_build_few_bodies(text, mode, bodies, status, mo
     doc = _report(text, mode=mode)
     attempts = doc["attempts"]
     assert doc["verdict"]["status"] == status
-    assert len(attempts) == 145
+    assert len(attempts) == count
     assert len(built) == bodies
     # The attempts of one body share its lists, which the writer writes once.
     for field in ("hypotheses", "multisets"):
         assert len({id(a[field]) for a in attempts}) == bodies
-    assert len({id(a["weights"]) for a in attempts}) == 145
+    assert len({id(a["weights"]) for a in attempts}) == count
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
@@ -373,6 +393,8 @@ def test_the_145_attempt_forests_build_few_bodies(text, mode, bodies, status, mo
         pytest.param(FOREST7R3_2_TEXT, id="forest7r3-2"),
         pytest.param(FOREST7R3_8_TEXT, id="forest7r3-8"),
         pytest.param(FOREST7R3_3_TEXT, id="forest7r3-3"),
+        pytest.param(BOX_FOREST_A_TEXT, id="box-a"),
+        pytest.param(BOX_FOREST_C_TEXT, id="box-c"),
     ] + _seeded_forests(((7, 3, 6), (6, 4, 4), (8, 4, 4)), 24),
 )
 def test_shared_bodies_match_fresh_entries(text, mode):
@@ -406,8 +428,11 @@ def test_ill_defined_map_fails_well_definedness():
     [
         (FOREST7R3_8_TEXT, "equal-length Adian presentation with I-forest (max mode)"),
         (TORSION_TEXT, "no surjection to the integers (H1 rank 0, torsion [2])"),
+        # H1 is Z + Z/2, but every map to Z is zero on the relator letter a.
+        ("gens: a b\nrel: a^2\n", "every surjection to the integers is zero on every "
+         "relator letter (unused generators: b; torsion [2])"),
     ],
-    ids=["box-walk", "no-surjection"],
+    ids=["box-walk", "no-surjection", "no-surjection-wedge"],
 )
 def test_one_smith_form_per_report(text, detail, monkeypatch):
     calls = []

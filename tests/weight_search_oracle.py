@@ -3,7 +3,10 @@ half-box search replaced it, kept verbatim as a differential oracle for
 the weight search, :func:`npicheck.homology._weight_stream`.
 
 It tries all (2 * coeff_bound + 1)^r coefficient vectors, r the H1 rank,
-so it is only usable for small r.
+so it is only usable for small r.  It walks the box of every generator,
+those that no relator mentions included; :func:`relator_part_weight_homomorphisms`
+runs it on the generators the relators use and gives the others weight 1,
+as the search does since it walks only that box.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from helpers import integer_kernel_basis
+from helpers import integer_kernel_basis, relator_part
 from npicheck.homology import NoSurjection, WeightHom, exponent_matrix
 from npicheck.words import Presentation
 
@@ -56,4 +59,20 @@ def full_box_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> l
             assert sum(x * w for x, w in zip(row, vec)) == 0
         assert math.gcd(*[abs(x) for x in vec]) == 1
         out.append(WeightHom(vec))
+    return out
+
+
+def relator_part_weight_homomorphisms(pres: Presentation, coeff_bound: int = 3) -> list[WeightHom]:
+    """The full-box maps of the relator part (the presentation on the
+    generators some relator mentions, in their order), each with weight 1
+    inserted at every other generator.  With no relator letter at all, the
+    one map is all-ones."""
+    n = len(pres.generators)
+    used = {abs(x) - 1 for rel in pres.relators for x in rel}
+    if not used:
+        return [WeightHom((1,) * n)]
+    out = []
+    for hom in full_box_weight_homomorphisms(relator_part(pres), coeff_bound):
+        weights = iter(hom.weights)
+        out.append(WeightHom(tuple(next(weights) if j in used else 1 for j in range(n))))
     return out
