@@ -46,7 +46,8 @@ from .words import Presentation
 
 
 class NoSurjection(ValueError):
-    """No primitive integer weight vector exists in the search box."""
+    """The relator part's exponent matrix has zero kernel, so every map to
+    the integers is zero on every relator letter, whatever the box."""
 
 
 def exponent_matrix(pres: Presentation) -> list[list[int]]:
@@ -66,14 +67,6 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
                 row[-x - 1] -= 1
         rows.append(row)
     return rows
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Exact integer matrix product."""
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("shape mismatch")
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -101,45 +94,34 @@ def _min_abs_nonzero(d: list[list[int]], t: int) -> tuple[int, int] | None:
 
 
 class SmithForm(NamedTuple):
-    """U @ M @ V = D with U, V unimodular and D a nonneg divisibility chain."""
+    """The Smith form of M as far as H1 and the weight search read it.
+
+    M @ V = U^-1 @ D for unimodular U and V, where D is k x n with
+    ``diagonal`` as its only nonzero entries: a nonnegative divisibility
+    chain whose zeros come last.  U is not kept (see
+    :func:`smith_normal_form`).
+    """
 
     matrix: list[list[int]]
-    left: list[list[int]]   # U, k x k
-    diag: list[list[int]]   # D, k x n
+    diagonal: list[int]     # the min(k, n) diagonal entries of D
     right: list[list[int]]  # V, n x n
-
-    def diagonal(self) -> list[int]:
-        return [self.diag[i][i] for i in range(min(len(self.left), len(self.right)))]
-
-    def check(self) -> None:
-        """Assert the defining invariants exactly."""
-        k, n = len(self.left), len(self.right)
-        prod = mat_mul(mat_mul(self.left, self.matrix), self.right)
-        if prod != self.diag:
-            raise AssertionError("U @ M @ V != D")
-        if abs(integer_det(self.left)) != 1 or abs(integer_det(self.right)) != 1:
-            raise AssertionError("transform matrices are not unimodular")
-        diag = self.diagonal()
-        for i in range(k):
-            for j in range(n):
-                if i != j and self.diag[i][j] != 0:
-                    raise AssertionError("off-diagonal entry in D")
-        for i, d in enumerate(diag):
-            if d < 0:
-                raise AssertionError("negative diagonal entry")
-            if i + 1 < len(diag) and d != 0 and diag[i + 1] % d != 0:
-                raise AssertionError("divisibility chain broken")
-            if d == 0 and i + 1 < len(diag) and diag[i + 1] != 0:
-                raise AssertionError("zero before nonzero on the diagonal")
+    ones: list[int]         # s = V^-1 @ 1: all-ones in the columns of V
 
 
 def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
     """Smith normal form by exact Euclidean pivoting.
 
-    Row operations accumulate into U (left factor), column operations into
-    V; the invariant ``U @ M @ V == current`` holds throughout, so the
-    result satisfies U @ M @ V = D with |det U| = |det V| = 1.  ``ncols``
-    is the column count of a matrix with no rows and is otherwise ignored.
+    Column operations accumulate into V, and row operations act on the
+    working matrix alone: U @ M @ V == current holds throughout for the
+    product U of the row operations, which is never formed, since nothing
+    reads it and it would be a dense k x k matrix that every row operation
+    updates.  H1 reads the diagonal, the weight search the kernel columns
+    of V, and the all-ones test the vector s = V^-1 @ 1, the coordinates of
+    the all-ones vector in the columns of V.  s starts as all-ones, with V = I,
+    and follows each column operation V -> V @ E as s -> E^-1 @ s: a swap
+    of columns t and j swaps s_t and s_j, and col_j -= q * col_t adds
+    q * s_j to s_t.  ``ncols`` is the column count of a matrix with no
+    rows and is otherwise ignored.
 
     Each step takes as pivot the first entry of least absolute value.  A
     unit pivot divides everything: it clears its row and column in one
@@ -151,8 +133,8 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
         raise ValueError("rows of unequal length")
     m_in = [[int(x) for x in row] for row in matrix]
     d = [row[:] for row in m_in]
-    u = _identity(k)
     v = _identity(n)
+    s = [1] * n
 
     t = 0
     while t < min(k, n):
@@ -163,24 +145,22 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
             i0, j0 = piv
             if i0 != t:
                 d[t], d[i0] = d[i0], d[t]
-                u[t], u[i0] = u[i0], u[t]
             if j0 != t:
                 for row in d:
                     row[t], row[j0] = row[j0], row[t]
                 for row in v:
                     row[t], row[j0] = row[j0], row[t]
+                s[t], s[j0] = s[j0], s[t]
             if d[t][t] < 0:
                 d[t] = [-x for x in d[t]]
-                u[t] = [-x for x in u[t]]
             pivot = d[t][t]
-            dt, ut = d[t], u[t]
+            dt = d[t]
             dirty = False
             for i in range(t + 1, k):
                 if d[i][t]:
                     q = d[i][t] // pivot
                     if q:
                         d[i] = [x - q * y for x, y in zip(d[i], dt)]
-                        u[i] = [x - q * y for x, y in zip(u[i], ut)]
                     if d[i][t]:
                         dirty = True
             for j in range(t + 1, n):
@@ -191,6 +171,7 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
                             row[j] -= q * row[t]
                         for row in v:
                             row[j] -= q * row[t]
+                        s[t] += q * s[j]
                     if dt[j]:
                         dirty = True
             if dirty:
@@ -205,36 +186,10 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
                 break
             # Pull a non-divisible row into the pivot row and restart the step.
             d[t] = [x + y for x, y in zip(d[t], d[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
             piv = _min_abs_nonzero(d, t)
         t += 1
 
-    return SmithForm(matrix=m_in, left=u, diag=d, right=v)
-
-
-def integer_det(matrix: list[list[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+    return SmithForm(m_in, [d[i][i] for i in range(min(k, n))], v, s)
 
 
 class H1Structure(NamedTuple):
@@ -243,23 +198,13 @@ class H1Structure(NamedTuple):
     ``smith`` is the Smith form of the relator part they were read from
     (the exponent matrix without the columns of ``free``, the 0-based
     generators no relator mentions), kept so that the weight search reads
-    its kernel basis from the same form.  Neither takes part in
-    comparisons or hashing.
+    its kernel basis from the same form.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
     smith: SmithForm
     free: tuple[int, ...]
-
-    def __eq__(self, other):
-        return isinstance(other, H1Structure) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
@@ -273,7 +218,7 @@ def h1_structure(pres: Presentation) -> H1Structure:
         used = [j for j in range(n) if j + 1 in mentioned]
         mat = [[row[j] for j in used] for row in mat]
     snf = smith_normal_form(mat, n - len(free))
-    diag = [x for x in snf.diagonal() if x != 0]
+    diag = [x for x in snf.diagonal if x != 0]
     return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf, free)
 
 
@@ -299,14 +244,10 @@ def is_generalized_wirtinger(pres: Presentation) -> WirtingerCheck:
 
 
 def _kernel_basis(snf: SmithForm) -> list[tuple[int, ...]]:
-    """The columns of V whose diagonal entry in D is zero."""
-    k, n = len(snf.left), len(snf.right)
-    basis = []
-    for j in range(n):
-        d_j = snf.diag[j][j] if j < k else 0
-        if d_j == 0:
-            basis.append(tuple(snf.right[i][j] for i in range(n)))
-    return basis
+    """The columns of V whose diagonal entry in D is zero: those past the
+    rank, since the zeros of the diagonal come last."""
+    rank = len(snf.diagonal) - snf.diagonal.count(0)
+    return [tuple(row[j] for row in snf.right) for j in range(rank, len(snf.right))]
 
 
 class WeightHom(NamedTuple):
@@ -346,8 +287,8 @@ def _weight_stream(h1: H1Structure, coeff_bound: int = 3) -> Iterator[WeightHom]
         return iter([WeightHom((1,) * len(h1.free))])
     basis = _kernel_basis(h1.smith)
     if not basis:
-        raise NoSurjection("no primitive kernel vector in the search box")
-    maps = _weight_maps(h1.smith.matrix, basis, coeff_bound)
+        raise NoSurjection("the exponent matrix of the relator part has zero kernel")
+    maps = _weight_maps(h1.smith, basis, coeff_bound)
     return _with_free_weights(maps, h1.free) if h1.free else maps
 
 
@@ -361,24 +302,25 @@ def _with_free_weights(maps: Iterator[WeightHom], free: tuple[int, ...]) -> Iter
         yield WeightHom(tuple(weights))
 
 
-def _all_ones_coordinates(mat: list[list[int]], basis: list[tuple[int, ...]]):
+def _all_ones_coordinates(snf: SmithForm, basis: list[tuple[int, ...]]):
     """Integer coordinates of the all-ones vector in the kernel basis, or
     None when M * 1 != 0.
 
-    The basis is a lattice basis of ker M (columns of a unimodular V), so
-    the coordinates exist, are unique and are integers.  They solve the
-    Gram system (B^T B) c = B^T 1, here by Cramer's rule.
+    With s = V^-1 * 1, M * 1 = M * V * s = U^-1 * D * s, and U is
+    invertible, so all-ones lies in ker M exactly when s vanishes where the
+    diagonal of D is nonzero: on the first rank indices.  Then
+    1 = V * s is the sum of s_j times column j of V over the other
+    indices, which are the kernel basis in order, so its coordinates are
+    the rest of s.
     """
-    if any(sum(row) for row in mat):
+    rank = len(snf.right) - len(basis)
+    in_kernel = not any(snf.ones[:rank])
+    assert in_kernel == (not any(sum(row) for row in snf.matrix)), (
+        "all-ones test disagrees with the row sums of M"
+    )
+    if not in_kernel:
         return None
-    gram = [[sum(map(operator.mul, a, b)) for b in basis] for a in basis]
-    rhs = [sum(b) for b in basis]
-    det = integer_det(gram)
-    coords = []
-    for i in range(len(basis)):
-        num = integer_det([row[:i] + [r] + row[i + 1:] for row, r in zip(gram, rhs)])
-        assert num % det == 0, "all-ones has no integer kernel coordinates"
-        coords.append(num // det)
+    coords = snf.ones[rank:]
     assert all(
         sum(c * b[j] for c, b in zip(coords, basis)) == 1 for j in range(len(basis[0]))
     ), "kernel coordinates of all-ones do not replay"
@@ -393,7 +335,7 @@ def _weight_hom(mat: list[list[int]], vec: tuple[int, ...]) -> WeightHom:
 
 
 def _weight_maps(
-    mat: list[list[int]], basis: list[tuple[int, ...]], coeff_bound: int
+    snf: SmithForm, basis: list[tuple[int, ...]], coeff_bound: int
 ) -> Iterator[WeightHom]:
     """All-ones first when the box holds it, then the rest of the box.
 
@@ -419,8 +361,9 @@ def _weight_maps(
     Kept private: ``perfbench --trace 1`` wraps every public function, and
     its self-check counts each resume of a generator as one more call.
     """
+    mat = snf.matrix
     all_ones = (1,) * len(basis[0])
-    coords = _all_ones_coordinates(mat, basis)
+    coords = _all_ones_coordinates(snf, basis)
     first = coords is not None and max(map(abs, coords)) <= coeff_bound
     if first:
         yield _weight_hom(mat, all_ones)

@@ -355,8 +355,10 @@ def _presentation_route(
             for h in _weight_stream(h1)
         )
     except NoSurjection as exc:
+        # No map reaches check_assignment, so the H1 row, pass or fail, is
+        # written here.
         doc["hypotheses"] += _hypothesis_dicts(
-            [HypothesisResult("weights-surjective", "fail", str(exc))]
+            [pres_hyps[1], HypothesisResult("weights-surjective", "fail", str(exc))]
         )
         if h1.free:
             free = ", ".join(pres.generators[j] for j in h1.free)

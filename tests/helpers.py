@@ -5,9 +5,9 @@ cyclic reduction of words, the integer kernel basis of a matrix, the
 weight search as a list, prefix profiles and multisets of minima or
 maxima of one relator, the image of a word, the boundary path
 of a lifted 2-cell with its edge keys and its strictly minimal edge, the
-Adian route with its own hypotheses, seeded random reduced forests, the
-standard 2-complex of a presentation and the well-definedness check of
-an assignment.  The package reaches these only through the report, so it
+Adian route with its own hypotheses, seeded random valid presentations
+and reduced forests, the standard 2-complex of a presentation and the
+well-definedness check of an assignment.  The package reaches these only through the report, so it
 does not ship them.
 """
 
@@ -26,7 +26,7 @@ from npicheck.minima import (
     presentation_hypotheses,
 )
 from npicheck.orders import OrderedTarget, TargetAssignment
-from npicheck.words import Presentation, Word, freely_reduce, is_freely_reduced, letter_gen
+from npicheck.words import Presentation, Word, freely_reduce, is_freely_reduced, letter_gen, validate
 
 
 def make_presentation(generators, relators) -> Presentation:
@@ -227,6 +227,24 @@ def min_edge(window: CoverWindow, cell: CoverCell, gen_priority) -> CoverEdge:
 def adian_npi_check(pres: Presentation) -> AdianVerdict:
     """The equal-length Adian route on ``pres`` with its own hypotheses."""
     return adian_check(pres, presentation_hypotheses(pres)[0])
+
+
+def random_valid_presentation(rng) -> Presentation:
+    """A valid presentation on two to five generators with at least one
+    relator, drawn from ``rng``, a :class:`random.Random`, again until
+    ``validate`` accepts it."""
+    while True:
+        n = rng.randrange(2, 6)
+        rels = []
+        while len(rels) < rng.randrange(1, n):
+            word = freely_reduce(
+                [rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(2, 9))]
+            )
+            if word:
+                rels.append(word)
+        pres = make_presentation([f"g{i}" for i in range(n)], rels)
+        if rels and not validate(pres):
+            return pres
 
 
 def lof_random(n_vertices: int, n_edges: int, rng) -> Log:

@@ -219,12 +219,26 @@ MUTANTS = (
         "src/npicheck/cover.py",
         'record("deck-translation-equivariance", failures, "shift by +1 commutes")',
         'record("deck-translation-equivariance", [], "shift by +1 commutes")',
-        ("tests/test_cover.py",),
-        equivalent=(
-            "cover._lift anchors a lift by the shift that puts its least level "
-            "at the cell's level, so the lift at level 1 is the lift at level 0 "
-            "with every level raised by 1, and so is its minimum edge: check (d) "
-            "has no input on which it fails"
+        ("tests/test_cover.py::test_deck_translation_check_fails_on_a_lift_off_by_one_level",),
+    ),
+    Mutant(
+        "all-ones coordinates not swapped with their columns",
+        "src/npicheck/homology.py",
+        "                s[t], s[j0] = s[j0], s[t]\n",
+        "",
+        (
+            "tests/test_homology.py::test_smith_form_matches_the_full_search_oracle",
+            "tests/test_homology.py::test_all_ones_coordinates_match_the_gram_oracle",
+        ),
+    ),
+    Mutant(
+        "all-ones coordinates updated with the column operation's sign",
+        "src/npicheck/homology.py",
+        "                        s[t] += q * s[j]\n",
+        "                        s[t] -= q * s[j]\n",
+        (
+            "tests/test_homology.py::test_smith_form_matches_the_full_search_oracle",
+            "tests/test_homology.py::test_all_ones_coordinates_match_the_gram_oracle",
         ),
     ),
 )

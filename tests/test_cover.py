@@ -160,6 +160,32 @@ def test_verify_first_sample():
         assert signed == (-1 if cell.relator == 0 else 2)
 
 
+def test_deck_translation_check_fails_on_a_lift_off_by_one_level(monkeypatch):
+    # Check (d) compares the level-1 lift with the level-0 lift raised by
+    # 1.  The verifier's own lift cannot break that, so a lift that puts
+    # every level-1 cell one level too high stands in for a broken one:
+    # (d) must fail on each relator, and the checks read at level 0 pass.
+    pa = sample_a()
+    verdict = certified(pa)
+    slim = build_slim_certificate(pa, verdict.multisets, verdict.certificate)
+    window = build_cover_window(pa, ONES, -4, 4)
+    lift = cover_mod._lift
+
+    def off_by_one(pres, weights, rel, level):
+        out = lift(pres, weights, rel, level)
+        return [(low + 1, g, d) for low, g, d in out] if level == 1 else out
+
+    monkeypatch.setattr(cover_mod, "_lift", off_by_one)
+    report = verify_weak_slim_certificate(pa, ONES, verdict.multisets, slim, window)
+    assert not report.ok
+    failed = {c.check: c.detail for c in report.checks if not c.ok}
+    assert list(failed) == ["deck-translation-equivariance"]
+    for rel in (0, 1):
+        assert f"boundary of {CoverCell(0, rel)} does not shift onto {CoverCell(1, rel)}" in (
+            failed["deck-translation-equivariance"]
+        )
+
+
 def test_verify_second_sample_published_ordering():
     pb = sample_b()
     multisets = tuple(minima_multiset(pb, i, Z, TargetAssignment.all_ones(pb)) for i in range(2))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 import npicheck
 from npicheck.homology import (
     NoSurjection,
+    _all_ones_coordinates,
+    _kernel_basis,
     exponent_matrix,
     h1_structure,
-    integer_det,
     is_generalized_wirtinger,
-    mat_mul,
     smith_normal_form,
 )
 from npicheck.logs import log_to_presentation
@@ -23,12 +24,20 @@ from npicheck.textio import parse_presentation
 from helpers import (
     find_weight_homomorphisms,
     flip_generator,
+    insert_free_generators,
     integer_kernel_basis,
     lof_random,
     make_presentation,
+    random_valid_presentation,
 )
 from samples import sample_a, sample_braid, torsion_presentation
-from smith_oracle import exponent_matrix_oracle, smith_normal_form_oracle
+from smith_oracle import (
+    all_ones_coordinates_oracle,
+    exponent_matrix_oracle,
+    integer_det,
+    mat_mul,
+    smith_normal_form_oracle,
+)
 from weight_search_oracle import full_box_weight_homomorphisms, relator_part_weight_homomorphisms
 
 
@@ -66,6 +75,20 @@ def minor_gcds(matrix):
     return out
 
 
+def smith_form_checked_by_the_oracle(rows, ncols: int = 0):
+    """The Smith form of ``rows``, after asserting that its D and V are the
+    full-search oracle's, whose U @ M @ V = D check runs on the same matrix
+    (so U @ M @ V = D holds for the form with the oracle's U), and that
+    V @ s is all-ones."""
+    snf = smith_normal_form(rows, ncols)
+    oracle = smith_normal_form_oracle(rows, ncols)
+    oracle.check()
+    assert snf.matrix == oracle.matrix, rows
+    assert snf.diagonal == oracle.diagonal() and snf.right == oracle.right, rows
+    assert all(sum(map(operator.mul, row, snf.ones)) == 1 for row in snf.right), rows
+    return snf
+
+
 def test_exponent_matrix_examples():
     mat = exponent_matrix(sample_a())
     assert mat == [[-1, 1, 0], [0, -1, 1]]
@@ -74,11 +97,10 @@ def test_exponent_matrix_examples():
 
 
 def test_snf_examples():
-    assert smith_normal_form([[1, 0], [0, 1]]).diagonal() == [1, 1]
-    snf = smith_normal_form([[2, 4], [6, 8]])
-    assert snf.diagonal() == [2, 4]
-    snf.check()
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal() == [0, 0]
+    assert smith_normal_form([[1, 0], [0, 1]]).diagonal == [1, 1]
+    snf = smith_form_checked_by_the_oracle([[2, 4], [6, 8]])
+    assert snf.diagonal == [2, 4]
+    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == [0, 0]
 
 
 def test_snf_property_suite():
@@ -87,9 +109,7 @@ def test_snf_property_suite():
         k = rng.randrange(1, 7)
         n = rng.randrange(1, 7)
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(k)]
-        snf = smith_normal_form(rows)
-        snf.check()
-        diag = snf.diagonal()
+        diag = smith_form_checked_by_the_oracle(rows).diagonal
         oracle = minor_gcds(rows)
         prod = 1
         for i, g in enumerate(oracle):
@@ -130,9 +150,9 @@ def test_exponent_matrix_matches_the_per_generator_oracle():
 
 def test_smith_form_matches_the_full_search_oracle():
     # The unit-pivot search and the skipped divisibility scan must leave
-    # U, D and V exactly as the whole-block search left them, on the
-    # exponent matrices the reports see and on matrices whose pivots are
-    # not units.
+    # D and V exactly as the whole-block search left them, on the exponent
+    # matrices the reports see and on matrices whose pivots are not units;
+    # the carried s must be V^-1 @ 1.
     rng = random.Random(18)
     cases = []
     for _ in range(150):
@@ -147,16 +167,14 @@ def test_smith_form_matches_the_full_search_oracle():
         cases.append(([[rng.choice(pool) for _ in range(n)] for _ in range(k)], n))
     seen = {"torsion": 0, "non-unit pivot": 0}
     for rows, n in cases:
-        snf = smith_normal_form(rows, n)
-        assert snf == smith_normal_form_oracle(rows, n), rows
-        diag = snf.diagonal()
+        diag = smith_form_checked_by_the_oracle(rows, n).diagonal
         seen["torsion"] += any(d > 1 for d in diag)
         seen["non-unit pivot"] += bool(diag) and diag[0] > 1
     assert seen["torsion"] >= 300 and seen["non-unit pivot"] >= 100, seen
 
 
 def test_h1_examples():
-    assert h1_structure(sample_a()) == h1_structure(sample_braid())
+    assert h1_structure(sample_a())[:2] == h1_structure(sample_braid())[:2]
     h1 = h1_structure(sample_a())
     assert h1.free_rank == 1 and h1.torsion == ()
     ht = h1_structure(torsion_presentation())
@@ -308,12 +326,46 @@ def test_zero_sum_family_matches_full_box_oracle():
     assert outside >= 10
 
 
+def test_all_ones_coordinates_match_the_gram_oracle():
+    # The coordinates read off the carried s must be the Gram/Cramer
+    # solve's, None included, on the relator parts the reports see (free
+    # generators included) and on integer matrices with and without
+    # M * 1 = 0.
+    rng = random.Random(35)
+    cases = []
+    for _ in range(200):
+        n = rng.randrange(3, 9)
+        lof = log_to_presentation(lof_random(n, rng.randrange(1, n), rng))
+        wlot = _wlot(n, rng.randrange(1, 4), rng)
+        pres = random_valid_presentation(rng)
+        for p in (lof, wlot, pres, insert_free_generators(pres, rng.randrange(1, 3), rng)):
+            cases.append(h1_structure(p).smith)
+    for _ in range(600):
+        k, n = rng.randrange(0, 6), rng.randrange(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.5:
+            for row in rows:
+                row[rng.randrange(n)] -= sum(row)
+        cases.append(smith_normal_form(rows, n))
+    seen = {"in kernel": 0, "not in kernel": 0, "no kernel": 0}
+    for snf in cases:
+        assert all(sum(map(operator.mul, row, snf.ones)) == 1 for row in snf.right), snf
+        basis = _kernel_basis(snf)
+        if not basis:
+            seen["no kernel"] += 1
+            continue
+        coords = _all_ones_coordinates(snf, basis)
+        assert coords == all_ones_coordinates_oracle(snf.matrix, basis), snf
+        seen["not in kernel" if coords is None else "in kernel"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_h1_invariance_under_reordering_and_flips():
     p = sample_a()
     reordered = make_presentation(p.generators, (p.relators[1], p.relators[0]))
-    assert h1_structure(p) == h1_structure(reordered)
+    assert h1_structure(p)[:2] == h1_structure(reordered)[:2]
     for g in range(3):
-        assert h1_structure(flip_generator(p, g)) == h1_structure(p)
+        assert h1_structure(flip_generator(p, g))[:2] == h1_structure(p)[:2]
 
 
 def test_integer_det():

@@ -448,6 +448,30 @@ def test_one_smith_form_per_report(text, detail, monkeypatch):
     assert len(calls) == 1  # H1, the kernel basis and the NoSurjection detail share it
 
 
+ZERO_KERNEL = "the exponent matrix of the relator part has zero kernel"
+
+
+@pytest.mark.parametrize(
+    "text, h1_row",
+    [
+        (TORSION_TEXT, ["fail", "torsion [2] in H1"]),
+        ("gens: a b\nrel: a^2\n", ["fail", "torsion [2] in H1"]),
+        # X' = <a | a> has H1 = 0, yet X has rank 1 = n - k: the H1 row passes.
+        ("gens: a b\nrel: a\n", ["pass", "H1 free abelian of rank 1"]),
+    ],
+    ids=["torsion", "torsion-wedge", "wedge"],
+)
+def test_a_zero_kernel_report_lists_the_h1_row(text, h1_row):
+    # No weight map reaches the hypothesis checks, yet the report lists
+    # the H1 row before the weights-surjective failure.
+    rows = [[h["name"], h["status"], h["citation"], h["detail"]] for h in _report(text)["hypotheses"]]
+    assert rows == [
+        ["presentation-valid", "pass", "", ""],
+        ["h1-free-abelian-rank-n-k", h1_row[0], "Thm 3.4", h1_row[1]],
+        ["weights-surjective", "fail", "Thm 3.4", ZERO_KERNEL],
+    ]
+
+
 @pytest.mark.parametrize(
     "text, forest_tests, status",
     [

@@ -16,6 +16,7 @@ from helpers import (
     insert_free_generators,
     lof_random,
     make_presentation,
+    random_valid_presentation,
     relator_part,
 )
 from npicheck import report
@@ -23,7 +24,6 @@ from npicheck.logs import log_to_presentation
 from npicheck.orders import IntTarget
 from npicheck.report import ReportOptions, full_report
 from npicheck.textio import parse_presentation
-from npicheck.words import freely_reduce, validate
 from test_homology import _wlot
 from weight_search_oracle import full_box_weight_homomorphisms
 
@@ -45,23 +45,6 @@ def _report(pres, mode: str = "min") -> dict:
 def _used(pres) -> list[int]:
     """0-based indices of the generators some relator mentions."""
     return sorted({abs(x) - 1 for rel in pres.relators for x in rel})
-
-
-def _random_presentation(rng: random.Random):
-    """A valid presentation on two to five generators with at least one
-    relator, drawn again until ``validate`` accepts it."""
-    while True:
-        n = rng.randrange(2, 6)
-        rels = []
-        while len(rels) < rng.randrange(1, n):
-            word = freely_reduce(
-                [rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(2, 9))]
-            )
-            if word:
-                rels.append(word)
-        pres = make_presentation([f"g{i}" for i in range(n)], rels)
-        if rels and not validate(pres):
-            return pres
 
 
 def _invariant_view(doc: dict, names) -> tuple:
@@ -92,7 +75,7 @@ def test_a_report_is_invariant_under_a_wedge_with_circles():
     inputs = [log_to_presentation(lof_random(n, n - rng.randrange(1, 4), rng))
               for n in (rng.randrange(4, 8) for _ in range(100))]
     inputs += [_wlot(rng.randrange(2, 6), rng.randrange(1, 4), rng) for _ in range(40)]
-    inputs += [_random_presentation(rng) for _ in range(40)]
+    inputs += [random_valid_presentation(rng) for _ in range(40)]
     seen = Counter()
     for pres in inputs:
         padded = insert_free_generators(pres, rng.choice((1, 2)), rng)
