@@ -114,7 +114,8 @@ def build_slim_certificate(
     n = len(pres.generators)
     k = len(pres.relators)
     witness_order = [step.gen for step in cert.witnesses]
-    others = [g for g in range(n) if g not in witness_order]
+    witnesses = set(witness_order)
+    others = [g for g in range(n) if g not in witnesses]
     priority = [0] * n
     for pos, g in enumerate(others, start=1):
         priority[g] = pos

@@ -33,6 +33,32 @@ input whose relator part has no nonzero weight map, such as
 (a free group) has no multiset to count letters in; its one map is
 all-ones, so it certifies as before, and only the point X' = < | >, an
 H1 failure, breaks the invariance.
+
+H1 is found by unit-pivot peeling before any dense work (Dumas, Saunders
+and Villard, *On efficient sparse integer matrix Smith normal form
+computations*, J. Symbolic Comput. 32, 2001).  If row r of the relator
+part M has a unit a in a column c that no other live row uses, the
+column operations that clear the rest of row r change row r alone, so
+M is equivalent to [a] + M', where M' is M without row r and column c:
+the pivot adds a 1 to the diagonal and causes no fill.  Peeling repeats
+until no such pivot is left, and the dense Smith form runs only on the
+residual rows.  ker M is ker M' lifted through the pivots in reverse
+order of elimination: row r fixes x_c = -a * (its sum over the other
+columns), which only hold residual columns and the pivot columns of
+rows peeled later.  This lift is a bijection of lattices, so it maps a
+basis of ker M' to a basis of ker M.  A generalized Wirtinger relator
+has the row e_i - e_j, so a tree of them peels completely.
+
+When ker M has rank 1 its one primitive generator b is all the weight
+search needs: every map of the box is c * b divided by its gcd, that is
++-b, and all-ones lies in ker M exactly when b = +-1.  So the one map
+is b with its sign made canonical, and no V is built.  A kernel of rank
+>= 2 keeps the dense Smith form of the whole relator part, since the box
+is walked over the columns of its V, and a basis lifted from M' would
+give other maps; it can be peeled too once the box depends on the
+kernel lattice alone.  rank M <= k for k relators, so the kernel of a
+relator part with m columns and k < m - 1 rows has rank >= 2, and it is
+not peeled at all.
 """
 
 from __future__ import annotations
@@ -193,33 +219,119 @@ def smith_normal_form(matrix: list[list[int]], ncols: int = 0) -> SmithForm:
 
 
 class H1Structure(NamedTuple):
-    """Free rank and invariant factors of the abelianized group.
+    """Free rank and invariant factors of the abelianized group, with a
+    basis of the kernel of the relator part (the exponent matrix without
+    the columns of ``free``, the 0-based generators no relator mentions),
+    from which the weight search reads its maps.
 
-    ``smith`` is the Smith form of the relator part they were read from
-    (the exponent matrix without the columns of ``free``, the 0-based
-    generators no relator mentions), kept so that the weight search reads
-    its kernel basis from the same form.
+    ``smith`` is the relator part's Smith form when the kernel has rank
+    >= 2: the basis is the kernel columns of its V.  Otherwise it is None
+    and the basis, empty or one vector, comes from the peeling (see the
+    module docstring).
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    smith: SmithForm
     free: tuple[int, ...]
+    kernel: tuple[tuple[int, ...], ...]
+    smith: SmithForm | None = None
 
 
 def h1_structure(pres: Presentation) -> H1Structure:
-    """H1 from the Smith form of the relator part; each free generator
-    adds 1 to the free rank (see the module docstring)."""
+    """H1 of the relator part, peeled where its kernel may have rank 1,
+    else from its one Smith form; each free generator adds 1 to the free
+    rank (see the module docstring)."""
     n = len(pres.generators)
-    mat = exponent_matrix(pres)
     mentioned = {abs(x) for rel in pres.relators for x in rel}
     free = tuple(j for j in range(n) if j + 1 not in mentioned)
+    used = [j for j in range(n) if j + 1 in mentioned]
+    if len(pres.relators) >= len(used) - 1:
+        h1 = _peeled_h1(pres, used, free)
+        if h1 is not None:
+            return h1
+    mat = exponent_matrix(pres)
     if free:
-        used = [j for j in range(n) if j + 1 in mentioned]
         mat = [[row[j] for j in used] for row in mat]
-    snf = smith_normal_form(mat, n - len(free))
+    snf = smith_normal_form(mat, len(used))
     diag = [x for x in snf.diagonal if x != 0]
-    return H1Structure(n - len(diag), tuple(x for x in diag if x > 1), snf, free)
+    return H1Structure(
+        n - len(diag), tuple(x for x in diag if x > 1), free, tuple(_kernel_basis(snf)), snf
+    )
+
+
+def _peeled_h1(pres: Presentation, used: list[int], free: tuple[int, ...]) -> H1Structure | None:
+    """H1 by unit-pivot peeling, with the relator part's kernel generator
+    lifted through the pivots; None when the kernel has rank >= 2.
+
+    Every column is looked at once when the walk starts, and again when
+    its count of live users falls to one, so the walk is linear in the
+    nonzero entries.  Kept private: ``perfbench --trace 1`` wraps every
+    public function.
+    """
+    n = len(pres.generators)
+    if not used:
+        # No relator letter: the relator part has no column, and its one
+        # map is the empty one, which the free generators make all-ones.
+        # The point < | > has no map.
+        return H1Structure(n, (), free, ((),) if n else ())
+    column = {j + 1: c for c, j in enumerate(used)}
+    rows = []
+    for rel in pres.relators:
+        row: dict[int, int] = {}
+        for x in rel:
+            c = column.get(abs(x))
+            if c is not None:
+                row[c] = row.get(c, 0) + (1 if x > 0 else -1)
+        rows.append({c: e for c, e in row.items() if e})
+    m = len(used)
+    users: list[set[int]] = [set() for _ in range(m)]  # the live rows using each column
+    for r, row in enumerate(rows):
+        for c in row:
+            users[c].add(r)
+    pivots: dict[int, int] = {}  # row -> column, in order of elimination
+    work = list(range(m - 1, -1, -1))
+    while work:
+        c = work.pop()
+        if len(users[c]) != 1:
+            continue
+        r = min(users[c])
+        row = rows[r]
+        if abs(row[c]) != 1:
+            continue
+        pivots[r] = c
+        for j in row:
+            users[j].discard(r)
+            if len(users[j]) == 1:
+                work.append(j)
+    pivoted = set(pivots.values())
+    rest = [c for c in range(m) if c not in pivoted]
+    residual = [row for r, row in enumerate(rows) if row and r not in pivots]
+    if len(rest) - len(residual) >= 2:
+        return None
+    if residual:
+        snf = smith_normal_form([[row.get(c, 0) for c in rest] for row in residual], len(rest))
+        diag = [x for x in snf.diagonal if x != 0]
+        basis = _kernel_basis(snf)
+    else:
+        diag, basis = [], [(1,)] if rest else []
+    if len(basis) >= 2:
+        return None
+    free_rank, torsion = n - len(pivots) - len(diag), tuple(x for x in diag if x > 1)
+    if not basis:
+        return H1Structure(free_rank, torsion, free, ())
+    b = [0] * m
+    for c, x in zip(rest, basis[0]):
+        b[c] = x
+    for r, c in reversed(pivots.items()):
+        # b[c] is still 0 here, so the sum runs over the other columns.
+        row = rows[r]
+        b[c] = -row[c] * sum(e * b[j] for j, e in row.items())
+    assert all(not sum(e * b[j] for j, e in row.items()) for row in rows), "M * b != 0"
+    assert math.gcd(*b) == 1, "the lifted kernel generator is not primitive"
+    assert (not any(sum(row.values()) for row in rows)) == (len(set(b)) == 1), (
+        "all-ones test disagrees with the row sums of M"
+    )
+    return H1Structure(free_rank, torsion, free, (tuple(b),))
 
 
 class WirtingerCheck(NamedTuple):
@@ -269,10 +381,11 @@ def _weight_stream(h1: H1Structure, coeff_bound: int = 3) -> Iterator[WeightHom]
     caller reads (see the module docstring).
 
     Combinations of the relator part's kernel basis with coefficients in
-    [-coeff_bound, coeff_bound] are divided by their gcd and deduplicated
-    up to global sign; the all-ones vector, when present, comes first and
-    the rest follow in lexicographic order.  The zero projection is not
-    among them.
+    [-coeff_bound, coeff_bound], coeff_bound >= 1, are divided by their gcd
+    and deduplicated up to global sign; the all-ones vector, when present,
+    comes first and the rest follow in lexicographic order.  The zero
+    projection is not among them.  A kernel of rank 1 gives its one
+    generator, with its sign made canonical.
 
     At the call only the kernel basis is read, and NoSurjection is raised
     exactly when it is empty.  A nonempty basis always gives a map, since
@@ -281,14 +394,12 @@ def _weight_stream(h1: H1Structure, coeff_bound: int = 3) -> Iterator[WeightHom]
     hold all-ones; so a report that certifies on the all-ones map never
     builds it.
     """
-    if not h1.smith.right and h1.free:
-        # No relator letter at all: there is no multiset to count letters
-        # in, and the one map is all-ones.
-        return iter([WeightHom((1,) * len(h1.free))])
-    basis = _kernel_basis(h1.smith)
-    if not basis:
+    if not h1.kernel:
         raise NoSurjection("the exponent matrix of the relator part has zero kernel")
-    maps = _weight_maps(h1.smith, basis, coeff_bound)
+    if h1.smith is None:
+        maps = iter([WeightHom(_canonical_sign(h1.kernel[0]))])
+    else:
+        maps = _weight_maps(h1.smith, h1.kernel, coeff_bound)
     return _with_free_weights(maps, h1.free) if h1.free else maps
 
 
@@ -302,7 +413,7 @@ def _with_free_weights(maps: Iterator[WeightHom], free: tuple[int, ...]) -> Iter
         yield WeightHom(tuple(weights))
 
 
-def _all_ones_coordinates(snf: SmithForm, basis: list[tuple[int, ...]]):
+def _all_ones_coordinates(snf: SmithForm, basis: tuple[tuple[int, ...], ...]):
     """Integer coordinates of the all-ones vector in the kernel basis, or
     None when M * 1 != 0.
 
@@ -335,7 +446,7 @@ def _weight_hom(mat: list[list[int]], vec: tuple[int, ...]) -> WeightHom:
 
 
 def _weight_maps(
-    snf: SmithForm, basis: list[tuple[int, ...]], coeff_bound: int
+    snf: SmithForm, basis: tuple[tuple[int, ...], ...], coeff_bound: int
 ) -> Iterator[WeightHom]:
     """All-ones first when the box holds it, then the rest of the box.
 

@@ -297,8 +297,8 @@ def presentation_hypotheses(
     rank n - k.  A failing entry is the last one.
 
     Returned with the H1 structure they read, None for an invalid
-    presentation.  The structure carries its Smith form, from which the
-    weight search reads the kernel basis."""
+    presentation.  The structure carries the kernel basis of the relator
+    part, from which the weight search reads its maps."""
     diags = validate(pres)
     if diags:
         return (

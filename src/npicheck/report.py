@@ -15,8 +15,7 @@ runs the ``--scan`` on every input whose presentation passes
 The hypotheses that depend on the presentation alone (validity, then H1
 free of rank n - k) are computed once, in :func:`full_report`; both
 routes, the Adian section and the scan gate read that one result, and
-the weight search reads its kernel basis from the Smith form of that H1
-check.  Within one report, each distinct tuple of multisets is decided
+the weight search reads its kernel basis from that H1 check.  Within one report, each distinct tuple of multisets is decided
 once (see :func:`check_assignment`).
 
 Verdicts are three-valued; the tool never claims the absence of the
@@ -328,8 +327,7 @@ def _presentation_route(
     over an ordered target), then for the integers the Adian fallback.
 
     ``h1`` is the H1 structure of the hypotheses, None when validity
-    fails; the weight search reads its kernel basis from the same Smith
-    form."""
+    fails; the weight search reads its kernel basis from it."""
     valid = pres_hyps[0]
     # A passing validity check carries no detail in the report.
     doc["hypotheses"] = _hypothesis_dicts(
@@ -344,8 +342,8 @@ def _presentation_route(
     # order of homology._weight_stream: the maps of the relator part's
     # coefficient box, all-ones first when the box holds it, then the rest
     # in sorted order, each with weight 1 on every generator no relator
-    # uses.  Only the kernel basis is read here, from the Smith form of the
-    # H1 check, raising NoSurjection when it is empty.  The box is built
+    # uses.  Only the kernel basis is read here, from the H1 check,
+    # raising NoSurjection when it is empty.  The box is built
     # only when a map after all-ones is asked for, so a run that stops at
     # a concatenable all-ones map never builds it.
     assignment = parse_phi_spec(options.phi_spec, pres, target)

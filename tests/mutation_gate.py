@@ -115,9 +115,23 @@ MUTANTS = (
         "src/npicheck/homology.py",
         "    return _with_free_weights(maps, h1.free) if h1.free else maps\n",
         "    if h1.free:\n"
-        "        maps = (*maps, WeightHom((0,) * len(h1.smith.right)))\n"
+        "        maps = (*maps, WeightHom((0,) * len(h1.kernel[0])))\n"
         "    return _with_free_weights(maps, h1.free) if h1.free else maps\n",
         ("tests/test_wedge.py::test_a_report_is_invariant_under_a_wedge_with_circles",),
+    ),
+    Mutant(
+        "peel accepts a non-unit pivot",
+        "src/npicheck/homology.py",
+        "        if abs(row[c]) != 1:\n            continue\n",
+        "",
+        ("tests/test_homology.py::test_peeled_h1_matches_the_dense_oracle",),
+    ),
+    Mutant(
+        "peel ignores the other live users of its pivot column",
+        "src/npicheck/homology.py",
+        "        if len(users[c]) != 1:\n",
+        "        if not users[c]:\n",
+        ("tests/test_homology.py::test_peeled_h1_matches_the_dense_oracle",),
     ),
     Mutant(
         "braid sign shortcut without its range check",

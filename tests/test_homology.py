@@ -14,6 +14,7 @@ from npicheck.homology import (
     NoSurjection,
     _all_ones_coordinates,
     _kernel_basis,
+    _weight_stream,
     exponent_matrix,
     h1_structure,
     is_generalized_wirtinger,
@@ -30,6 +31,7 @@ from helpers import (
     make_presentation,
     random_valid_presentation,
 )
+from dense_h1_oracle import dense_h1, dense_weight_stream
 from samples import sample_a, sample_braid, torsion_presentation
 from smith_oracle import (
     all_ones_coordinates_oracle,
@@ -328,9 +330,9 @@ def test_zero_sum_family_matches_full_box_oracle():
 
 def test_all_ones_coordinates_match_the_gram_oracle():
     # The coordinates read off the carried s must be the Gram/Cramer
-    # solve's, None included, on the relator parts the reports see (free
-    # generators included) and on integer matrices with and without
-    # M * 1 = 0.
+    # solve's, None included, on the exponent matrices of the presentations
+    # the reports see (free generators included, as zero columns) and on
+    # integer matrices with and without M * 1 = 0.
     rng = random.Random(35)
     cases = []
     for _ in range(200):
@@ -339,7 +341,7 @@ def test_all_ones_coordinates_match_the_gram_oracle():
         wlot = _wlot(n, rng.randrange(1, 4), rng)
         pres = random_valid_presentation(rng)
         for p in (lof, wlot, pres, insert_free_generators(pres, rng.randrange(1, 3), rng)):
-            cases.append(h1_structure(p).smith)
+            cases.append(smith_normal_form(exponent_matrix(p), len(p.generators)))
     for _ in range(600):
         k, n = rng.randrange(0, 6), rng.randrange(1, 7)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
@@ -358,6 +360,84 @@ def test_all_ones_coordinates_match_the_gram_oracle():
         assert coords == all_ones_coordinates_oracle(snf.matrix, basis), snf
         seen["not in kernel" if coords is None else "in kernel"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def _knot_like(n: int, rng: random.Random):
+    """A Wirtinger-style cycle of arcs x_0 ... x_{n-1}: one relator
+    x_(k+1)^-1 x_i^-1 x_k x_i per arc k, indices mod n, each i drawn at
+    random.  Every column has two users, so nothing peels."""
+    rels = []
+    for k in range(n):
+        i = rng.randrange(n)
+        rels.append((-((k + 1) % n + 1), -(i + 1), k + 1, i + 1))
+    return make_presentation([f"x{g}" for g in range(n)], rels)
+
+
+def _from_rows(rows: list[list[int]], n: int):
+    """The presentation on g_0 ... g_(n-1) whose exponent matrix is ``rows``."""
+    rels = [
+        tuple(j + 1 if e > 0 else -(j + 1) for j, e in enumerate(row) for _ in range(abs(e)))
+        for row in rows
+    ]
+    return make_presentation([f"g{i}" for i in range(n)], rels)
+
+
+def test_peeled_h1_matches_the_dense_oracle():
+    # H1 and every weight map of the peeling equal those of the Smith form
+    # of the whole relator part, NoSurjection included, on trees that peel
+    # completely, on cycles and non-unit rows that leave a residual, and on
+    # inputs whose peel leaves a kernel of rank >= 2 for the dense path.
+    rng = random.Random(36)
+    cases = [make_presentation(["a", "b"], []), make_presentation([], [])]
+    for _ in range(60):
+        cases.append(_wlot(rng.randrange(2, 41), rng.randrange(1, 4), rng))
+    for _ in range(60):
+        n = rng.randrange(3, 12)
+        cases.append(log_to_presentation(lof_random(n, n - 1, rng)))
+        cases.append(_knot_like(n, rng))
+    for _ in range(120):
+        # A tree with one relator made a non-unit row x_i^d x_j^-d, which
+        # stays in the residual (torsion Z/d, kernel rank 1), or with a
+        # relator x_i^d added (kernel rank 0).
+        n, d = rng.randrange(2, 10), rng.randrange(2, 4)
+        tree = _wlot(n, 1, rng)
+        i, j = rng.sample(range(1, n + 1), 2)
+        rels = list(tree.relators)
+        if rng.random() < 0.5:
+            rels[rng.randrange(len(rels))] = (i,) * d + (-j,) * d
+        else:
+            rels.append((i,) * d)
+        cases.append(make_presentation(tree.generators, rels))
+    for _ in range(300):
+        pres = random_valid_presentation(rng)
+        cases.append(pres)
+        cases.append(insert_free_generators(pres, rng.randrange(1, 3), rng))
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(max(n - 1, 0), n + 2)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(k)]
+        cases.append(_from_rows(rows, n))
+    seen = {"peeled rank 1": 0, "peeled with torsion": 0, "zero kernel": 0, "dense": 0}
+    for pres in cases:
+        h1 = h1_structure(pres)
+        free_rank, torsion, _, _ = dense_h1(pres)
+        assert (h1.free_rank, h1.torsion) == (free_rank, torsion), pres
+        for bound in (1, 3):
+            try:
+                expected = dense_weight_stream(pres, bound)
+            except NoSurjection:
+                with pytest.raises(NoSurjection):
+                    _weight_stream(h1, bound)
+                continue
+            assert list(_weight_stream(h1, bound)) == expected, pres
+        if h1.smith is not None:
+            seen["dense"] += 1
+        elif not h1.kernel:
+            seen["zero kernel"] += 1
+        else:
+            seen["peeled rank 1"] += 1
+            seen["peeled with torsion"] += bool(h1.torsion)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_h1_invariance_under_reordering_and_flips():

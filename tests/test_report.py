@@ -5,6 +5,7 @@ report does once."""
 
 import json
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -424,17 +425,22 @@ def test_ill_defined_map_fails_well_definedness():
 
 
 @pytest.mark.parametrize(
-    "text, detail",
+    "text, detail, smith_forms",
     [
-        (FOREST7R3_8_TEXT, "equal-length Adian presentation with I-forest (max mode)"),
-        (TORSION_TEXT, "no surjection to the integers (H1 rank 0, torsion [2])"),
+        # H1 rank 3: the box is walked over the kernel columns of V.
+        (FOREST7R3_8_TEXT, "equal-length Adian presentation with I-forest (max mode)", 1),
+        # The unit-free row [2] is left for the Smith form.
+        (TORSION_TEXT, "no surjection to the integers (H1 rank 0, torsion [2])", 1),
         # H1 is Z + Z/2, but every map to Z is zero on the relator letter a.
         ("gens: a b\nrel: a^2\n", "every surjection to the integers is zero on every "
-         "relator letter (unused generators: b; torsion [2])"),
+         "relator letter (unused generators: b; torsion [2])", 1),
+        # H1 rank 1: both relators peel, and the one map is read off the peeling.
+        (SAMPLE_A_TEXT, "weakly concatenable over the integers; certificate replayed "
+         "and cover checks passed", 0),
     ],
-    ids=["box-walk", "no-surjection", "no-surjection-wedge"],
+    ids=["box-walk", "no-surjection", "no-surjection-wedge", "rank-1"],
 )
-def test_one_smith_form_per_report(text, detail, monkeypatch):
+def test_one_smith_form_per_report(text, detail, smith_forms, monkeypatch):
     calls = []
     original = homology.smith_normal_form
 
@@ -445,7 +451,32 @@ def test_one_smith_form_per_report(text, detail, monkeypatch):
     monkeypatch.setattr(homology, "smith_normal_form", counting)
     doc = _report(text)
     assert doc["verdict"]["detail"] == detail
-    assert len(calls) == 1  # H1, the kernel basis and the NoSurjection detail share it
+    # At most one: H1, the kernel basis and the NoSurjection detail share it.
+    assert len(calls) == smith_forms
+
+
+def test_a_20000_relator_chain_builds_no_dense_smith_form(monkeypatch):
+    """The chain g_i^-1 g_(i+1) peels completely, leaving no row for a
+    Smith form, where a dense one would update a 20,000 x 20,000 V.  The
+    row count is the gate; the time is a generous backstop (about 2 s)."""
+    original = homology.smith_normal_form
+
+    def residual_only(matrix, ncols=0):
+        # Fails at once, before a dense form of the chain could run for hours.
+        assert not matrix, f"a Smith form of {len(matrix)} rows; the residual has none"
+        return original(matrix, ncols)
+
+    monkeypatch.setattr(homology, "smith_normal_form", residual_only)
+    n = 20000
+    text = "gens: " + " ".join(f"g{i}" for i in range(n + 1)) + "\n" + "".join(
+        f"rel: g{i}^-1 g{i + 1}\n" for i in range(n)
+    )
+    start = time.perf_counter()
+    doc = _report(text)
+    out = report_json(doc)
+    assert time.perf_counter() - start < 60
+    assert doc["verdict"]["status"] == "npi-certified" and doc["verdict"]["citation"] == "Thm 3.4"
+    assert json.loads(out)["verdict"] == doc["verdict"]
 
 
 ZERO_KERNEL = "the exponent matrix of the relator part has zero kernel"
